@@ -2,9 +2,11 @@
 
 All results are emitted as JSON lines; polynomials serialize as
 {"coeffs": {"0": -1, "1": 1}}.  The exit status is nonzero exactly when a
-check fails or a scan finds a counterexample.  The --cache option points at
-an append-only JSON-lines file keyed by the canonical normalized index and
-engine tag; on reload the last write wins.
+check fails or a scan finds a counterexample (1), or when ``compute`` is
+given a malformed index, which it reports as a JSON error record (2).  The
+--cache option points at an append-only JSON-lines file keyed by the
+canonical normalized index and engine tag; on reload the last write wins
+and lines that do not parse are skipped.
 """
 
 from __future__ import annotations
@@ -45,11 +47,16 @@ def load_cache(path):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            cache[(rec["key"], rec["engine"])] = (
-                QPoly.from_json(rec["poly"]),
-                rec.get("status", "exact"),
-            )
+            # a line that does not parse (say, cut short by a crash
+            # mid-append) is skipped; the valid records are still served
+            try:
+                rec = json.loads(line)
+                cache[(rec["key"], rec["engine"])] = (
+                    QPoly.from_json(rec["poly"]),
+                    rec.get("status", "exact"),
+                )
+            except (ValueError, KeyError, TypeError, AttributeError):
+                continue
     return cache
 
 
@@ -65,19 +72,25 @@ def append_cache(path, key, engine, poly, status):
 
 
 def _parse_index(args) -> KIndex:
+    """The index named on the command line; ValueError when it is malformed."""
     if args.rects:
         rects = json.loads(args.rects)
-        lam = _vec(args.lam)
-        idx = index_from_rects(lam, rects)
-    else:
-        if not (args.lam and args.gamma and args.eta):
-            raise SystemExit("compute needs --lam, --gamma, --eta (or --rects)")
-        idx = KIndex(_vec(args.lam), _vec(args.gamma), _vec(args.eta))
-    return idx
+        if not isinstance(rects, list) or not all(
+            isinstance(r, list) and all(type(x) is int for x in r) for r in rects
+        ):
+            raise ValueError(f"--rects must be a list of integer lists, got {args.rects!r}")
+        return index_from_rects(_vec(args.lam), rects)
+    if not (args.lam and args.gamma and args.eta):
+        raise ValueError("compute needs --lam, --gamma, --eta (or --rects)")
+    return KIndex(_vec(args.lam), _vec(args.gamma), _vec(args.eta))
 
 
 def cmd_compute(args) -> int:
-    idx = _parse_index(args)
+    try:
+        idx = _parse_index(args)
+    except ValueError as exc:
+        _emit({"command": "compute", "error": f"bad input: {exc}"}, args.out)
+        return 2
     run_all = args.engine == "all"
     engines = ENGINES if run_all else (args.engine,)
     cache = load_cache(args.cache) if args.cache else None

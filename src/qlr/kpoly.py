@@ -3,7 +3,10 @@
 Four independent engines compute the same family K(lambda, gamma, eta):
 
 * ``k_by_kostant``     -- alternating sum over the symmetric group of
-                          q-counted root-multiset decompositions;
+                          q-counted root-multiset decompositions, walking
+                          only the arrangements of lambda + rho whose demand
+                          has nonnegative prefix sums (every other one
+                          counts zero);
 * ``k_by_recurrence``  -- the block-peeling recurrence driven by minimal
                           coset representatives and skew LR coefficients;
 * ``k_by_series``      -- direct expansion of the product generating
@@ -28,7 +31,6 @@ from .crystal import is_mu_lattice
 from .shapes import (
     RectSequence,
     Vec,
-    all_permutations,
     block_bounds,
     dominates,
     from_rects,
@@ -37,9 +39,6 @@ from .shapes import (
     pad,
     partitions,
     partitions_containing,
-    perm_apply,
-    perm_inverse,
-    perm_sign,
     rect_sequence,
     rho,
     roots_of,
@@ -355,8 +354,41 @@ def kostant_q(eta, demand) -> QPoly:
     return _kostant_count(eta, 1, demand)
 
 
+def _root_flow_arrangements(lam_rho, gamma_rho, first_block):
+    """Yield (sign, demand) for the arrangements of ``lam_rho`` whose demand
+    ``arrangement - gamma_rho`` can be a root flow.
+
+    Every root e_i - e_j has i < j, so each prefix sum of the demand is the
+    flow leaving the first positions and must be nonnegative; positions of
+    the first block receive no inflow, so their demand is nonnegative.
+    ``lam_rho`` is strictly decreasing, so each arrangement is one w and its
+    sign counts the pairs placed out of order.
+    """
+    n = len(lam_rho)
+    used = [False] * n
+    demand = [0] * n
+
+    def place(p, prefix, inversions):
+        if p == n:
+            yield (-1 if inversions % 2 else 1), tuple(demand)
+            return
+        for k in range(n):
+            if used[k]:
+                continue
+            d = lam_rho[k] - gamma_rho[p]
+            if prefix + d < 0 or (p < first_block and d < 0):
+                continue
+            used[k] = True
+            demand[p] = d
+            yield from place(p + 1, prefix + d, inversions + sum(used[k + 1:]))
+            used[k] = False
+
+    yield from place(0, 0, 0)
+
+
 def k_by_kostant(idx: KIndex) -> QPoly:
-    """Engine A: alternating sum over W of q-counted root decompositions."""
+    """Engine A: alternating sum over W of q-counted root decompositions,
+    walking only the arrangements whose demand can be a root flow."""
     lam, gamma, eta = idx.lam, idx.gamma, idx.eta
     if not is_weakly_decreasing(lam):
         raise ValueError(f"lambda must be dominant, got {lam}")
@@ -366,11 +398,10 @@ def k_by_kostant(idx: KIndex) -> QPoly:
     lam_rho = vec_add(lam, rho(n))
     gamma_rho = vec_add(gamma, rho(n))
     total = ZERO
-    for w in all_permutations(n):
-        d = vec_sub(perm_apply(perm_inverse(w), lam_rho), gamma_rho)
+    for sign, d in _root_flow_arrangements(lam_rho, gamma_rho, eta[0] if eta else 0):
         part = kostant_q(eta, d)
         if part:
-            total = total + part * perm_sign(w)
+            total = total + part * sign
     return total
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qlr.cli import main, load_cache, poset_dot
 
 
@@ -88,6 +90,33 @@ def test_cache_keeps_the_charge_label(tmp_path, capsys):
     assert code == 0 and lines[0]["status"] == "conjectural"
     code, lines = run(capsys, *args)
     assert code == 0 and lines[0]["status"] == "cached:conjectural"
+
+
+def test_cache_skips_a_truncated_last_line(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    args = [
+        "compute", "--lam", "2,1,0", "--gamma", "0,2,1", "--eta", "1,1,1",
+        "--engine", "recurrence", "--cache", str(cache),
+    ]
+    run(capsys, *args)
+    whole = cache.read_text()
+    # a second record cut short mid-append, with no closing newline
+    cache.write_text(whole + whole[: len(whole) // 2])
+    assert len(load_cache(cache)) == 1
+    code, lines = run(capsys, *args)
+    assert code == 0 and lines[0]["status"] == "cached:exact"
+    assert lines[0]["poly"] == {"coeffs": {"1": -1, "2": 1, "3": 1}}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--lam", "1,x", "--gamma", "1,1", "--eta", "1,1"),
+    ("--lam", "2,1", "--gamma", "1,1,1", "--eta", "1,1,1"),
+    ("--lam", "2,1", "--rects", "[[1,1],[1"),
+])
+def test_compute_rejects_bad_input_with_a_json_error(capsys, argv):
+    code, lines = run(capsys, "compute", *argv)
+    assert code != 0
+    assert len(lines) == 1 and "bad input" in lines[0]["error"]
 
 
 def test_crosscheck_detects_corrupted_cache(tmp_path, capsys):

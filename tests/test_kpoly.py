@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from qlr.kpoly import (
     PROVEN,
     QPoly,
     ZERO,
+    _root_flow_arrangements,
     bott_straighten,
     charge_engine_status,
     cocharge_kostka,
@@ -33,12 +35,19 @@ from qlr.kpoly import (
     two_rectangle_formula,
 )
 from qlr.shapes import (
+    all_permutations,
     box_complement,
     compositions,
     conjugate,
     pad,
     partitions,
+    perm_apply,
+    perm_inverse,
+    perm_sign,
     rect_sequence,
+    rho,
+    vec_add,
+    vec_sub,
 )
 
 q = QPoly.term
@@ -72,6 +81,80 @@ def test_kostant_counts():
     assert kostant_q((1, 1), (0, 0)) == ONE
     assert kostant_q((1, 1), (-1, 1)) == ZERO
     assert kostant_q((2,), (1, -1)) == ZERO
+
+
+def _arrangement_demands(idx: KIndex):
+    """(sign of w, demand w^{-1}(lam + rho) - (gamma + rho)) for every w in S_n."""
+    n = idx.n
+    lam_rho = vec_add(idx.lam, rho(n))
+    gamma_rho = vec_add(idx.gamma, rho(n))
+    for w in all_permutations(n):
+        yield perm_sign(w), vec_sub(perm_apply(perm_inverse(w), lam_rho), gamma_rho)
+
+
+def kostant_reference(idx: KIndex) -> QPoly:
+    """Kostant's formula summed over all n! permutations, without pruning."""
+    if sum(idx.lam) != sum(idx.gamma):
+        return ZERO
+    total = ZERO
+    for sign, d in _arrangement_demands(idx):
+        part = kostant_q(idx.eta, d)
+        if part:
+            total = total + part * sign
+    return total
+
+
+def _passes_prune_tests(eta, d) -> bool:
+    return (all(s >= 0 for s in itertools.accumulate(d))
+            and all(x >= 0 for x in d[: eta[0]]))
+
+
+def test_pruned_arrangements_are_exactly_the_root_flow_candidates():
+    # every arrangement the prune tests reject has kostant_q == 0, and the
+    # walk yields the others with their signs: n <= 5, every eta, every
+    # partition lam of size <= 2, every gamma of that size with entries <= 2
+    for n in range(1, 6):
+        for eta in compositions(n):
+            for size in range(3):
+                for lam in partitions(size, max_len=n):
+                    lam = pad(lam, n)
+                    for gamma in itertools.product(range(3), repeat=n):
+                        if sum(gamma) != size:
+                            continue
+                        idx = KIndex(lam, gamma, eta)
+                        kept = []
+                        for sign, d in _arrangement_demands(idx):
+                            if _passes_prune_tests(eta, d):
+                                kept.append((sign, d))
+                            else:
+                                assert kostant_q(eta, d) == ZERO, (idx, d)
+                        walked = _root_flow_arrangements(
+                            vec_add(lam, rho(n)), vec_add(gamma, rho(n)), eta[0])
+                        assert sorted(walked) == sorted(kept), idx
+
+
+def _random_dominant_index(rng: random.Random):
+    """A random index with partition lam and partition blocks, n in 5..7."""
+    n = rng.randint(5, 7)
+    eta = rng.choice(compositions(n))
+    size = rng.randint(1, 6)
+    cuts = sorted(rng.randint(0, size) for _ in range(len(eta) - 1))
+    block_sizes = [b - a for a, b in zip([0, *cuts], [*cuts, size])]
+    gamma = []
+    for e, s in zip(eta, block_sizes):
+        gamma.extend(pad(rng.choice(list(partitions(s, max_len=e))), e))
+    lam = pad(rng.choice(list(partitions(size, max_len=n))), n)
+    return KIndex(lam, tuple(gamma), eta)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kostant_walk_matches_reference_and_recurrence(seed):
+    rng = random.Random(seed)
+    for _ in range(6):
+        idx = _random_dominant_index(rng)
+        expected = k_by_recurrence(idx.lam, idx.rects())
+        assert k_by_kostant(idx) == expected, idx
+        assert kostant_reference(idx) == expected, idx
 
 
 def test_kostka_numbers():

@@ -8,12 +8,13 @@ re-runs RSK to get a pair (P, Q).  On that side the cancelling step fixes
 pairs with lattice Q and otherwise flips w by the simple reflection at the
 rightmost lattice violation of Q while moving Q within its string.
 
-The report at the bottom drives the whole construction over every triple and
-checks: the involution property, sign reversal, weight preservation, the
-charge shift of the re-encoding, the bijection between fixed points and
-catabolizable tableaux, stability of the catabolizable side (escapes are
-reported, not asserted), and agreement of the signed sum with the
-recurrence engine.
+Triples are enumerated by a walk that visits only the permutations with a
+nonnegative U-content, never all n! of them.  The report at the bottom drives
+the whole construction over every triple and checks: the involution property,
+sign reversal, weight preservation, the charge shift of the re-encoding, the
+bijection between fixed points and catabolizable tableaux, stability of the
+catabolizable side (escapes are reported, not asserted), and agreement of the
+signed sum with the recurrence engine.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .shapes import (
     RectSequence,
     Vec,
     adjacent_transposition,
-    all_permutations,
     identity_perm,
     pad,
     partitions,
@@ -153,20 +153,57 @@ class InvolutionContext:
     def tableau_in_catabolizable_side(self, t: Tableau) -> bool:
         return is_catabolizable(t.relabel(-self.m), self.rseq.tail())
 
-    def triples(self, catabolizable_only: bool = True):
-        """All triples of the index; the flag restricts T as in the signed sum."""
-        size = sum(self.gamma_hat)
-        for w in all_permutations(self.n):
+    def _nonnegative_u_perms(self):
+        """The w whose U-content is nonnegative, in lexicographic order.
+
+        Since ``xi(w)[k] = (lam+rho)[w(k)-1] - rho[k]``, the U-content is
+        nonnegative exactly when each position k holds an entry of lam+rho of
+        at least ``rho[k] + r1[k]`` (r1 padded by zeros past the first block).
+        lam+rho is strictly decreasing, so position k admits exactly the
+        values ``1..caps[k]``; the walk fills positions in order and tries
+        only those.
+        """
+        n = self.n
+        lam_rho = vec_add(self.lam, rho(n))
+        caps = [
+            sum(1 for x in lam_rho if x >= floor)
+            for floor in vec_add(rho(n), pad(self.r1, n))
+        ]
+        used = [False] * (n + 1)
+        w = [0] * n
+
+        def place(k):
+            if k == n:
+                yield tuple(w)
+                return
+            for v in range(1, caps[k] + 1):
+                if used[v]:
+                    continue
+                used[v] = True
+                w[k] = v
+                yield from place(k + 1)
+                used[v] = False
+
+        yield from place(0)
+
+    def triples(self):
+        """All triples of the index with T on the catabolizable side.
+
+        Only the w with a nonnegative U-content are visited, and each shape's
+        list of catabolizable T is built once, on first use.
+        """
+        shapes = partitions(sum(self.gamma_hat), max_len=self.n)
+        t_lists: dict[Vec, list[Tableau]] = {}
+        for w in self._nonnegative_u_perms():
             cu = self.u_content(w)
-            if cu is None:
-                continue
-            for shape in partitions(size, max_len=self.n):
-                ts = [
-                    t
-                    for t in straight_cst(shape, self.t_content)
-                    if not catabolizable_only
-                    or self.tableau_in_catabolizable_side(t)
-                ]
+            for shape in shapes:
+                ts = t_lists.get(shape)
+                if ts is None:
+                    ts = t_lists[shape] = [
+                        t
+                        for t in straight_cst(shape, self.t_content)
+                        if self.tableau_in_catabolizable_side(t)
+                    ]
                 if not ts:
                     continue
                 us = straight_cst(shape, cu)
@@ -219,7 +256,7 @@ def verify_involution(lam, rseq: RectSequence) -> InvolutionReport:
     count = 0
     images: dict[SignedTriple, SignedTriple] = {}
 
-    for triple in ctx.triples(catabolizable_only=True):
+    for triple in ctx.triples():
         count += 1
         exponent = ctx.weight_exponent(triple.w, triple.t)
         signed_sum = signed_sum + QPoly.term(exponent, perm_sign(triple.w))

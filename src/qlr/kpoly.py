@@ -167,6 +167,8 @@ class KIndex:
         object.__setattr__(self, "eta", tuple(self.eta))
         if sum(self.eta) != len(self.gamma) or len(self.lam) != len(self.gamma):
             raise ValueError(f"inconsistent index {self}")
+        if any(e <= 0 for e in self.eta):
+            raise ValueError(f"eta parts must be positive: {self.eta}")
 
     @property
     def n(self) -> int:

@@ -112,6 +112,7 @@ def test_cache_skips_a_truncated_last_line(tmp_path, capsys):
     ("--lam", "1,x", "--gamma", "1,1", "--eta", "1,1"),
     ("--lam", "2,1", "--gamma", "1,1,1", "--eta", "1,1,1"),
     ("--lam", "2,1", "--rects", "[[1,1],[1"),
+    ("--lam", "1,0", "--gamma", "1,0", "--eta", "3,-1"),
 ])
 def test_compute_rejects_bad_input_with_a_json_error(capsys, argv):
     code, lines = run(capsys, "compute", *argv)

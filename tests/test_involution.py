@@ -4,10 +4,51 @@ from qlr.charge import charge_tableau
 from qlr.crystal import is_lattice
 from qlr.involution import InvolutionContext, SignedTriple, verify_involution
 from qlr.kpoly import QPoly, k_by_recurrence
-from qlr.shapes import compositions, pad, partitions, rect_sequence
-from qlr.tableaux import Tableau, column_rsk_inverse, jdt_slide, tab, two_row_tableau
+from qlr.shapes import all_permutations, compositions, pad, partitions, rect_sequence
+from qlr.tableaux import (
+    Tableau,
+    column_rsk_inverse,
+    jdt_slide,
+    straight_cst,
+    tab,
+    two_row_tableau,
+)
 
 q = QPoly.term
+
+
+def triples_reference(ctx: InvolutionContext, catabolizable_only: bool = True):
+    """The triples over all n! permutations, rebuilding each T-list per w."""
+    size = sum(ctx.gamma_hat)
+    for w in all_permutations(ctx.n):
+        cu = ctx.u_content(w)
+        if cu is None:
+            continue
+        for shape in partitions(size, max_len=ctx.n):
+            ts = [
+                t
+                for t in straight_cst(shape, ctx.t_content)
+                if not catabolizable_only or ctx.tableau_in_catabolizable_side(t)
+            ]
+            if not ts:
+                continue
+            us = straight_cst(shape, cu)
+            for t in ts:
+                for u in us:
+                    yield SignedTriple(w, t, u)
+
+
+def _small_contexts(same_size: bool):
+    """Contexts for n <= 5, every eta, gamma a partition of size <= 2 and
+    lam a partition of size <= 3 (of gamma's size when ``same_size``)."""
+    for n in range(1, 6):
+        for eta in compositions(n):
+            for s in range(3):
+                for gam in partitions(s, max_len=n):
+                    rs = rect_sequence(eta, pad(gam, n))
+                    for size in (s,) if same_size else range(4):
+                        for lam in partitions(size, max_len=n):
+                            yield InvolutionContext(lam, rs)
 
 # ---------------------------------------------------------------------------
 # the worked n = 8 example
@@ -123,9 +164,8 @@ def test_hook_blocks_make_every_triple_count():
     # hook-shaped block sizes: the catabolizable side is the whole triple set
     rs = rect_sequence((2, 1, 1), (2, 1, 1, 1))
     ctx = InvolutionContext((3, 1, 1, 0), rs)
-    all_triples = list(ctx.triples(catabolizable_only=False))
-    kept = list(ctx.triples(catabolizable_only=True))
-    assert all_triples == kept
+    all_triples = list(triples_reference(ctx, catabolizable_only=False))
+    assert all_triples and list(ctx.triples()) == all_triples
     rep = verify_involution((3, 1, 1, 0), rs)
     assert rep.ok
 
@@ -146,8 +186,19 @@ def test_involution_sweep_small():
 def test_fixed_points_have_lattice_recording_side():
     rs = rect_sequence((2, 2, 1), (3, 2, 2, 1, 1))
     ctx = InvolutionContext((5, 3, 1, 0, 0), rs)
-    for tr in ctx.triples(catabolizable_only=True):
+    for tr in ctx.triples():
         w, p, qq = ctx.expand(tr)
         if ctx.step(w, p, qq) is None:
             assert is_lattice(qq.word())
             assert w == (1, 2, 3, 4, 5)
+
+
+def test_walk_visits_exactly_the_nonnegative_u_contents():
+    for ctx in _small_contexts(same_size=False):
+        expected = [w for w in all_permutations(ctx.n) if ctx.u_content(w) is not None]
+        assert list(ctx._nonnegative_u_perms()) == expected, (ctx.lam, ctx.rseq)
+
+
+def test_triples_match_the_all_permutations_reference():
+    for ctx in _small_contexts(same_size=True):
+        assert list(ctx.triples()) == list(triples_reference(ctx)), (ctx.lam, ctx.rseq)

@@ -222,6 +222,12 @@ def test_empty_index():
     assert index_from_rects((), []).n == 0
 
 
+def test_index_rejects_nonpositive_eta_parts():
+    for eta in ((3, -1), (2, 0), (0, 2)):
+        with pytest.raises(ValueError, match="eta parts must be positive"):
+            KIndex((1, 0), (1, 0), eta)
+
+
 def test_single_block_is_kronecker():
     assert k_by_recurrence((2, 1), rect_sequence((2,), (2, 1))) == ONE
     assert k_by_recurrence((3, 0), rect_sequence((2,), (2, 1))) == ZERO

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .shapes import RectSequence, dominates, is_weakly_decreasing, trim
+from .shapes import RectSequence, is_weakly_decreasing, trim
 from .tableaux import EMPTY, Tableau, h_slice, straight_cst, v_slice
 
 
@@ -24,16 +24,13 @@ def yamanouchi_block(rseq: RectSequence, i: int) -> Tableau:
     return Tableau([[start + j] * x for j, x in enumerate(shape)])
 
 
-def _strip_block(t: Tableau, rseq: RectSequence):
-    """Remove Y_1 from t, or None when the restriction is not Y_1."""
-    m = rseq.eta[0]
-    if t.restrict(1, m) != yamanouchi_block(rseq, 0):
+def _catabolize(t: Tableau, block: Tableau, m: int, cut, at: int):
+    """One catabolism step: strip ``block`` (the letters 1..m) off t and
+    apply the slice ``cut(rest, at)``; None when t restricted to 1..m is not
+    ``block``."""
+    if t.restrict(1, m) != block:
         return None
-    inner = trim(rseq.rects[0])
-    rows = [
-        [x for x in r if x > m] for r in t.rows
-    ]
-    return Tableau(rows, inner)
+    return cut(Tableau([[x for x in r if x > m] for r in t.rows], block.outer), at)
 
 
 def cat_block(t: Tableau, rseq: RectSequence):
@@ -42,10 +39,8 @@ def cat_block(t: Tableau, rseq: RectSequence):
     Returns None when t does not restrict to Y_1 on the first alphabet
     block.  The result keeps its letters in the original alphabet.
     """
-    stripped = _strip_block(t, rseq)
-    if stripped is None:
-        return None
-    return h_slice(stripped, rseq.eta[0])
+    m = rseq.eta[0]
+    return _catabolize(t, yamanouchi_block(rseq, 0), m, h_slice, m)
 
 
 @dataclass(frozen=True)
@@ -129,46 +124,32 @@ def one_row_tableau(m: int) -> Tableau:
 
 def row_catabolism(t: Tableau, m: int):
     """H_1 of (t minus the one-row tableau on 1..m), or None."""
-    if t.restrict(1, m) != one_row_tableau(m):
-        return None
-    rest = Tableau([[x for x in r if x > m] for r in t.rows], (m,) if m else ())
-    return h_slice(rest, 1)
+    return _catabolize(t, one_row_tableau(m), m, h_slice, 1)
 
 
 def column_catabolism(t: Tableau, m: int):
     """V_m of (t minus the one-row tableau on 1..m), or None."""
-    if t.restrict(1, m) != one_row_tableau(m):
-        return None
-    rest = Tableau([[x for x in r if x > m] for r in t.rows], (m,) if m else ())
-    return v_slice(rest, m)
+    return _catabolize(t, one_row_tableau(m), m, v_slice, m)
+
+
+def _mu_catabolizable(t: Tableau, mu, step) -> bool:
+    """Catabolizability against mu, one ``step(t, mu_1)`` per part of mu."""
+    mu = trim(mu)
+    if not mu:
+        return not t
+    if t.size != sum(mu):
+        return False
+    after = step(t, mu[0])
+    if after is None:
+        return False
+    return _mu_catabolizable(after.relabel(-mu[0]), mu[1:], step)
 
 
 def is_mu_catabolizable(t: Tableau, mu) -> bool:
     """Row catabolizability of a standard tableau against the partition mu."""
-    mu = trim(mu)
-    if not mu:
-        return not t
-    if t.size != sum(mu):
-        return False
-    after = row_catabolism(t, mu[0])
-    if after is None:
-        return False
-    return is_mu_catabolizable(after.relabel(-mu[0]), mu[1:])
+    return _mu_catabolizable(t, mu, row_catabolism)
 
 
 def is_mu_column_catabolizable(t: Tableau, mu) -> bool:
     """Column catabolizability of a standard tableau against mu."""
-    mu = trim(mu)
-    if not mu:
-        return not t
-    if t.size != sum(mu):
-        return False
-    after = column_catabolism(t, mu[0])
-    if after is None:
-        return False
-    return is_mu_column_catabolizable(after.relabel(-mu[0]), mu[1:])
-
-
-def cattype_dominates(t: Tableau, mu) -> bool:
-    """Convenience comparison catabolism_type(t) >= mu in dominance order."""
-    return dominates(catabolism_type(t), trim(mu))
+    return _mu_catabolizable(t, mu, column_catabolism)

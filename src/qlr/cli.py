@@ -2,8 +2,9 @@
 
 All results are emitted as JSON lines; polynomials serialize as
 {"coeffs": {"0": -1, "1": 1}}.  The exit status is nonzero exactly when a
-check fails or a scan finds a counterexample (1), or when ``compute`` is
-given a malformed index, which it reports as a JSON error record (2).  The
+check fails or a scan finds a counterexample (1), or when a subcommand is
+given malformed input (an unparsable index or content, a size below its
+least legal value), which it reports as one JSON error record (2).  The
 --cache option points at an append-only JSON-lines file keyed by the
 canonical normalized index and engine tag; on reload the last write wins
 and lines that do not parse are skipped.
@@ -85,18 +86,29 @@ def _parse_index(args) -> KIndex:
     return KIndex(_vec(args.lam), _vec(args.gamma), _vec(args.eta))
 
 
+def _bad_input(args, reason) -> int:
+    """Answer malformed command-line input with one JSON error record."""
+    _emit({"command": args.command, "error": f"bad input: {reason}"}, args.out)
+    return 2
+
+
 def cmd_compute(args) -> int:
     try:
         idx = _parse_index(args)
     except ValueError as exc:
-        _emit({"command": "compute", "error": f"bad input: {exc}"}, args.out)
-        return 2
+        return _bad_input(args, exc)
     run_all = args.engine == "all"
     engines = ENGINES if run_all else (args.engine,)
     cache = load_cache(args.cache) if args.cache else None
     key = index_key(idx)
     failures = 0
     for engine in engines:
+        record = {
+            "lambda": list(idx.lam),
+            "gamma": list(idx.gamma),
+            "eta": list(idx.eta),
+            "engine": engine,
+        }
         cached = cache.get((key, engine)) if cache is not None else None
         if cached is not None:
             poly, status = cached[0], f"cached:{cached[1]}"
@@ -104,34 +116,17 @@ def cmd_compute(args) -> int:
             try:
                 poly, status = compute(idx, engine, degree_bound=args.degree_bound)
             except ValueError as exc:
-                record = {
-                    "lambda": list(idx.lam),
-                    "gamma": list(idx.gamma),
-                    "eta": list(idx.eta),
-                    "engine": engine,
-                }
                 if run_all and engine == "charge":
-                    record["status"] = "inapplicable"
-                    record["reason"] = str(exc)
+                    record.update(status="inapplicable", reason=str(exc))
                 else:
-                    record["error"] = str(exc)
+                    record.update(error=str(exc))
                     failures += 1
                 _emit(record, args.out)
                 continue
             if args.cache:
                 append_cache(args.cache, key, engine, poly, status)
-        _emit(
-            {
-                "lambda": list(idx.lam),
-                "gamma": list(idx.gamma),
-                "eta": list(idx.eta),
-                "engine": engine,
-                "poly": poly.to_json(),
-                "display": repr(poly),
-                "status": status,
-            },
-            args.out,
-        )
+        record.update(poly=poly.to_json(), display=repr(poly), status=status)
+        _emit(record, args.out)
     return 1 if failures else 0
 
 
@@ -150,11 +145,8 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    scan = SCANS.get(args.kind)
-    if scan is None:
-        raise SystemExit(f"unknown scan kind {args.kind!r} (choose from {sorted(SCANS)})")
     sample = (args.sample, args.sample_count) if args.sample is not None else None
-    rep = scan(args.max_n, args.max_weight, sample=sample)
+    rep = SCANS[args.kind](args.max_n, args.max_weight, sample=sample)
     _emit(rep.to_json(), args.out)
     return 0 if rep.ok else 1
 
@@ -180,8 +172,13 @@ def poset_dot(alpha) -> str:
 
 
 def cmd_dot(args) -> int:
-    alpha = _vec(args.alpha)
-    text = poset_dot(alpha)
+    try:
+        alpha = _vec(args.alpha)
+        if any(x < 0 for x in alpha):
+            raise ValueError(f"--alpha must be a composition, got {args.alpha!r}")
+        text = poset_dot(alpha)
+    except ValueError as exc:
+        return _bad_input(args, exc)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -190,10 +187,7 @@ def cmd_dot(args) -> int:
 
 
 def cmd_check(args) -> int:
-    check = CHECKS.get(args.name)
-    if check is None:
-        raise SystemExit(f"unknown check {args.name!r} (choose from {sorted(CHECKS)})")
-    rep = check(args.n)
+    rep = CHECKS[args.name](args.n)
     _emit(rep.to_json(), args.out)
     return 0 if rep.ok else 1
 
@@ -249,8 +243,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# least legal value of each size option, on every subcommand that has it;
+# a smaller one would make a sweep or check vacuous, or crash it
+LEAST = {"max_n": 1, "max_weight": 0, "sample_count": 1, "n": 1}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for name, low in LEAST.items():
+        value = getattr(args, name, low)
+        if value < low:
+            option = "--" + name.replace("_", "-")
+            return _bad_input(args, f"{option} must be at least {low}, got {value}")
     return args.func(args)
 
 

@@ -102,14 +102,6 @@ def sort_to_partition_content(u) -> Word:
     return plactic_act(perm_inverse(w), u)
 
 
-def apply_to_tableau(op, t: Tableau, *args):
-    """Apply a word operator to a tableau through its reading word."""
-    w = op(t.word(), *args)
-    if w is None:
-        return None
-    return refill(t, w)
-
-
 def refill(t: Tableau, w) -> Tableau:
     """Rebuild a tableau of t's shape from a reading word."""
     w = tuple(w)
@@ -130,17 +122,7 @@ def refill(t: Tableau, w) -> Tableau:
 
 def is_mu_lattice(w, mu) -> bool:
     """True when mu plus the content of every final subword is a partition."""
-    mu = trim(mu)
-    counts: dict[int, int] = {}
-    for x in reversed(tuple(w)):
-        counts[x] = counts.get(x, 0) + 1
-        if x == 1:
-            continue
-        cx = counts[x] + (mu[x - 1] if x - 1 < len(mu) else 0)
-        cp = counts.get(x - 1, 0) + (mu[x - 2] if x - 2 < len(mu) else 0)
-        if cx > cp:
-            return False
-    return True
+    return lattice_violation(w, mu) is None
 
 
 def is_lattice(w) -> bool:

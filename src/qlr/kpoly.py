@@ -42,6 +42,7 @@ from .shapes import (
     rect_sequence,
     rho,
     roots_of,
+    straighten,
     trim,
     vec_add,
     vec_sub,
@@ -196,16 +197,9 @@ def index_from_rects(lam, rects) -> KIndex:
 
 
 def bott_straighten(alpha):
-    """Straighten a monomial exponent: None on a stuck repeat, else
-    (sign, dominant weight) with alpha + rho sorted and shifted back."""
-    alpha = tuple(alpha)
-    n = len(alpha)
-    v = vec_add(alpha, rho(n))
-    if len(set(v)) < n:
-        return None
-    inv = sum(1 for i, j in itertools.combinations(range(n), 2) if v[i] < v[j])
-    srt = tuple(sorted(v, reverse=True))
-    return (-1 if inv % 2 else 1), vec_sub(srt, rho(n))
+    """Straighten a monomial exponent of the series expansion: None on a
+    stuck repeat, else (sign, dominant weight); see ``shapes.straighten``."""
+    return straighten(alpha)
 
 
 @cache
@@ -349,9 +343,8 @@ def kostant_q(eta, demand) -> QPoly:
     eta, demand = tuple(eta), tuple(demand)
     if sum(demand) != 0:
         return ZERO
-    n = len(demand)
     # every root use strictly lowers this functional, so negative means empty
-    if sum((n - k - 1) * v for k, v in enumerate(demand)) < 0:
+    if staircase_functional(demand) < 0:
         return ZERO
     return _kostant_count(eta, 1, demand)
 
@@ -570,41 +563,39 @@ class ChargeResult:
     status: str
 
 
+def _generating(stat, tableaux) -> QPoly:
+    """The sum of q^stat(t) over the tableaux."""
+    total = ZERO
+    for t in tableaux:
+        total = total + QPoly.term(stat(t))
+    return total
+
+
 def k_by_charge(lam, rseq: RectSequence) -> ChargeResult:
     """Engine D: the charge generating function over catabolizable tableaux."""
     if not rseq.is_dominant():
         raise ValueError(f"the block sequence must be dominant: {rseq.gamma}")
-    lam = trim(lam)
-    total = ZERO
-    for t in enumerate_catabolizable(lam, rseq):
-        total = total + QPoly.term(charge_tableau(t))
+    total = _generating(charge_tableau, enumerate_catabolizable(trim(lam), rseq))
     return ChargeResult(total, charge_engine_status(rseq))
 
 
 def kostka_foulkes(lam, mu) -> QPoly:
     """Charge generating function over CST(lam, mu)."""
-    total = ZERO
-    for t in straight_cst(trim(lam), tuple(mu)):
-        total = total + QPoly.term(charge_tableau(t))
-    return total
+    return _generating(charge_tableau, straight_cst(trim(lam), tuple(mu)))
 
 
 def cocharge_kostka(lam, mu) -> QPoly:
     """Cocharge generating function over CST(lam, mu)."""
-    total = ZERO
-    for t in straight_cst(trim(lam), tuple(mu)):
-        total = total + QPoly.term(cocharge_tableau(t))
-    return total
+    return _generating(cocharge_tableau, straight_cst(trim(lam), tuple(mu)))
 
 
 def standard_cocharge_sum(lam, mu) -> QPoly:
     """Cocharge sum over standard tableaux whose catabolism type dominates mu."""
     lam, mu = trim(lam), trim(mu)
-    total = ZERO
-    for t in straight_cst(lam, (1,) * sum(lam)):
-        if dominates(catabolism_type(t), mu):
-            total = total + QPoly.term(cocharge_tableau(t))
-    return total
+    standard = straight_cst(lam, (1,) * sum(lam))
+    return _generating(
+        cocharge_tableau, (t for t in standard if dominates(catabolism_type(t), mu))
+    )
 
 
 def two_rectangle_formula(lam, r1, r2) -> QPoly:

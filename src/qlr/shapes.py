@@ -182,13 +182,15 @@ def dominant_sort(a):
     return a_plus, w
 
 
-def sort_sign(v):
-    """Sign and sorted form of a repeat-free vector; None on a repeat."""
-    v = tuple(v)
-    if len(set(v)) < len(v):
+def straighten(alpha):
+    """Bott straightening of a weight: None when alpha + rho has a repeat,
+    else (sign, dominant weight) with alpha + rho sorted and shifted back."""
+    n = len(alpha)
+    v = vec_add(alpha, rho(n))
+    if len(set(v)) < n:
         return None
-    inv = sum(1 for i, j in itertools.combinations(range(len(v)), 2) if v[i] < v[j])
-    return (-1 if inv % 2 else 1), tuple(sorted(v, reverse=True))
+    inv = sum(1 for i, j in itertools.combinations(range(n), 2) if v[i] < v[j])
+    return (-1 if inv % 2 else 1), vec_sub(tuple(sorted(v, reverse=True)), rho(n))
 
 
 # ---------------------------------------------------------------------------
@@ -305,26 +307,14 @@ def normalize_index(lam, gamma, eta):
     if sum(lam) != sum(gamma):
         return None
 
-    sign = 1
-    res = sort_sign(vec_add(lam, rho(n)))
-    if res is None:
-        return None
-    s, srt = res
-    sign *= s
-    lam2 = vec_sub(srt, rho(n))
-
-    gamma2 = []
-    start = 0
-    for e in eta:
-        piece = gamma[start:start + e]
-        start += e
-        res = sort_sign(vec_add(piece, rho(e)))
+    sign, straight = 1, []
+    for piece in [lam] + [gamma[a - 1:b] for a, b in block_bounds(eta)]:
+        res = straighten(piece)
         if res is None:
             return None
-        s, srt = res
-        sign *= s
-        gamma2.extend(vec_sub(srt, rho(e)))
-    gamma2 = tuple(gamma2)
+        sign *= res[0]
+        straight.append(res[1])
+    lam2, gamma2 = straight[0], tuple(itertools.chain.from_iterable(straight[1:]))
 
     shift = -min(min(lam2, default=0), min(gamma2, default=0), 0)
     lam3 = tuple(x + shift for x in lam2)
@@ -388,20 +378,6 @@ def compositions(n: int):
         for rest in compositions(n - first):
             out.append((first,) + rest)
     return tuple(out)
-
-
-def weak_compositions(n: int, k: int):
-    """All ways to write ``n`` as an ordered sum of ``k`` nonnegative parts."""
-    if k == 0:
-        if n == 0:
-            yield ()
-        return
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in weak_compositions(n - first, k - 1):
-            yield (first,) + rest
 
 
 def partitions_containing(beta, size: int, max_len: int):

@@ -145,12 +145,6 @@ class Tableau:
                 out.append((i, x - 1))
         return out
 
-    def pretty(self) -> str:
-        lines = []
-        for i, r in enumerate(self.rows):
-            lines.append(". " * self.inner_at(i) + " ".join(str(x) for x in r))
-        return "\n".join(lines)
-
     def to_json(self) -> dict:
         return {"inner": list(self.inner), "rows": [list(r) for r in self.rows]}
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .catabolism import (
@@ -39,18 +40,21 @@ from .kpoly import (
     series_decomposition,
 )
 from .shapes import (
+    all_permutations,
     box_complement,
     compositions,
     dominates,
     is_weakly_decreasing,
     pad,
     partitions,
+    partitions_upto,
     rect_sequence,
     trim,
 )
 from .tableaux import (
     Tableau,
     column_rsk,
+    content,
     evacuation,
     standard_tableaux,
     straight_cst,
@@ -63,6 +67,15 @@ class ScanReport:
     checks: int = 0
     counterexamples: list = field(default_factory=list)
     elapsed: float = 0.0
+
+    @classmethod
+    @contextmanager
+    def timed(cls, **descriptor):
+        """A report on ``descriptor`` whose ``elapsed`` spans the with-block."""
+        t0 = time.time()
+        rep = cls(descriptor=descriptor)
+        yield rep
+        rep.elapsed = time.time() - t0
 
     @property
     def ok(self) -> bool:
@@ -97,15 +110,31 @@ def index_family(max_n: int, max_weight: int):
                     yield gamma, eta, lams
 
 
-def _maybe_sample(groups, sample):
-    if sample is None:
-        return groups
-    seed, count = sample
-    groups = list(groups)
-    rng = random.Random(seed)
-    if count >= len(groups):
-        return groups
-    return rng.sample(groups, count)
+def _scan_family(kind, max_n, max_weight, sample, check, prepare=None) -> ScanReport:
+    """Run ``check(rep, idx, rseq, prepared)`` on every index of the family.
+
+    The (gamma, eta) groups of ``index_family``, or a seeded sample of them,
+    are visited in turn; ``prepare(rseq)`` runs once per group, and what it
+    returns is handed to each check of the group as ``prepared``.
+    """
+    with ScanReport.timed(
+        kind=kind,
+        max_n=max_n,
+        max_weight=max_weight,
+        sample=list(sample) if sample else None,
+    ) as rep:
+        groups = index_family(max_n, max_weight)
+        if sample is not None:
+            seed, count = sample
+            groups = list(groups)
+            if count < len(groups):
+                groups = random.Random(seed).sample(groups, count)
+        for gamma, eta, lams in groups:
+            rseq = rect_sequence(eta, gamma)
+            prepared = prepare(rseq) if prepare else None
+            for lam in lams:
+                check(rep, KIndex(lam, gamma, eta), rseq, prepared)
+    return rep
 
 
 def crosscheck_family(
@@ -125,85 +154,77 @@ def crosscheck_family(
     against the recomputed ones, so a corrupted cache surfaces as a
     counterexample.
     """
-    t0 = time.time()
-    rep = ScanReport(
-        descriptor={
-            "kind": "crosscheck",
-            "max_n": max_n,
-            "max_weight": max_weight,
-            "sample": list(sample) if sample else None,
-        }
-    )
-    groups = _maybe_sample(index_family(max_n, max_weight), sample)
-    for gamma, eta, lams in groups:
-        n = len(gamma)
-        s = sum(gamma)
-        rseq = rect_sequence(eta, gamma)
-        bound = default_degree_bound((s,) + (0,) * (n - 1), gamma) if n else 0
-        decomposition = series_decomposition(gamma, eta, bound) if bound >= 0 else {}
-        proven = charge_engine_status(rseq) == PROVEN and rseq.is_dominant()
-        for lam in lams:
-            idx = KIndex(lam, gamma, eta)
-            p_rec = k_by_recurrence(lam, rseq)
-            p_kos = k_by_kostant(idx)
-            p_ser = decomposition.get(lam, ZERO)
+
+    def prepare(rseq):
+        n, s = rseq.n, sum(rseq.gamma)
+        bound = default_degree_bound((s,) + (0,) * (n - 1), rseq.gamma) if n else 0
+        decomposition = (
+            series_decomposition(rseq.gamma, rseq.eta, bound) if bound >= 0 else {}
+        )
+        return decomposition, charge_engine_status(rseq) == PROVEN
+
+    def check(rep, idx, rseq, prepared):
+        decomposition, proven = prepared
+        lam = idx.lam
+        p_rec = k_by_recurrence(lam, rseq)
+        p_kos = k_by_kostant(idx)
+        p_ser = decomposition.get(lam, ZERO)
+        rep.checks += 1
+        if not (p_rec == p_kos == p_ser):
+            rep.found(
+                check="engines",
+                index=idx,
+                recurrence=p_rec,
+                kostant=p_kos,
+                series=p_ser,
+            )
+            return
+        if include_charge and proven:
+            p_charge = k_by_charge(lam, rseq).poly
             rep.checks += 1
-            if not (p_rec == p_kos == p_ser):
-                rep.found(
-                    check="engines",
-                    index=idx,
-                    recurrence=p_rec,
-                    kostant=p_kos,
-                    series=p_ser,
-                )
-                continue
-            if include_charge and proven:
-                p_charge = k_by_charge(lam, rseq).poly
-                rep.checks += 1
-                if p_charge != p_rec:
-                    rep.found(check="charge", index=idx, charge=p_charge, exact=p_rec)
+            if p_charge != p_rec:
+                rep.found(check="charge", index=idx, charge=p_charge, exact=p_rec)
+        rep.checks += 1
+        if p_rec.at_one() != k_at_one(lam, rseq):
+            rep.found(check="q=1", index=idx, poly=p_rec, lr=k_at_one(lam, rseq))
+        if include_dualities:
             rep.checks += 1
-            if p_rec.at_one() != k_at_one(lam, rseq):
-                rep.found(check="q=1", index=idx, poly=p_rec, lr=k_at_one(lam, rseq))
-            if include_dualities:
+            p_dual, _ = compute(dual_index(idx), "recurrence")
+            if p_dual != p_rec:
+                rep.found(check="dual", index=idx, poly=p_rec, dual=p_dual)
+            lam_c, rs_c = box_complement(lam, rseq)
+            rep.checks += 1
+            p_box = k_by_recurrence(lam_c, rs_c)
+            if p_box != p_rec:
+                rep.found(check="box", index=idx, poly=p_rec, complement=p_box)
+            for other in dominant_reorderings(rseq):
+                if other == rseq:
+                    continue
                 rep.checks += 1
-                p_dual, _ = compute(dual_index(idx), "recurrence")
-                if p_dual != p_rec:
-                    rep.found(check="dual", index=idx, poly=p_rec, dual=p_dual)
-                lam_c, rs_c = box_complement(lam, rseq)
-                rep.checks += 1
-                p_box = k_by_recurrence(lam_c, rs_c)
-                if p_box != p_rec:
-                    rep.found(check="box", index=idx, poly=p_rec, complement=p_box)
-                if rseq.is_dominant():
-                    for other in dominant_reorderings(rseq):
-                        if other == rseq:
-                            continue
-                        rep.checks += 1
-                        p_sym = k_by_recurrence(pad(lam, other.n), other)
-                        if p_sym != p_rec:
-                            rep.found(
-                                check="symmetry",
-                                index=idx,
-                                reordering=other,
-                                poly=p_rec,
-                                other=p_sym,
-                            )
-            if cache is not None:
-                for engine, value in (("recurrence", p_rec), ("kostant", p_kos)):
-                    cached = cache.get((index_key(idx), engine))
-                    if cached is not None:
-                        rep.checks += 1
-                        if cached[0] != value:
-                            rep.found(
-                                check="cache",
-                                index=idx,
-                                engine=engine,
-                                cached=cached[0],
-                                computed=value,
-                            )
-    rep.elapsed = time.time() - t0
-    return rep
+                p_sym = k_by_recurrence(pad(lam, other.n), other)
+                if p_sym != p_rec:
+                    rep.found(
+                        check="symmetry",
+                        index=idx,
+                        reordering=other,
+                        poly=p_rec,
+                        other=p_sym,
+                    )
+        if cache is not None:
+            for engine, value in (("recurrence", p_rec), ("kostant", p_kos)):
+                cached = cache.get((index_key(idx), engine))
+                if cached is not None:
+                    rep.checks += 1
+                    if cached[0] != value:
+                        rep.found(
+                            check="cache",
+                            index=idx,
+                            engine=engine,
+                            cached=cached[0],
+                            computed=value,
+                        )
+
+    return _scan_family("crosscheck", max_n, max_weight, sample, check, prepare)
 
 
 def index_key(idx: KIndex) -> str:
@@ -220,85 +241,64 @@ def index_key(idx: KIndex) -> str:
 
 def scan_positivity(max_n: int, max_weight: int, *, sample=None) -> ScanReport:
     """Dominant gamma should give nonnegative coefficients."""
-    t0 = time.time()
-    rep = ScanReport(
-        descriptor={"kind": "positivity", "max_n": max_n, "max_weight": max_weight}
-    )
-    for gamma, eta, lams in _maybe_sample(index_family(max_n, max_weight), sample):
-        rseq = rect_sequence(eta, gamma)
-        for lam in lams:
-            poly = k_by_recurrence(lam, rseq)
-            rep.checks += 1
-            if not poly.is_nonnegative():
-                rep.found(check="positivity", index=KIndex(lam, gamma, eta), poly=poly)
-    rep.elapsed = time.time() - t0
-    return rep
+
+    def check(rep, idx, rseq, _):
+        poly = k_by_recurrence(idx.lam, rseq)
+        rep.checks += 1
+        if not poly.is_nonnegative():
+            rep.found(check="positivity", index=idx, poly=poly)
+
+    return _scan_family("positivity", max_n, max_weight, sample, check)
 
 
 def scan_catabolizable(max_n: int, max_weight: int, *, sample=None) -> ScanReport:
     """The charge engine should match the exact engines on dominant inputs."""
-    t0 = time.time()
-    rep = ScanReport(
-        descriptor={"kind": "catabolizable", "max_n": max_n, "max_weight": max_weight}
-    )
-    for gamma, eta, lams in _maybe_sample(index_family(max_n, max_weight), sample):
-        rseq = rect_sequence(eta, gamma)
-        if not rseq.is_dominant():
-            continue
-        for lam in lams:
-            exact = k_by_recurrence(lam, rseq)
-            conj = k_by_charge(lam, rseq)
-            rep.checks += 1
-            if conj.poly != exact:
-                rep.found(
-                    check="catabolizable",
-                    index=KIndex(lam, gamma, eta),
-                    status=conj.status,
-                    charge=conj.poly,
-                    exact=exact,
-                )
-    rep.elapsed = time.time() - t0
-    return rep
 
+    def check(rep, idx, rseq, _):
+        exact = k_by_recurrence(idx.lam, rseq)
+        conj = k_by_charge(idx.lam, rseq)
+        rep.checks += 1
+        if conj.poly != exact:
+            rep.found(
+                check="catabolizable",
+                index=idx,
+                status=conj.status,
+                charge=conj.poly,
+                exact=exact,
+            )
 
-def _splits(part: int):
-    """Two-part refinements of one block size."""
-    for a in range(1, part):
-        yield (a, part - a)
+    return _scan_family("catabolizable", max_n, max_weight, sample, check)
 
 
 def scan_monotonicity_refine(max_n: int, max_weight: int, *, sample=None) -> ScanReport:
     """Refining one block of a dominant sequence should grow K coefficientwise."""
-    t0 = time.time()
-    rep = ScanReport(
-        descriptor={"kind": "monotonicity1", "max_n": max_n, "max_weight": max_weight}
-    )
-    for gamma, eta, lams in _maybe_sample(index_family(max_n, max_weight), sample):
-        rseq = rect_sequence(eta, gamma)
-        if not rseq.is_dominant():
-            continue
-        refinements = []
-        for i, part in enumerate(eta):
-            for split in _splits(part):
-                refinements.append(eta[:i] + split + eta[i + 1:])
+
+    def prepare(rseq):
+        # every two-part split (a, part - a) of every block
+        eta = rseq.eta
+        return [
+            rect_sequence(eta[:i] + (a, part - a) + eta[i + 1:], rseq.gamma)
+            for i, part in enumerate(eta)
+            for a in range(1, part)
+        ]
+
+    def check(rep, idx, rseq, refinements):
         if not refinements:
-            continue
-        for lam in lams:
-            base = k_by_recurrence(lam, rseq)
-            for eta2 in refinements:
-                finer = rect_sequence(eta2, gamma)
-                rep.checks += 1
-                bigger = k_by_recurrence(lam, finer)
-                if not base.leq(bigger):
-                    rep.found(
-                        check="monotonicity1",
-                        index=KIndex(lam, gamma, eta),
-                        refined_eta=eta2,
-                        poly=base,
-                        refined=bigger,
-                    )
-    rep.elapsed = time.time() - t0
-    return rep
+            return
+        base = k_by_recurrence(idx.lam, rseq)
+        for finer in refinements:
+            rep.checks += 1
+            bigger = k_by_recurrence(idx.lam, finer)
+            if not base.leq(bigger):
+                rep.found(
+                    check="monotonicity1",
+                    index=idx,
+                    refined_eta=finer.eta,
+                    poly=base,
+                    refined=bigger,
+                )
+
+    return _scan_family("monotonicity1", max_n, max_weight, sample, check, prepare)
 
 
 def _rectangle_runs(rseq):
@@ -323,14 +323,9 @@ def _rectangle_runs(rseq):
 
 def scan_monotonicity_heights(max_n: int, max_weight: int, *, sample=None) -> ScanReport:
     """Spreading rectangle heights downward in dominance grows K."""
-    t0 = time.time()
-    rep = ScanReport(
-        descriptor={"kind": "monotonicity2", "max_n": max_n, "max_weight": max_weight}
-    )
-    for gamma, eta, lams in _maybe_sample(index_family(max_n, max_weight), sample):
-        rseq = rect_sequence(eta, gamma)
-        if not rseq.is_dominant():
-            continue
+
+    def prepare(rseq):
+        eta = rseq.eta
         variants = []
         for start, stop, _width in _rectangle_runs(rseq):
             heights = eta[start:stop]
@@ -344,24 +339,26 @@ def scan_monotonicity_heights(max_n: int, max_weight: int, *, sample=None) -> Sc
                     tuple(sorted(beta, reverse=True)),
                 ):
                     continue
-                variants.append(eta[:start] + beta + eta[stop:])
+                variants.append(rect_sequence(eta[:start] + beta + eta[stop:], rseq.gamma))
+        return variants
+
+    def check(rep, idx, rseq, variants):
         if not variants:
-            continue
-        for lam in lams:
-            base = k_by_recurrence(lam, rseq)
-            for eta2 in variants:
-                rep.checks += 1
-                other = k_by_recurrence(lam, rect_sequence(eta2, gamma))
-                if not base.leq(other):
-                    rep.found(
-                        check="monotonicity2",
-                        index=KIndex(lam, gamma, eta),
-                        new_eta=eta2,
-                        poly=base,
-                        other=other,
-                    )
-    rep.elapsed = time.time() - t0
-    return rep
+            return
+        base = k_by_recurrence(idx.lam, rseq)
+        for spread in variants:
+            rep.checks += 1
+            other = k_by_recurrence(idx.lam, spread)
+            if not base.leq(other):
+                rep.found(
+                    check="monotonicity2",
+                    index=idx,
+                    new_eta=spread.eta,
+                    poly=base,
+                    other=other,
+                )
+
+    return _scan_family("monotonicity2", max_n, max_weight, sample, check, prepare)
 
 
 SCANS = {
@@ -378,92 +375,79 @@ SCANS = {
 
 def check_cyc_image(n: int) -> ScanReport:
     """Image of the cyclage standardization = dominance cone of the type."""
-    t0 = time.time()
-    rep = ScanReport(descriptor={"kind": "cyc_image", "n": n})
-    standard_by_type: dict = {}
-    for shape in partitions(n):
-        for s in standard_tableaux(shape):
-            standard_by_type[s] = catabolism_type(s)
-    for mu in partitions(n):
-        image = set()
-        for shape in partitions(n, max_len=len(mu)):
-            for t in straight_cst(shape, mu):
-                s = cyclage_standardization(t)
-                rep.checks += 1
-                if s in image:
-                    rep.found(check="injectivity", mu=mu, collision=s)
-                if s.outer != t.outer:
-                    rep.found(check="shape", mu=mu, source=t, image=s)
-                if cocharge_tableau(s) != cocharge_grade(t):
-                    rep.found(check="grade", mu=mu, source=t, image=s)
-                image.add(s)
-        expected = {s for s, ct in standard_by_type.items() if dominates(ct, mu)}
-        rep.checks += 1
-        if image != expected:
-            rep.found(check="image", mu=mu, missing=expected - image, extra=image - expected)
-    rep.elapsed = time.time() - t0
+    with ScanReport.timed(kind="cyc_image", n=n) as rep:
+        standard_by_type: dict = {}
+        for shape in partitions(n):
+            for s in standard_tableaux(shape):
+                standard_by_type[s] = catabolism_type(s)
+        for mu in partitions(n):
+            image = set()
+            for shape in partitions(n, max_len=len(mu)):
+                for t in straight_cst(shape, mu):
+                    s = cyclage_standardization(t)
+                    rep.checks += 1
+                    if s in image:
+                        rep.found(check="injectivity", mu=mu, collision=s)
+                    if s.outer != t.outer:
+                        rep.found(check="shape", mu=mu, source=t, image=s)
+                    if cocharge_tableau(s) != cocharge_grade(t):
+                        rep.found(check="grade", mu=mu, source=t, image=s)
+                    image.add(s)
+            expected = {s for s, ct in standard_by_type.items() if dominates(ct, mu)}
+            rep.checks += 1
+            if image != expected:
+                rep.found(check="image", mu=mu, missing=expected - image, extra=image - expected)
     return rep
 
 
 def check_row_col_cat(n: int) -> ScanReport:
     """Row and column catabolizability agree on standard tableaux."""
-    t0 = time.time()
-    rep = ScanReport(descriptor={"kind": "row_col_cat", "n": n})
-    for shape in partitions(n):
-        for t in standard_tableaux(shape):
-            for mu in partitions(n):
-                rep.checks += 1
-                if is_mu_catabolizable(t, mu) != is_mu_column_catabolizable(t, mu):
-                    rep.found(check="row_col_cat", tableau=t, mu=mu)
-    rep.elapsed = time.time() - t0
+    with ScanReport.timed(kind="row_col_cat", n=n) as rep:
+        for shape in partitions(n):
+            for t in standard_tableaux(shape):
+                for mu in partitions(n):
+                    rep.checks += 1
+                    if is_mu_catabolizable(t, mu) != is_mu_column_catabolizable(t, mu):
+                        rep.found(check="row_col_cat", tableau=t, mu=mu)
     return rep
-
-
-def _words(alphabet: int, length: int):
-    return itertools.product(range(1, alphabet + 1), repeat=length)
 
 
 def check_charge_axioms(max_len: int = 6, alphabet: int = 4) -> ScanReport:
     """The five defining properties of charge, exhaustively on small words."""
-    from .shapes import all_permutations
-    from .tableaux import content
-
-    t0 = time.time()
-    rep = ScanReport(
-        descriptor={"kind": "charge_axioms", "max_len": max_len, "alphabet": alphabet}
-    )
     perms = list(all_permutations(alphabet))
-    rep.checks += 1
-    if charge(()) != 0:
-        rep.found(check="empty", value=charge(()))
-    for ln in range(1, max_len + 1):
-        for w in _words(alphabet, ln):
-            c = charge(w)
-            # (1) invariance under the plactic permutation action
-            for p in perms:
-                rep.checks += 1
-                if charge(plactic_act(p, w)) != c:
-                    rep.found(check="plactic", word=w, perm=p)
-                    break
-            # (5) constancy on Knuth classes, via single rewrites
-            for v in _knuth_moves(w):
-                rep.checks += 1
-                if charge(v) != c:
-                    rep.found(check="knuth", word=w, other=v)
-            cnt = content(w)
-            if is_weakly_decreasing(cnt):
-                # (4) rotating a leading letter a > 1 raises charge by one
-                if w[0] > 1:
+    with ScanReport.timed(
+        kind="charge_axioms", max_len=max_len, alphabet=alphabet
+    ) as rep:
+        rep.checks += 1
+        if charge(()) != 0:
+            rep.found(check="empty", value=charge(()))
+        for ln in range(1, max_len + 1):
+            for w in itertools.product(range(1, alphabet + 1), repeat=ln):
+                c = charge(w)
+                # (1) invariance under the plactic permutation action
+                for p in perms:
                     rep.checks += 1
-                    if charge(w[1:] + w[:1]) != c + 1:
-                        rep.found(check="rotation", word=w)
-                # (3) stripping the full run of 1's from the right end
-                m1 = cnt[0]
-                if m1 and w[ln - m1:] == (1,) * m1 and all(x > 1 for x in w[: ln - m1]):
+                    if charge(plactic_act(p, w)) != c:
+                        rep.found(check="plactic", word=w, perm=p)
+                        break
+                # (5) constancy on Knuth classes, via single rewrites
+                for v in _knuth_moves(w):
                     rep.checks += 1
-                    if charge(tuple(x - 1 for x in w[: ln - m1])) != c:
-                        rep.found(check="strip_ones", word=w)
-    rep.elapsed = time.time() - t0
+                    if charge(v) != c:
+                        rep.found(check="knuth", word=w, other=v)
+                cnt = content(w)
+                if is_weakly_decreasing(cnt):
+                    # (4) rotating a leading letter a > 1 raises charge by one
+                    if w[0] > 1:
+                        rep.checks += 1
+                        if charge(w[1:] + w[:1]) != c + 1:
+                            rep.found(check="rotation", word=w)
+                    # (3) stripping the full run of 1's from the right end
+                    m1 = cnt[0]
+                    if m1 and w[ln - m1:] == (1,) * m1 and all(x > 1 for x in w[: ln - m1]):
+                        rep.checks += 1
+                        if charge(tuple(x - 1 for x in w[: ln - m1])) != c:
+                            rep.found(check="strip_ones", word=w)
     return rep
 
 
@@ -489,28 +473,19 @@ def check_white_fitting(total: int = 6, alphabet: int = 3) -> ScanReport:
     every weakly increasing word sequence whose recording tableau passes the
     test assembles into a skew column-strict tableau.
     """
-    t0 = time.time()
-    rep = ScanReport(
-        descriptor={"kind": "white_fitting", "total": total, "alphabet": alphabet}
-    )
-    for words in _word_sequences(total, alphabet, max_words=3):
-        mu_len = len(words)
-        _, q = column_rsk(words)
-        for mu in partitions_bounded(total, mu_len):
-            mu_p = pad(trim(mu), mu_len)
-            lam = tuple(m + len(w) for m, w in zip(mu_p, words))
-            rep.checks += 1
-            assembles = _assembles(words, mu_p, lam)
-            predicted = is_weakly_decreasing(lam) and is_mu_lattice(q.word(), mu_p)
-            if assembles != predicted:
-                rep.found(check="fitting", words=words, mu=mu_p, lam=lam)
-    rep.elapsed = time.time() - t0
+    with ScanReport.timed(kind="white_fitting", total=total, alphabet=alphabet) as rep:
+        for words in _word_sequences(total, alphabet, max_words=3):
+            mu_len = len(words)
+            _, q = column_rsk(words)
+            for mu in partitions_upto(total, mu_len):
+                mu_p = pad(trim(mu), mu_len)
+                lam = tuple(m + len(w) for m, w in zip(mu_p, words))
+                rep.checks += 1
+                assembles = _assembles(words, mu_p, lam)
+                predicted = is_weakly_decreasing(lam) and is_mu_lattice(q.word(), mu_p)
+                if assembles != predicted:
+                    rep.found(check="fitting", words=words, mu=mu_p, lam=lam)
     return rep
-
-
-def partitions_bounded(total, max_len):
-    for s in range(total + 1):
-        yield from partitions(s, max_len=max_len)
 
 
 def _assembles(words, mu, lam) -> bool:
@@ -541,22 +516,18 @@ def _word_sequences(total: int, alphabet: int, max_words: int):
 
 def check_ev_duality(total: int = 6, alphabet: int = 3) -> ScanReport:
     """Reversing and complementing the inputs evacuates both RSK outputs."""
-    t0 = time.time()
-    rep = ScanReport(
-        descriptor={"kind": "ev_duality", "total": total, "alphabet": alphabet}
-    )
-    for words in _word_sequences(total, alphabet, max_words=3):
-        n = len(words)
-        p, q = column_rsk(words)
-        flipped = [
-            tuple(alphabet + 1 - x for x in reversed(words[n - i]))
-            for i in range(1, n + 1)
-        ]
-        p2, q2 = column_rsk(flipped)
-        rep.checks += 1
-        if p2 != evacuation(p, alphabet) or q2 != evacuation(q, n):
-            rep.found(check="ev", words=words, p=p, q=q)
-    rep.elapsed = time.time() - t0
+    with ScanReport.timed(kind="ev_duality", total=total, alphabet=alphabet) as rep:
+        for words in _word_sequences(total, alphabet, max_words=3):
+            n = len(words)
+            p, q = column_rsk(words)
+            flipped = [
+                tuple(alphabet + 1 - x for x in reversed(words[n - i]))
+                for i in range(1, n + 1)
+            ]
+            p2, q2 = column_rsk(flipped)
+            rep.checks += 1
+            if p2 != evacuation(p, alphabet) or q2 != evacuation(q, n):
+                rep.found(check="ev", words=words, p=p, q=q)
     return rep
 
 
@@ -571,25 +542,23 @@ def k_or_zero(lam, rseq) -> QPoly:
 
 def check_stembridge(n: int) -> ScanReport:
     """The two-celled-rectangle family satisfies the branching recurrence."""
-    t0 = time.time()
-    rep = ScanReport(descriptor={"kind": "stembridge", "n": n})
 
     def blocks(m, d):
         eta = (1,) * m + (2,) * d + (1,) * (n - 2 * m - 2 * d)
         return rect_sequence(eta, (2,) * m + (1,) * (n - 2 * m))
 
-    for lam in partitions(n):
-        for m in range(n // 2 + 1):
-            for d in range((n - 2 * m) // 2 + 1):
-                if 2 * m + 2 * (d + 1) > n:
-                    continue
-                lhs = k_or_zero(lam, blocks(m, d + 1))
-                a = k_or_zero(lam, blocks(m, d))
-                b = k_or_zero(lam, blocks(m + 1, d))
-                rep.checks += 1
-                if lhs != a - QPoly.term(n - 2 * m - d - 1) * b:
-                    rep.found(check="stembridge", lam=lam, m=m, d=d, lhs=lhs)
-    rep.elapsed = time.time() - t0
+    with ScanReport.timed(kind="stembridge", n=n) as rep:
+        for lam in partitions(n):
+            for m in range(n // 2 + 1):
+                for d in range((n - 2 * m) // 2 + 1):
+                    if 2 * m + 2 * (d + 1) > n:
+                        continue
+                    lhs = k_or_zero(lam, blocks(m, d + 1))
+                    a = k_or_zero(lam, blocks(m, d))
+                    b = k_or_zero(lam, blocks(m + 1, d))
+                    rep.checks += 1
+                    if lhs != a - QPoly.term(n - 2 * m - d - 1) * b:
+                        rep.found(check="stembridge", lam=lam, m=m, d=d, lhs=lhs)
     return rep
 
 

@@ -120,6 +120,23 @@ def test_compute_rejects_bad_input_with_a_json_error(capsys, argv):
     assert len(lines) == 1 and "bad input" in lines[0]["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("dot", "--alpha", "1,x"),
+    ("dot", "--alpha", "2,-1"),
+    ("dot", "--alpha", "9"),
+    ("crosscheck", "--sample", "1", "--sample-count", "-1"),
+    ("scan", "--kind", "positivity", "--sample", "1", "--sample-count", "-1"),
+    ("check", "--name", "stembridge", "--n", "-1"),
+    ("scan", "--kind", "positivity", "--max-n", "-1"),
+    ("crosscheck", "--max-n", "2", "--max-weight", "-1"),
+])
+def test_every_command_rejects_bad_input_with_a_json_error(capsys, argv):
+    code, lines = run(capsys, *argv)
+    assert code == 2
+    assert lines == [{"command": argv[0], "error": lines[0]["error"]}]
+    assert lines[0]["error"].startswith("bad input: ")
+
+
 def test_crosscheck_detects_corrupted_cache(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     key = "[1, 0]|[1, 0]|[1, 1]"

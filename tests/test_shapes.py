@@ -24,7 +24,6 @@ from qlr.shapes import (
     reduced_word,
     roots_of,
     trim,
-    weak_compositions,
 )
 
 
@@ -182,7 +181,6 @@ def test_partition_helpers():
     assert set(partitions(4)) == {(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)}
     assert partitions(4, max_len=2) == ((4,), (3, 1), (2, 2))
     assert len(compositions(4)) == 8
-    assert list(weak_compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
     assert sorted(partitions_containing((2, 1), 4, 3)) == [(2, 1, 1), (2, 2), (3, 1)]
     assert trim((2, 1, 0, 0)) == (2, 1)
     assert pad((2, 1), 4) == (2, 1, 0, 0)

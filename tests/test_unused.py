@@ -1,0 +1,33 @@
+"""Every public function and method of qlr is named somewhere besides its def."""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "qlr"
+READERS = (SOURCE, ROOT / "tests", ROOT / "perfbench")
+
+
+def public_defs():
+    """Count the module-level functions and class methods per public name."""
+    defs = Counter()
+    for path in SOURCE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            for item in body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defs[item.name] += 1
+    return {name: n for name, n in defs.items() if not name.startswith("_")}
+
+
+def test_no_public_function_is_unused():
+    words = Counter(
+        word
+        for d in READERS
+        for p in d.glob("*.py")
+        for word in re.findall(r"\w+", p.read_text())
+    )
+    unused = sorted(name for name, n in public_defs().items() if words[name] <= n)
+    assert unused == []

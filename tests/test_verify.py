@@ -1,6 +1,10 @@
+import pytest
+
 from qlr.kpoly import QPoly, cocharge_kostka, k_by_recurrence
 from qlr.shapes import pad, partitions, rect_sequence
 from qlr.verify import (
+    CHECKS,
+    SCANS,
     ScanReport,
     check_charge_axioms,
     check_ev_duality,
@@ -82,3 +86,32 @@ def test_word_range_checks_small():
     assert check_charge_axioms(4, 3).ok
     assert check_white_fitting(4, 3).ok
     assert check_ev_duality(4, 3).ok
+
+
+# The size of every scan and check report at a small range: a changed count
+# means the enumerated family or the identities checked on it changed.
+@pytest.mark.parametrize("name, args, checks", [
+    ("positivity", (4, 5), 894),
+    ("catabolizable", (4, 5), 894),
+    ("monotonicity1", (4, 5), 1164),
+    ("monotonicity2", (4, 5), 74),
+    ("cyc_image", (5,), 64),
+    ("row_col_cat", (5,), 182),
+    ("charge_axioms", (4,), 8573),
+    ("white_fitting", (4,), 9930),
+    ("ev_duality", (4,), 960),
+    ("stembridge", (5,), 21),
+])
+def test_report_sizes_are_pinned(name, args, checks):
+    rep = {**SCANS, **CHECKS}[name](*args)
+    assert (rep.checks, rep.ok) == (checks, True)
+
+
+def test_sampled_crosscheck_size_is_pinned():
+    rep = crosscheck_family(3, 3, sample=(11, 6))
+    assert (rep.checks, rep.ok) == (80, True)
+
+
+def test_sampled_scans_record_their_sample():
+    assert scan_positivity(4, 5, sample=(7, 10)).descriptor["sample"] == [7, 10]
+    assert scan_positivity(2, 2).descriptor["sample"] is None

@@ -7,7 +7,9 @@ given malformed input (an unparsable index or content, a size below its
 least legal value), which it reports as one JSON error record (2).  The
 --cache option points at an append-only JSON-lines file keyed by the
 canonical normalized index and engine tag; on reload the last write wins
-and lines that do not parse are skipped.
+and lines that do not parse are skipped.  A series result cut short by a
+--degree-bound below the attainable degree is labelled ``truncated`` and
+is never cached.
 """
 
 from __future__ import annotations
@@ -37,8 +39,12 @@ def _emit(obj, out):
             fh.write(line + "\n")
 
 
-def load_cache(path):
-    """Map (index key, engine) -> (QPoly, status); last write wins."""
+def load_cache(path, wanted=None):
+    """Map (index key, engine) -> (QPoly, status); last valid write wins.
+
+    With ``wanted``, a set of such keys, the polynomials of the others are
+    not built, so a lookup costs only the records it may serve.
+    """
     cache = {}
     p = Path(path)
     if not p.exists():
@@ -52,24 +58,12 @@ def load_cache(path):
             # mid-append) is skipped; the valid records are still served
             try:
                 rec = json.loads(line)
-                cache[(rec["key"], rec["engine"])] = (
-                    QPoly.from_json(rec["poly"]),
-                    rec.get("status", "exact"),
-                )
+                key = (rec["key"], rec["engine"])
+                if wanted is None or key in wanted:
+                    cache[key] = (QPoly.from_json(rec["poly"]), rec.get("status", "exact"))
             except (ValueError, KeyError, TypeError, AttributeError):
                 continue
     return cache
-
-
-def append_cache(path, key, engine, poly, status):
-    with open(path, "a") as fh:
-        fh.write(
-            json.dumps(
-                {"key": key, "engine": engine, "poly": poly.to_json(),
-                 "status": status}
-            )
-            + "\n"
-        )
 
 
 def _parse_index(args) -> KIndex:
@@ -99,8 +93,8 @@ def cmd_compute(args) -> int:
         return _bad_input(args, exc)
     run_all = args.engine == "all"
     engines = ENGINES if run_all else (args.engine,)
-    cache = load_cache(args.cache) if args.cache else None
     key = index_key(idx)
+    cache = load_cache(args.cache, {(key, e) for e in engines}) if args.cache else None
     failures = 0
     for engine in engines:
         record = {
@@ -123,8 +117,10 @@ def cmd_compute(args) -> int:
                     failures += 1
                 _emit(record, args.out)
                 continue
-            if args.cache:
-                append_cache(args.cache, key, engine, poly, status)
+            if args.cache and status != "truncated":
+                with open(args.cache, "a") as fh:
+                    fh.write(json.dumps({"key": key, "engine": engine,
+                                         "poly": poly.to_json(), "status": status}) + "\n")
         record.update(poly=poly.to_json(), display=repr(poly), status=status)
         _emit(record, args.out)
     return 1 if failures else 0

@@ -3,10 +3,10 @@
 Four independent engines compute the same family K(lambda, gamma, eta):
 
 * ``k_by_kostant``     -- alternating sum over the symmetric group of
-                          q-counted root-multiset decompositions, walking
-                          only the arrangements of lambda + rho whose demand
-                          has nonnegative prefix sums (every other one
-                          counts zero);
+                          q-counted root flows, walking only the arrangements
+                          of lambda + rho whose demand meets Gale's condition
+                          and counting only flows that can be completed (no
+                          zero term is ever built);
 * ``k_by_recurrence``  -- the block-peeling recurrence driven by minimal
                           coset representatives and skew LR coefficients;
 * ``k_by_series``      -- direct expansion of the product generating
@@ -31,7 +31,6 @@ from .crystal import is_mu_lattice
 from .shapes import (
     RectSequence,
     Vec,
-    block_bounds,
     dominates,
     from_rects,
     is_weakly_decreasing,
@@ -93,8 +92,6 @@ class QPoly:
         return QPoly({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = QPoly({0: other})
         return self + (-other)
 
     def __mul__(self, other):
@@ -280,124 +277,126 @@ def k_at_one(lam, rseq: RectSequence) -> int:
 
 # ---------------------------------------------------------------------------
 # engine A: the q-analogue of the Kostant partition function
+#
+# A root flow is a map m from the block roots e_i - e_j (i in an earlier
+# block than j) to N; its demand is the sum of m(i,j) (e_i - e_j).  By
+# Gale's feasibility theorem for uncapacitated transshipment, a demand is the
+# demand of some root flow exactly when it sums to zero and, for every block,
+# the demand before the block plus the negative entries inside it is >= 0.
+
+
+def _is_root_flow(eta, demand) -> bool:
+    """Gale's condition on ``demand``."""
+    before = start = 0
+    for e in eta:
+        block = demand[start:start + e]
+        if before + sum(x for x in block if x < 0) < 0:
+            return False
+        before, start = before + sum(block), start + e
+    return before == 0
 
 
 @cache
-def _block_targets(eta):
-    """For each 1-based position, the positions it can send flow to."""
-    bounds = block_bounds(eta)
-    n = sum(eta)
-    targets = {}
-    for k, (a, b) in enumerate(bounds):
-        for i in range(a, b + 1):
-            targets[i] = tuple(range(b + 1, n + 1))
-    return targets
+def _kostant_count(widths, state) -> tuple[int, ...]:
+    """Coefficients by q-degree of the sum of q^|m| over the root flows m
+    with demand ``state``, which meets Gale's condition, on blocks of sizes
+    ``widths`` (the first cut down to the positions left in it).
 
-
-@cache
-def _weak_comps(n, k):
-    if k == 0:
-        return ((),) if n == 0 else ()
-    if k == 1:
-        return ((n,),)
-    return tuple(
-        (first,) + rest
-        for first in range(n + 1)
-        for rest in _weak_comps(n - first, k - 1)
-    )
-
-
-@cache
-def _kostant_count(eta, i, state) -> QPoly:
-    """Sum of q^(total flow) over root multiplicity assignments.
-
-    ``state[j]`` is the required outflow of position i+j (demands with the
-    inflows from positions < i already folded in).  Flow only travels to
-    strictly later blocks.
+    The first position's outflow ``state[0]`` is placed from the farthest
+    block inward.  Sending a_p to p and A to block b or beyond keeps b's
+    condition iff sum(state before b) - A + sum_p min(0, state[p] + a_p) >= 0:
+    each unit past p's deficit spends a unit of b's slack, and the nearest
+    block takes the rest, above a floor that keeps the rest placeable.  So
+    every state built meets Gale's condition.
     """
-    n = sum(eta)
-    if i > n:
-        return ONE
+    if len(widths) < 2:
+        return (1,)  # the last block, whose demand is zero
     out = state[0]
-    if out < 0:
-        return ZERO
-    targets = _block_targets(eta)[i]
-    if not targets:
-        if out:
-            return ZERO
-        return _kostant_count(eta, i + 1, state[1:])
-    total = ZERO
-    first = targets[0]
-    for comp in _weak_comps(out, len(targets)):
-        nxt = list(state[1:])
-        for k, amount in enumerate(comp):
-            if amount:
-                nxt[first - i - 1 + k] += amount
-        total = total + _kostant_count(eta, i + 1, tuple(nxt))
-    return QPoly.term(out) * total
+    rest = widths[1:] if widths[0] == 1 else (widths[0] - 1,) + widths[1:]
+    if not out:
+        return _kostant_count(rest, state[1:])
+    ends = list(itertools.accumulate(widths))
+    blocks = list(zip(ends, ends[1:]))
+    base = [sum(state[:s]) + sum(x for x in state[s:e] if x < 0) for s, e in blocks]
+    deficit = [max(0, -x) for x in state]
+    first = ends[0]
+    child = list(state[1:])
+    acc: list[int] = []
+
+    def place(b, p, left, slack):
+        if p < blocks[b][0]:
+            if b == 0:
+                coeffs = _kostant_count(rest, tuple(child))
+                acc.extend([0] * (len(coeffs) - len(acc)))
+                for k, c in enumerate(coeffs):
+                    acc[k] += c
+                return
+            b, p = b - 1, blocks[b - 1][1] - 1
+            slack = base[b] - (out - left)
+        d = deficit[p]
+        hi = min(left, d + slack)
+        lo = max(0, left - slack - sum(deficit[first:p])) if b == 0 else 0
+        if p == first:
+            lo = hi = left
+        for a in range(lo, hi + 1):
+            child[p - 1] = state[p] + a
+            place(b, p - 1, left - a, slack - a + d if a > d else slack)
+        child[p - 1] = state[p]
+
+    place(len(blocks) - 1, blocks[-1][1] - 1, out, base[-1])
+    return (0,) * out + tuple(acc)
 
 
 def kostant_q(eta, demand) -> QPoly:
     """Sum of q^|m| over maps m from the block root set to N with
     sum of m(i,j) (e_i - e_j) equal to ``demand``."""
     eta, demand = tuple(eta), tuple(demand)
-    if sum(demand) != 0:
+    if not _is_root_flow(eta, demand):
         return ZERO
-    # every root use strictly lowers this functional, so negative means empty
-    if staircase_functional(demand) < 0:
-        return ZERO
-    return _kostant_count(eta, 1, demand)
+    return QPoly(dict(enumerate(_kostant_count(eta, demand))))
 
 
-def _root_flow_arrangements(lam_rho, gamma_rho, first_block):
+def _root_flow_arrangements(lam_rho, gamma_rho, eta):
     """Yield (sign, demand) for the arrangements of ``lam_rho`` whose demand
-    ``arrangement - gamma_rho`` can be a root flow.
-
-    Every root e_i - e_j has i < j, so each prefix sum of the demand is the
-    flow leaving the first positions and must be nonnegative; positions of
-    the first block receive no inflow, so their demand is nonnegative.
-    ``lam_rho`` is strictly decreasing, so each arrangement is one w and its
+    ``arrangement - gamma_rho`` meets Gale's condition, tested as positions
+    are filled (the total is zero when |lam_rho| = |gamma_rho|).  Each
+    arrangement is one w, as ``lam_rho`` is strictly decreasing, and its
     sign counts the pairs placed out of order.
     """
     n = len(lam_rho)
+    starts = set(itertools.accumulate(eta, initial=0))
     used = [False] * n
     demand = [0] * n
 
-    def place(p, prefix, inversions):
+    def place(p, before, slack, inversions):
         if p == n:
             yield (-1 if inversions % 2 else 1), tuple(demand)
             return
+        if p in starts:
+            slack = before
         for k in range(n):
-            if used[k]:
-                continue
             d = lam_rho[k] - gamma_rho[p]
-            if prefix + d < 0 or (p < first_block and d < 0):
+            if used[k] or slack + d < 0:  # slack >= 0, so only a deficit fails
                 continue
             used[k] = True
             demand[p] = d
-            yield from place(p + 1, prefix + d, inversions + sum(used[k + 1:]))
+            yield from place(p + 1, before + d, slack + d if d < 0 else slack,
+                             inversions + sum(used[k + 1:]))
             used[k] = False
 
-    yield from place(0, 0, 0)
+    yield from place(0, 0, 0, 0)
 
 
 def k_by_kostant(idx: KIndex) -> QPoly:
-    """Engine A: alternating sum over W of q-counted root decompositions,
-    walking only the arrangements whose demand can be a root flow."""
+    """Engine A: alternating sum over W of q-counted root flows, walking
+    only the arrangements whose demand is a root-flow demand."""
     lam, gamma, eta = idx.lam, idx.gamma, idx.eta
     if not is_weakly_decreasing(lam):
         raise ValueError(f"lambda must be dominant, got {lam}")
     if sum(lam) != sum(gamma):
         return ZERO
-    n = idx.n
-    lam_rho = vec_add(lam, rho(n))
-    gamma_rho = vec_add(gamma, rho(n))
-    total = ZERO
-    for sign, d in _root_flow_arrangements(lam_rho, gamma_rho, eta[0] if eta else 0):
-        part = kostant_q(eta, d)
-        if part:
-            total = total + part * sign
-    return total
+    walk = _root_flow_arrangements(vec_add(lam, rho(idx.n)), vec_add(gamma, rho(idx.n)), eta)
+    return sum((kostant_q(eta, d) * sign for sign, d in walk), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +620,8 @@ ENGINES = ("kostant", "recurrence", "series", "charge")
 
 
 def compute(idx: KIndex, engine: str = "recurrence", degree_bound=None):
-    """Normalize the index and run one engine; returns (QPoly, status)."""
+    """Normalize the index and run one engine; returns (QPoly, status), the
+    status ``truncated`` for a series run below the attainable degree."""
     norm = idx.normalized()
     if norm is None:
         return ZERO, "exact"
@@ -629,7 +629,9 @@ def compute(idx: KIndex, engine: str = "recurrence", degree_bound=None):
     if engine == "kostant":
         return k_by_kostant(nidx) * sign, "exact"
     if engine == "series":
-        return k_by_series(nidx, degree_bound) * sign, "exact"
+        truncated = (degree_bound is not None
+                     and degree_bound < default_degree_bound(nidx.lam, nidx.gamma))
+        return k_by_series(nidx, degree_bound) * sign, "truncated" if truncated else "exact"
     if engine == "recurrence":
         return k_by_recurrence(nidx.lam, nidx.rects()) * sign, "exact"
     if engine == "charge":

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qlr.cli import main, load_cache, poset_dot
+from qlr.kpoly import QPoly
 
 
 def run(capsys, *argv):
@@ -106,6 +107,45 @@ def test_cache_skips_a_truncated_last_line(tmp_path, capsys):
     code, lines = run(capsys, *args)
     assert code == 0 and lines[0]["status"] == "cached:exact"
     assert lines[0]["poly"] == {"coeffs": {"1": -1, "2": 1, "3": 1}}
+
+
+def test_cache_falls_back_past_a_malformed_last_record(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache.jsonl"
+    args = [
+        "compute", "--lam", "2,1,0", "--gamma", "0,2,1", "--eta", "1,1,1",
+        "--engine", "recurrence", "--cache", str(cache),
+    ]
+    run(capsys, *args)
+    record = json.loads(cache.read_text())
+    record["poly"] = {"coeffs": {"1": "x"}}
+    with cache.open("a") as fh:
+        fh.write(json.dumps(record) + "\n")
+    # only the polynomials of the wanted keys are built
+    built = []
+    from_json = QPoly.from_json
+    monkeypatch.setattr(QPoly, "from_json", lambda data: built.append(data) or from_json(data))
+    assert load_cache(cache, {(record["key"], "kostant")}) == {}
+    assert built == []
+    stored = load_cache(cache, {(record["key"], "recurrence")})
+    assert stored == {(record["key"], "recurrence"): (QPoly({1: -1, 2: 1, 3: 1}), "exact")}
+    code, lines = run(capsys, *args)
+    assert code == 0 and lines[0]["status"] == "cached:exact"
+    assert lines[0]["poly"] == {"coeffs": {"1": -1, "2": 1, "3": 1}}
+
+
+def test_truncated_series_is_labelled_and_not_cached(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    index = ["--lam", "2,0", "--gamma", "1,1", "--eta", "1,1", "--cache", str(cache)]
+    code, lines = run(capsys, "compute", *index, "--engine", "series",
+                      "--degree-bound", "0")
+    assert code == 0 and lines[0]["status"] == "truncated"
+    assert lines[0]["poly"] == {"coeffs": {}}
+    assert not cache.exists() or len(load_cache(cache)) == 0
+    code, lines = run(capsys, "compute", *index, "--engine", "series")
+    assert code == 0 and lines[0]["status"] == "exact"
+    assert lines[0]["poly"] == {"coeffs": {"1": 1}}
+    code, lines = run(capsys, "compute", *index, "--engine", "recurrence")
+    assert lines[0]["poly"] == {"coeffs": {"1": 1}}
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,10 @@
 import itertools
 import random
+from functools import cache
 
 import pytest
 
+from qlr import kpoly
 from qlr.kpoly import (
     CONJECTURAL,
     ENGINES,
@@ -36,6 +38,7 @@ from qlr.kpoly import (
 )
 from qlr.shapes import (
     all_permutations,
+    block_bounds,
     box_complement,
     compositions,
     conjugate,
@@ -46,6 +49,7 @@ from qlr.shapes import (
     perm_sign,
     rect_sequence,
     rho,
+    roots_of,
     vec_add,
     vec_sub,
 )
@@ -81,6 +85,121 @@ def test_kostant_counts():
     assert kostant_q((1, 1), (0, 0)) == ONE
     assert kostant_q((1, 1), (-1, 1)) == ZERO
     assert kostant_q((2,), (1, -1)) == ZERO
+    assert kostant_q((1, 1), (2, -1)) == ZERO
+    assert kostant_q((), ()) == ONE
+
+
+@cache
+def _reference_count(eta, i, state) -> QPoly:
+    """The q-count by brute force: position i sends its whole required
+    outflow ``state[0]`` along every weak composition over all later-block
+    positions, feasible or not."""
+    n = sum(eta)
+    if i > n:
+        return ONE
+    out = state[0]
+    if out < 0:
+        return ZERO
+    block_end = next(b for a, b in block_bounds(eta) if a <= i <= b)
+    targets = n - block_end
+    if not targets:
+        return ZERO if out else _reference_count(eta, i + 1, state[1:])
+    total = ZERO
+    for comp in _weak_compositions(out, targets):
+        nxt = list(state[1:])
+        for k, amount in enumerate(comp):
+            nxt[block_end - i + k] += amount
+        total = total + _reference_count(eta, i + 1, tuple(nxt))
+    return q(out) * total
+
+
+@cache
+def _weak_compositions(total, parts):
+    if parts == 1:
+        return ((total,),)
+    return tuple(
+        (first,) + rest
+        for first in range(total + 1)
+        for rest in _weak_compositions(total - first, parts - 1)
+    )
+
+
+def kostant_q_reference(eta, demand) -> QPoly:
+    """kostant_q without the feasibility test: every weak composition."""
+    eta, demand = tuple(eta), tuple(demand)
+    if sum(demand) != 0:
+        return ZERO
+    return _reference_count(eta, 1, demand)
+
+
+def _is_root_flow_demand(eta, d) -> bool:
+    """Gale's condition: the total is zero and, at each block, what the
+    earlier blocks send out covers the block's deficits."""
+    starts = list(itertools.accumulate(eta, initial=0))
+    return sum(d) == 0 and all(
+        sum(d[:a]) + sum(min(x, 0) for x in d[a:b]) >= 0
+        for a, b in zip(starts, starts[1:])
+    )
+
+
+def test_kostant_q_is_nonzero_exactly_on_root_flow_demands():
+    # n <= 5, every eta, every demand with entries in [-2, 2] summing to 0
+    for n in range(1, 6):
+        for eta in compositions(n):
+            for d in itertools.product(range(-2, 3), repeat=n):
+                if sum(d):
+                    continue
+                value = kostant_q(eta, d)
+                assert value == kostant_q_reference(eta, d), (eta, d)
+                assert bool(value) == _is_root_flow_demand(eta, d), (eta, d)
+
+
+def test_kostant_count_builds_only_root_flow_states(monkeypatch):
+    # every (block sizes, demand) state the count recurses into meets
+    # Gale's condition: n <= 5, every eta, entries in [-2, 2]
+    count = kpoly._kostant_count
+    count.cache_clear()
+    states = []
+
+    def recorded(widths, state):
+        states.append((widths, state))
+        return count(widths, state)
+
+    monkeypatch.setattr(kpoly, "_kostant_count", recorded)
+    for n in range(1, 6):
+        for eta in compositions(n):
+            for d in itertools.product(range(-2, 3), repeat=n):
+                kostant_q(eta, d)
+    assert len(states) > 1000
+    assert all(_is_root_flow_demand(w, s) for w, s in states)
+
+
+def _random_flow_demand(rng: random.Random, eta):
+    """The demand of a random flow on a few roots, knocked off it half the
+    time."""
+    n = sum(eta)
+    d = [0] * n
+    roots = sorted(roots_of(eta))
+    for _ in range(rng.randint(1, 6) if roots else 0):
+        i, j = rng.choice(roots)
+        amount = rng.randint(1, 2)
+        d[i - 1] += amount
+        d[j - 1] -= amount
+    if rng.random() < 0.5:
+        d[rng.randrange(n)] += 1
+        d[rng.randrange(n)] -= 1
+    return tuple(d)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kostant_q_matches_reference_on_random_demands(seed):
+    rng = random.Random(seed)
+    for _ in range(12):
+        eta = rng.choice(compositions(rng.randint(6, 8)))
+        d = _random_flow_demand(rng, eta)
+        value = kostant_q(eta, d)
+        assert value == kostant_q_reference(eta, d), (eta, d)
+        assert bool(value) == _is_root_flow_demand(eta, d), (eta, d)
 
 
 def _arrangement_demands(idx: KIndex):
@@ -98,21 +217,17 @@ def kostant_reference(idx: KIndex) -> QPoly:
         return ZERO
     total = ZERO
     for sign, d in _arrangement_demands(idx):
-        part = kostant_q(idx.eta, d)
+        part = kostant_q_reference(idx.eta, d)
         if part:
             total = total + part * sign
     return total
 
 
-def _passes_prune_tests(eta, d) -> bool:
-    return (all(s >= 0 for s in itertools.accumulate(d))
-            and all(x >= 0 for x in d[: eta[0]]))
-
-
 def test_pruned_arrangements_are_exactly_the_root_flow_candidates():
-    # every arrangement the prune tests reject has kostant_q == 0, and the
-    # walk yields the others with their signs: n <= 5, every eta, every
-    # partition lam of size <= 2, every gamma of that size with entries <= 2
+    # every arrangement Gale's condition rejects has kostant_q == 0, the walk
+    # yields the others with their signs, and each of those has a nonzero
+    # kostant_q: n <= 5, every eta, every partition lam of size <= 2, every
+    # gamma of that size with entries <= 2
     for n in range(1, 6):
         for eta in compositions(n):
             for size in range(3):
@@ -124,13 +239,15 @@ def test_pruned_arrangements_are_exactly_the_root_flow_candidates():
                         idx = KIndex(lam, gamma, eta)
                         kept = []
                         for sign, d in _arrangement_demands(idx):
-                            if _passes_prune_tests(eta, d):
+                            if _is_root_flow_demand(eta, d):
                                 kept.append((sign, d))
                             else:
                                 assert kostant_q(eta, d) == ZERO, (idx, d)
                         walked = _root_flow_arrangements(
-                            vec_add(lam, rho(n)), vec_add(gamma, rho(n)), eta[0])
+                            vec_add(lam, rho(n)), vec_add(gamma, rho(n)), eta)
                         assert sorted(walked) == sorted(kept), idx
+                        for _, d in kept:
+                            assert kostant_q(eta, d) != ZERO, (idx, d)
 
 
 def _random_dominant_index(rng: random.Random):
@@ -155,6 +272,11 @@ def test_kostant_walk_matches_reference_and_recurrence(seed):
         expected = k_by_recurrence(idx.lam, idx.rects())
         assert k_by_kostant(idx) == expected, idx
         assert kostant_reference(idx) == expected, idx
+
+
+def test_kostant_agrees_with_recurrence_at_the_n8_anchor():
+    idx = KIndex((6, 4, 3, 2, 1, 0, 0, 0), (2,) * 8, (2, 2, 2, 2))
+    assert k_by_kostant(idx) == k_by_recurrence(idx.lam, idx.rects())
 
 
 def test_kostka_numbers():
@@ -343,3 +465,6 @@ def test_degree_bound_override():
     # a deliberately small bound truncates: exactness needs the default bound
     truncated = k_by_series(idx, degree_bound=1)
     assert truncated != full
+    # compute labels a run below the attainable degree
+    assert compute(idx, "series", degree_bound=1) == (truncated, "truncated")
+    assert compute(idx, "series", degree_bound=10) == (full, "exact")

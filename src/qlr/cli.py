@@ -4,12 +4,13 @@ All results are emitted as JSON lines; polynomials serialize as
 {"coeffs": {"0": -1, "1": 1}}.  The exit status is nonzero exactly when a
 check fails or a scan finds a counterexample (1), or when a subcommand is
 given malformed input (an unparsable index or content, a size below its
-least legal value), which it reports as one JSON error record (2).  The
---cache option points at an append-only JSON-lines file keyed by the
-canonical normalized index and engine tag; on reload the last write wins
-and lines that do not parse are skipped.  A series result cut short by a
---degree-bound below the attainable degree is labelled ``truncated`` and
-is never cached.
+least legal value, a --cache or --out path that is a directory or lies in
+a missing one), which it reports as one JSON error record (2), on stdout
+only for a bad path.  The --cache option points at an append-only
+JSON-lines file keyed by the canonical normalized index and engine tag; on
+reload the last write wins and lines that do not parse are skipped.  A
+series result cut short by a --degree-bound below the attainable degree is
+labelled ``truncated`` and is never cached.
 """
 
 from __future__ import annotations
@@ -246,6 +247,11 @@ LEAST = {"max_n": 1, "max_weight": 0, "sample_count": 1, "n": 1}
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for name in ("cache", "out"):
+        path = getattr(args, name, None)
+        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            args.out = None  # a bad path gets its answer on stdout only
+            return _bad_input(args, f"--{name} {path!r} is a directory or in a missing one")
     for name, low in LEAST.items():
         value = getattr(args, name, low)
         if value < low:

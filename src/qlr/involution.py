@@ -71,6 +71,7 @@ class InvolutionContext:
         self.r1 = rseq.rects[0]
         self.gamma_hat = self.gamma[self.m:]
         self.t_content = (0,) * self.m + self.gamma_hat
+        self._catabolizable_ts: dict[Vec, dict[Tableau, None]] = {}
 
     def xi(self, w) -> Vec:
         return vec_sub(
@@ -150,8 +151,21 @@ class InvolutionContext:
 
     # -- enumeration ---------------------------------------------------------
 
+    def catabolizable_ts(self, shape) -> dict[Tableau, None]:
+        """The T of this shape and content ``t_content`` on the catabolizable
+        side, as an ordered set in enumeration order; built once per shape."""
+        ts = self._catabolizable_ts.get(shape)
+        if ts is None:
+            tail = self.rseq.tail()
+            ts = self._catabolizable_ts[shape] = dict.fromkeys(
+                t
+                for t in straight_cst(shape, self.t_content)
+                if is_catabolizable(t.relabel(-self.m), tail)
+            )
+        return ts
+
     def tableau_in_catabolizable_side(self, t: Tableau) -> bool:
-        return is_catabolizable(t.relabel(-self.m), self.rseq.tail())
+        return t in self.catabolizable_ts(t.outer)
 
     def _nonnegative_u_perms(self):
         """The w whose U-content is nonnegative, in lexicographic order.
@@ -190,20 +204,13 @@ class InvolutionContext:
         """All triples of the index with T on the catabolizable side.
 
         Only the w with a nonnegative U-content are visited, and each shape's
-        list of catabolizable T is built once, on first use.
+        set of catabolizable T is built once, on first use.
         """
         shapes = partitions(sum(self.gamma_hat), max_len=self.n)
-        t_lists: dict[Vec, list[Tableau]] = {}
         for w in self._nonnegative_u_perms():
             cu = self.u_content(w)
             for shape in shapes:
-                ts = t_lists.get(shape)
-                if ts is None:
-                    ts = t_lists[shape] = [
-                        t
-                        for t in straight_cst(shape, self.t_content)
-                        if self.tableau_in_catabolizable_side(t)
-                    ]
+                ts = self.catabolizable_ts(shape)
                 if not ts:
                     continue
                 us = straight_cst(shape, cu)

@@ -10,7 +10,8 @@ Four independent engines compute the same family K(lambda, gamma, eta):
 * ``k_by_recurrence``  -- the block-peeling recurrence driven by minimal
                           coset representatives and skew LR coefficients;
 * ``k_by_series``      -- direct expansion of the product generating
-                          function, straightened monomial by monomial;
+                          function with integer coefficients per monomial,
+                          straightened monomial by monomial;
 * ``k_by_charge``      -- the charge generating function over catabolizable
                           tableaux (proven in special cases, otherwise
                           conjectural; the result carries that label).
@@ -22,6 +23,7 @@ coefficients) and the generating-function identities around cocharge.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 
@@ -482,43 +484,42 @@ def default_degree_bound(lam, gamma) -> int:
     return staircase_functional(vec_sub(lam, gamma))
 
 
-def series_monomials(gamma, eta, bound: int) -> dict[Vec, QPoly]:
+def series_monomials(gamma, eta, bound: int) -> dict[Vec, dict[int, int]]:
     """Expand the root product against x^gamma up to q-degree ``bound``.
 
-    Returns monomial exponent vectors with their q-polynomials; exact for
-    every s_lam whose attainable degree is at most ``bound``.
+    Returns monomial exponent vectors with their coefficients by q-degree;
+    exact for every s_lam whose attainable degree is at most ``bound``, and
+    empty when ``bound`` is negative.
     """
     gamma = tuple(gamma)
-    states: dict[Vec, QPoly] = {gamma: ONE}
+    states: dict[Vec, dict[int, int]] = {gamma: {0: 1}} if bound >= 0 else {}
     for (i, j) in sorted(roots_of(eta)):
-        new: dict[Vec, QPoly] = {}
-        for v, poly in states.items():
-            floor = min(poly.coeffs)
-            for k in range(bound - floor + 1):
-                clipped = QPoly(
-                    {e + k: c for e, c in poly.coeffs.items() if e + k <= bound}
-                )
-                if not clipped:
-                    break
-                vv = list(v)
-                vv[i - 1] += k
-                vv[j - 1] -= k
-                key = tuple(vv)
-                new[key] = new.get(key, ZERO) + clipped
+        new: dict[Vec, dict[int, int]] = {}
+        for v, coeffs in states.items():
+            vv = list(v)
+            for k in range(bound - min(coeffs) + 1):
+                acc = new.setdefault(tuple(vv), {})
+                for e, c in coeffs.items():
+                    if e + k <= bound:
+                        acc[e + k] = acc.get(e + k, 0) + c
+                vv[i - 1] += 1
+                vv[j - 1] -= 1
         states = new
     return states
 
 
 def series_decomposition(gamma, eta, bound: int) -> dict[Vec, QPoly]:
     """All coefficients K(lambda) at once, by monomial straightening."""
-    out: dict[Vec, QPoly] = {}
-    for alpha, poly in series_monomials(gamma, eta, bound).items():
+    out: dict[Vec, dict[int, int]] = {}
+    for alpha, coeffs in series_monomials(gamma, eta, bound).items():
         res = bott_straighten(alpha)
         if res is None:
             continue
         sign, lam = res
-        out[lam] = out.get(lam, ZERO) + poly * sign
-    return {lam: p for lam, p in out.items() if p}
+        acc = out.setdefault(lam, {})
+        for e, c in coeffs.items():
+            acc[e] = acc.get(e, 0) + sign * c
+    return {lam: p for lam, coeffs in out.items() if (p := QPoly(coeffs))}
 
 
 def k_by_series(idx: KIndex, degree_bound: int | None = None) -> QPoly:
@@ -530,8 +531,6 @@ def k_by_series(idx: KIndex, degree_bound: int | None = None) -> QPoly:
         return ZERO
     if degree_bound is None:
         degree_bound = default_degree_bound(lam, gamma)
-    if degree_bound < 0:
-        return ZERO
     return series_decomposition(gamma, eta, degree_bound).get(lam, ZERO)
 
 
@@ -564,10 +563,7 @@ class ChargeResult:
 
 def _generating(stat, tableaux) -> QPoly:
     """The sum of q^stat(t) over the tableaux."""
-    total = ZERO
-    for t in tableaux:
-        total = total + QPoly.term(stat(t))
-    return total
+    return QPoly(Counter(map(stat, tableaux)))
 
 
 def k_by_charge(lam, rseq: RectSequence) -> ChargeResult:

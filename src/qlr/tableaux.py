@@ -275,21 +275,16 @@ def knuth_equivalent(u, v) -> bool:
 # column RSK for sequences of weakly increasing words
 
 
-def column_rsk(words, labels=None):
+def column_rsk(words):
     """Column-insertion RSK of a sequence of weakly increasing words.
 
     Word i is column-inserted (right end first) after words 1..i-1 and its
-    cells are recorded in Q with ``labels[i]`` (default 1, 2, ...), so the
-    content of Q lists the word lengths.  Returns the pair (P, Q).
+    cells are recorded in Q with the letter i, so the content of Q lists the
+    word lengths.  Returns the pair (P, Q).
     """
-    words = [tuple(w) for w in words]
-    if labels is None:
-        labels = list(range(1, len(words) + 1))
-    if len(labels) != len(words) or len(set(labels)) != len(labels):
-        raise ValueError("need one distinct recording label per word")
     p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
-    for w, lab in zip(words, labels):
+    for lab, w in enumerate(map(tuple, words), 1):
         if not is_weakly_increasing_word(w):
             raise ValueError(f"word {w} is not weakly increasing")
         for x in reversed(w):

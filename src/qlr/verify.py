@@ -156,11 +156,9 @@ def crosscheck_family(
     """
 
     def prepare(rseq):
-        n, s = rseq.n, sum(rseq.gamma)
-        bound = default_degree_bound((s,) + (0,) * (n - 1), rseq.gamma) if n else 0
-        decomposition = (
-            series_decomposition(rseq.gamma, rseq.eta, bound) if bound >= 0 else {}
-        )
+        gamma = rseq.gamma
+        bound = default_degree_bound((sum(gamma),) + (0,) * (rseq.n - 1), gamma)
+        decomposition = series_decomposition(gamma, rseq.eta, bound)
         return decomposition, charge_engine_status(rseq) == PROVEN
 
     def check(rep, idx, rseq, prepared):
@@ -302,22 +300,17 @@ def scan_monotonicity_refine(max_n: int, max_weight: int, *, sample=None) -> Sca
 
 
 def _rectangle_runs(rseq):
-    """Maximal runs of consecutive blocks that are full k-column rectangles."""
-    rects = rseq.rects
-    runs = []
-    i = 0
-    while i < len(rects):
-        r = rects[i]
-        width = r[0] if r else 0
-        if width == 0 or any(x != width for x in r):
-            i += 1
-            continue
-        j = i
-        while j < len(rects) and rects[j] and all(x == width for x in rects[j]):
-            j += 1
-        if j > i:
-            runs.append((i, j, width))
-        i = j
+    """Maximal runs (start, stop) of consecutive blocks that are full
+    rectangles of one nonzero width."""
+    def width(r):
+        return r[0] if len(set(r)) == 1 else 0
+
+    runs, start = [], 0
+    for w, run in itertools.groupby(rseq.rects, key=width):
+        stop = start + len(list(run))
+        if w:
+            runs.append((start, stop))
+        start = stop
     return runs
 
 
@@ -327,7 +320,7 @@ def scan_monotonicity_heights(max_n: int, max_weight: int, *, sample=None) -> Sc
     def prepare(rseq):
         eta = rseq.eta
         variants = []
-        for start, stop, _width in _rectangle_runs(rseq):
+        for start, stop in _rectangle_runs(rseq):
             heights = eta[start:stop]
             total = sum(heights)
             length = stop - start

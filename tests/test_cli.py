@@ -169,12 +169,23 @@ def test_compute_rejects_bad_input_with_a_json_error(capsys, argv):
     ("check", "--name", "stembridge", "--n", "-1"),
     ("scan", "--kind", "positivity", "--max-n", "-1"),
     ("crosscheck", "--max-n", "2", "--max-weight", "-1"),
+    # unusable paths: a directory, or a file in a missing directory
+    ("compute", "--lam", "1,0", "--gamma", "1,0", "--eta", "1,1", "--cache", "{tmp}"),
+    ("compute", "--lam", "1,0", "--gamma", "1,0", "--eta", "1,1", "--cache", "{tmp}/no/c"),
+    ("compute", "--lam", "1,0", "--gamma", "1,0", "--eta", "1,1", "--out", "{tmp}"),
+    ("crosscheck", "--max-n", "1", "--cache", "{tmp}"),
+    ("crosscheck", "--max-n", "1", "--cache", "{tmp}/no/c"),
+    ("scan", "--kind", "positivity", "--max-n", "1", "--out", "{tmp}/no/log"),
+    ("dot", "--alpha", "1,1", "--out", "{tmp}"),
+    ("check", "--name", "stembridge", "--n", "1", "--out", "{tmp}"),
 ])
-def test_every_command_rejects_bad_input_with_a_json_error(capsys, argv):
+def test_every_command_rejects_bad_input_with_a_json_error(tmp_path, capsys, argv):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     code, lines = run(capsys, *argv)
     assert code == 2
     assert lines == [{"command": argv[0], "error": lines[0]["error"]}]
     assert lines[0]["error"].startswith("bad input: ")
+    assert list(tmp_path.iterdir()) == []  # nothing written, not even the error
 
 
 def test_crosscheck_detects_corrupted_cache(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from qlr.catabolism import is_catabolizable
 from qlr.charge import charge_tableau
 from qlr.crystal import is_lattice
 from qlr.involution import InvolutionContext, SignedTriple, verify_involution
@@ -7,6 +8,7 @@ from qlr.kpoly import QPoly, k_by_recurrence
 from qlr.shapes import all_permutations, compositions, pad, partitions, rect_sequence
 from qlr.tableaux import (
     Tableau,
+    all_cst_of_content,
     column_rsk_inverse,
     jdt_slide,
     straight_cst,
@@ -19,7 +21,7 @@ q = QPoly.term
 
 def triples_reference(ctx: InvolutionContext, catabolizable_only: bool = True):
     """The triples over all n! permutations, rebuilding each T-list per w."""
-    size = sum(ctx.gamma_hat)
+    size, tail = sum(ctx.gamma_hat), ctx.rseq.tail()
     for w in all_permutations(ctx.n):
         cu = ctx.u_content(w)
         if cu is None:
@@ -28,7 +30,7 @@ def triples_reference(ctx: InvolutionContext, catabolizable_only: bool = True):
             ts = [
                 t
                 for t in straight_cst(shape, ctx.t_content)
-                if not catabolizable_only or ctx.tableau_in_catabolizable_side(t)
+                if not catabolizable_only or is_catabolizable(t.relabel(-ctx.m), tail)
             ]
             if not ts:
                 continue
@@ -202,3 +204,19 @@ def test_walk_visits_exactly_the_nonnegative_u_contents():
 def test_triples_match_the_all_permutations_reference():
     for ctx in _small_contexts(same_size=True):
         assert list(ctx.triples()) == list(triples_reference(ctx)), (ctx.lam, ctx.rseq)
+
+
+def test_catabolizable_side_is_membership_in_the_per_shape_sets():
+    # gamma up to size 5: in _small_contexts (size <= 2) every T is catabolizable
+    outcomes = set()
+    for n in range(1, 6):
+        for eta in compositions(n):
+            for s in range(6):
+                for gam in partitions(s, max_len=n):
+                    ctx = InvolutionContext((), rect_sequence(eta, pad(gam, n)))
+                    tail = ctx.rseq.tail()
+                    for t in all_cst_of_content(ctx.t_content):
+                        expected = is_catabolizable(t.relabel(-ctx.m), tail)
+                        assert ctx.tableau_in_catabolizable_side(t) == expected, (ctx.rseq, t)
+                        outcomes.add(expected)
+    assert outcomes == {True, False}

@@ -19,6 +19,7 @@ from qlr.kpoly import (
     cocharge_kostka,
     compute,
     coset_reps,
+    default_degree_bound,
     dominant_reorderings,
     dual_index,
     index_from_rects,
@@ -33,6 +34,8 @@ from qlr.kpoly import (
     lr3,
     lr_coefficient,
     lr_skew_times_row,
+    series_decomposition,
+    series_monomials,
     standard_cocharge_sum,
     two_rectangle_formula,
 )
@@ -53,6 +56,7 @@ from qlr.shapes import (
     vec_add,
     vec_sub,
 )
+from qlr.verify import index_family
 
 q = QPoly.term
 
@@ -468,3 +472,55 @@ def test_degree_bound_override():
     # compute labels a run below the attainable degree
     assert compute(idx, "series", degree_bound=1) == (truncated, "truncated")
     assert compute(idx, "series", degree_bound=10) == (full, "exact")
+
+
+def series_monomials_reference(gamma, eta, bound):
+    """The series expansion with one QPoly per monomial, clipped at ``bound``
+    after every root (nothing for a negative bound)."""
+    states = {tuple(gamma): ONE} if bound >= 0 else {}
+    for (i, j) in sorted(roots_of(eta)):
+        new = {}
+        for v, poly in states.items():
+            for k in range(bound - min(poly.coeffs) + 1):
+                clipped = QPoly({e + k: c for e, c in poly.coeffs.items() if e + k <= bound})
+                if not clipped:
+                    break
+                vv = list(v)
+                vv[i - 1] += k
+                vv[j - 1] -= k
+                new[tuple(vv)] = new.get(tuple(vv), ZERO) + clipped
+        states = new
+    return states
+
+
+def series_decomposition_reference(gamma, eta, bound):
+    out = {}
+    for alpha, poly in series_monomials_reference(gamma, eta, bound).items():
+        res = bott_straighten(alpha)
+        if res is not None:
+            sign, lam = res
+            out[lam] = out.get(lam, ZERO) + poly * sign
+    return {lam: p for lam, p in out.items() if p}
+
+
+def test_series_matches_the_qpoly_reference_at_every_bound():
+    for gamma, eta, _ in index_family(4, 4):
+        n = len(gamma)
+        top = default_degree_bound((sum(gamma),) + (0,) * (n - 1), gamma)
+        for bound in range(-1, top + 1):
+            monomials = series_monomials(gamma, eta, bound)
+            reference = series_monomials_reference(gamma, eta, bound)
+            # the same monomials in the same order, so their count keeps its meaning
+            assert list(monomials) == list(reference)
+            assert [QPoly(c) for c in monomials.values()] == list(reference.values())
+            got = series_decomposition(gamma, eta, bound)
+            expected = series_decomposition_reference(gamma, eta, bound)
+            assert list(got.items()) == list(expected.items())
+
+
+def test_series_with_a_negative_bound_is_empty():
+    # one block: no root to use, so only the bound can rule x^gamma out
+    assert series_monomials((2, 1), (2,), -1) == {}
+    assert series_decomposition((2, 1), (2,), -1) == {}
+    assert series_decomposition((2, 1), (2,), 0) == {(2, 1): ONE}
+    assert k_by_series(KIndex((2, 1), (2, 1), (2,)), degree_bound=-1) == ZERO

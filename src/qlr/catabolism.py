@@ -10,9 +10,11 @@ partition extracted by iterating the first-row catabolism operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import zip_longest
 
 from .shapes import RectSequence, is_weakly_decreasing, trim
-from .tableaux import EMPTY, Tableau, h_slice, straight_cst, v_slice
+from .tableaux import EMPTY, Tableau, enumerate_cst, h_slice, v_slice
 
 
 def yamanouchi_block(rseq: RectSequence, i: int) -> Tableau:
@@ -67,17 +69,41 @@ def catabolism_trace(t: Tableau, rseq: RectSequence):
 
 
 def is_catabolizable(t: Tableau, rseq: RectSequence) -> bool:
-    return catabolism_trace(t, rseq) is not None
+    return _catabolizable(t, rseq)
+
+
+@cache
+def _catabolizable(t: Tableau, rseq: RectSequence) -> bool:
+    """Catabolizability, one step at a time; each distinct tail is tested once."""
+    if rseq.t == 0:
+        return not t
+    after = cat_block(t, rseq)
+    if after is None:
+        return False
+    return _catabolizable(after.relabel(-rseq.eta[0]), rseq.tail())
 
 
 def enumerate_catabolizable(shape, rseq: RectSequence) -> tuple[Tableau, ...]:
-    """All catabolizable tableaux of the given straight shape."""
+    """All catabolizable tableaux of the given straight shape, by word.
+
+    A catabolizable tableau restricts to Y_1 on the first block's letters, so
+    only CSTs with Y_1 already in place are built and tested.
+    """
     shape = trim(shape)
     if sum(shape) != sum(rseq.gamma):
         return ()
-    return tuple(
-        t for t in straight_cst(shape, rseq.gamma) if is_catabolizable(t, rseq)
-    )
+    candidates = [EMPTY]  # with no blocks, only the empty shape passes the size test
+    if rseq.t:
+        y1 = yamanouchi_block(rseq, 0)
+        m, inner = rseq.eta[0], y1.outer
+        if any(a > b for a, b in zip_longest(inner, shape, fillvalue=0)):
+            return ()
+        candidates = sorted(
+            (Tableau(y + r for y, r in zip_longest(y1.rows, s.rows, fillvalue=()))
+             for s in enumerate_cst(shape, inner, (0,) * m + rseq.gamma[m:])),
+            key=Tableau.word,
+        )
+    return tuple(t for t in candidates if is_catabolizable(t, rseq))
 
 
 # ---------------------------------------------------------------------------

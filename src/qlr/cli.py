@@ -43,17 +43,19 @@ def _emit(obj, out):
 def load_cache(path, wanted=None):
     """Map (index key, engine) -> (QPoly, status); last valid write wins.
 
-    With ``wanted``, a set of such keys, the polynomials of the others are
-    not built, so a lookup costs only the records it may serve.
+    With ``wanted``, a set of such keys, a line is parsed only when it begins
+    as ``compute`` writes a record of one of them.
     """
     cache = {}
     p = Path(path)
     if not p.exists():
         return cache
+    heads = None if wanted is None else tuple(
+        json.dumps({"key": k, "engine": e})[:-1] for k, e in wanted)
     with p.open() as fh:
         for line in fh:
             line = line.strip()
-            if not line:
+            if not line or (heads is not None and not line.startswith(heads)):
                 continue
             # a line that does not parse (say, cut short by a crash
             # mid-append) is skipped; the valid records are still served

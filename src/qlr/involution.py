@@ -19,12 +19,13 @@ signed sum with the recurrence engine.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .catabolism import enumerate_catabolizable, is_catabolizable
+from .catabolism import enumerate_catabolizable
 from .charge import charge_tableau
 from .crystal import lattice_violation, raising, reflection, refill
-from .kpoly import QPoly, ZERO, k_by_recurrence
+from .kpoly import QPoly, k_by_recurrence
 from .shapes import (
     RectSequence,
     Vec,
@@ -156,11 +157,9 @@ class InvolutionContext:
         side, as an ordered set in enumeration order; built once per shape."""
         ts = self._catabolizable_ts.get(shape)
         if ts is None:
-            tail = self.rseq.tail()
             ts = self._catabolizable_ts[shape] = dict.fromkeys(
-                t
-                for t in straight_cst(shape, self.t_content)
-                if is_catabolizable(t.relabel(-self.m), tail)
+                t.relabel(self.m)
+                for t in enumerate_catabolizable(shape, self.rseq.tail())
             )
         return ts
 
@@ -254,7 +253,7 @@ def verify_involution(lam, rseq: RectSequence) -> InvolutionReport:
     identity = identity_perm(ctx.n)
     superstandard = yamanouchi_tableau(lam)
 
-    signed_sum = ZERO
+    signed: Counter[int] = Counter()
     involution_ok = True
     weight_ok = True
     shift_ok = True
@@ -266,7 +265,7 @@ def verify_involution(lam, rseq: RectSequence) -> InvolutionReport:
     for triple in ctx.triples():
         count += 1
         exponent = ctx.weight_exponent(triple.w, triple.t)
-        signed_sum = signed_sum + QPoly.term(exponent, perm_sign(triple.w))
+        signed[exponent] += perm_sign(triple.w)
 
         w, p, q = ctx.expand(triple)
         # the re-encoding shifts charge by the first-block defect
@@ -295,10 +294,10 @@ def verify_involution(lam, rseq: RectSequence) -> InvolutionReport:
         if back != x:
             involution_ok = False
 
+    signed_sum = QPoly(signed)
+    # enumerate_catabolizable lists by reading word
     ct = enumerate_catabolizable(trim(lam), rseq)
-    bijection_ok = sorted(fixed, key=lambda t: t.word()) == sorted(
-        ct, key=lambda t: t.word()
-    )
+    bijection_ok = sorted(fixed, key=Tableau.word) == list(ct)
     engine = k_by_recurrence(lam, rseq)
 
     return InvolutionReport(

@@ -437,21 +437,19 @@ def _k_rec(lam: Vec, key) -> QPoly:
     r1 = trim(rseq.rects[0])
     n = rseq.n
     tail = rseq.tail()
-    total = ZERO
+    total: dict[int, int] = {}
     for sign, alpha, beta in coset_reps(lam, m):
         if any(x < 0 for x in alpha):
             continue
         if len(r1) > m or any(r1[i] > alpha[i] for i in range(len(r1))):
             continue
         deg = sum(alpha) - sum(r1)
-        acc = ZERO
         for sigma in partitions_containing(beta, deg + sum(beta), n - m):
             c = lr_skew_times_row(sigma, alpha, r1, trim(beta))
             if c:
-                acc = acc + c * _k_rec(pad(sigma, n - m), tail.key())
-        if acc:
-            total = total + QPoly.term(deg, sign) * acc
-    return total
+                for e, x in _k_rec(pad(sigma, n - m), tail.key()).coeffs.items():
+                    total[deg + e] = total.get(deg + e, 0) + sign * c * x
+    return QPoly(total) if total else ZERO
 
 
 def k_by_recurrence(lam, rseq: RectSequence) -> QPoly:

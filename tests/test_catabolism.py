@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from qlr.catabolism import (
@@ -16,8 +19,11 @@ from qlr.catabolism import (
 )
 from qlr.charge import charge_tableau, cocharge_tableau
 from qlr.cyclage import covers_col_restricted, covers_row_restricted, cyclage_covers
-from qlr.shapes import dominates, partitions, rect_sequence
+from qlr.involution import InvolutionContext
+from qlr.kpoly import QPoly, k_by_charge
+from qlr.shapes import compositions, dominates, pad, partitions, rect_sequence, trim
 from qlr.tableaux import EMPTY, standard_tableaux, straight_cst, tab
+from qlr.verify import index_family
 
 RSEQ = rect_sequence((2, 2, 1), (3, 2, 2, 1, 1))
 
@@ -60,6 +66,70 @@ def test_catabolizable_trivia():
     y1 = yamanouchi_block(RSEQ, 0)
     assert is_catabolizable(y1, rect_sequence((2,), (3, 2)))
     assert enumerate_catabolizable((4, 3, 1), RSEQ) == ()
+
+
+def enumerate_catabolizable_reference(shape, rseq):
+    """The all-CST filter: every CST(shape, gamma) through a full catabolism run."""
+    shape = trim(shape)
+    if sum(shape) != sum(rseq.gamma):
+        return ()
+    return tuple(
+        t for t in straight_cst(shape, rseq.gamma) if catabolism_trace(t, rseq) is not None
+    )
+
+
+def test_generator_matches_the_all_cst_reference():
+    # n <= 5, every eta, weight <= 6: the same tableaux in the same order, and
+    # the memoized test agrees with a full catabolism run on every CST
+    kept = 0
+    for gamma, eta, lams in index_family(5, 6):
+        rseq = rect_sequence(eta, gamma)
+        for lam in lams:
+            found = enumerate_catabolizable(lam, rseq)
+            assert found == enumerate_catabolizable_reference(lam, rseq), (lam, rseq)
+            kept += len(found)
+            for t in straight_cst(trim(lam), gamma):
+                assert is_catabolizable(t, rseq) == (catabolism_trace(t, rseq) is not None)
+    assert kept
+
+
+def test_catabolizable_ts_match_the_all_cst_filter():
+    for gamma, eta, _ in index_family(5, 6):
+        ctx = InvolutionContext((), rect_sequence(eta, gamma))
+        tail = ctx.rseq.tail()
+        for shape in partitions(sum(ctx.gamma_hat), max_len=ctx.n):
+            expected = [
+                t
+                for t in straight_cst(shape, ctx.t_content)
+                if catabolism_trace(t.relabel(-ctx.m), tail) is not None
+            ]
+            assert list(ctx.catabolizable_ts(shape)) == expected, (ctx.rseq, shape)
+
+
+def _random_charge_index(rng: random.Random):
+    """A random dominant index at n = 6-7: gamma of parts <= 2, lam above it."""
+    n = rng.randint(6, 7)
+    eta = rng.choice(compositions(n))
+    size = rng.randint(8, 11)
+    gamma = rng.choice(list(partitions(size, max_len=n, max_part=2)))
+    # the middle third of the lam above gamma have the most tableaux
+    above = sorted(
+        (p for p in partitions(size, max_len=n) if dominates(p, gamma)),
+        key=lambda p: sum(x * x for x in p),
+    )
+    lam = rng.choice(above[len(above) // 3: 2 * len(above) // 3 + 1])
+    return lam, rect_sequence(eta, pad(gamma, n))
+
+
+def test_charge_engine_matches_the_reference_filter_on_random_indices():
+    rng = random.Random(0)
+    nonzero = 0
+    for _ in range(12):
+        lam, rseq = _random_charge_index(rng)
+        expected = QPoly(Counter(map(charge_tableau, enumerate_catabolizable_reference(lam, rseq))))
+        assert k_by_charge(lam, rseq).poly == expected, (lam, rseq)
+        nonzero += bool(expected)
+    assert nonzero >= 6
 
 
 def test_catabolizable_members_have_the_block_content():

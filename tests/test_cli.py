@@ -133,6 +133,36 @@ def test_cache_falls_back_past_a_malformed_last_record(tmp_path, capsys, monkeyp
     assert lines[0]["poly"] == {"coeffs": {"1": -1, "2": 1, "3": 1}}
 
 
+def test_cache_parses_only_the_wanted_lines_and_the_last_valid_write_wins(
+    tmp_path, capsys, monkeypatch
+):
+    cache = tmp_path / "cache.jsonl"
+    wanted = ["--lam", "2,1,0", "--gamma", "0,2,1", "--eta", "1,1,1", "--cache", str(cache)]
+    run(capsys, "compute", *wanted, "--engine", "recurrence")
+    run(capsys, "compute", *wanted, "--engine", "kostant")
+    run(capsys, "compute", "--lam", "2,0", "--gamma", "1,1", "--eta", "1,1",
+        "--engine", "recurrence", "--cache", str(cache))
+    record = json.loads(cache.read_text().splitlines()[0])
+    # a second write for the wanted key, then a malformed and a truncated one
+    record["poly"] = {"coeffs": {"9": 1}}
+    second = json.dumps(record)
+    record["poly"] = {"coeffs": {"1": "x"}}
+    with cache.open("a") as fh:
+        fh.write(second + "\n" + json.dumps(record) + "\n" + second[:-10] + "\n")
+    parsed = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or loads(text))
+    key = (record["key"], "recurrence")
+    assert load_cache(cache, {key}) == {key: (QPoly({9: 1}), "exact")}
+    # the first write, the second, the malformed and the truncated line
+    assert len(parsed) == 4
+    monkeypatch.undo()
+    assert len(load_cache(cache)) == 3
+    code, lines = run(capsys, "compute", *wanted, "--engine", "recurrence")
+    assert code == 0 and lines[0]["status"] == "cached:exact"
+    assert lines[0]["poly"] == {"coeffs": {"9": 1}}
+
+
 def test_truncated_series_is_labelled_and_not_cached(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     index = ["--lam", "2,0", "--gamma", "1,1", "--eta", "1,1", "--cache", str(cache)]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .cyclage import cyclage_poset
@@ -191,7 +192,9 @@ def cmd_check(args) -> int:
     return 0 if rep.ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="qlr",
         description="q-analogues of Littlewood-Richardson coefficients, four ways",

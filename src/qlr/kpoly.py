@@ -253,23 +253,26 @@ def lr_skew_times_row(sigma, alpha, r1, beta) -> int:
     return total
 
 
-def lr_product_coefficient(lam, rects) -> int:
-    """Coefficient of s_lam in the product of the s_{R_i}: iterated LR rule."""
-    lam = trim(lam)
+def lr_product(rects, max_len: int) -> dict[Vec, int]:
+    """The product of the s_{R_i} by the iterated LR rule, as
+    {partition: coefficient} over the partitions with at most max_len parts."""
     state = {(): 1}
     for r in rects:
         r = trim(r)
         new: dict[Vec, int] = {}
         for sigma, mult in state.items():
-            size = sum(sigma) + sum(r)
-            for tau in partitions_containing(sigma, size, max_len=len(lam) or 1):
+            for tau in partitions_containing(sigma, sum(sigma) + sum(r), max_len):
                 c = lr3(tau, sigma, r)
                 if c:
                     new[tau] = new.get(tau, 0) + mult * c
         state = new
-        if not state:
-            return 0
-    return state.get(lam, 0)
+    return state
+
+
+def lr_product_coefficient(lam, rects) -> int:
+    """Coefficient of s_lam in the product of the s_{R_i}."""
+    lam = trim(lam)
+    return lr_product(rects, len(lam) or 1).get(lam, 0)
 
 
 def k_at_one(lam, rseq: RectSequence) -> int:
@@ -486,20 +489,32 @@ def series_monomials(gamma, eta, bound: int) -> dict[Vec, dict[int, int]]:
     """Expand the root product against x^gamma up to q-degree ``bound``.
 
     Returns monomial exponent vectors with their coefficients by q-degree;
-    exact for every s_lam whose attainable degree is at most ``bound``, and
-    empty when ``bound`` is negative.
+    exact for every s_lam, lam a partition, whose attainable degree is at
+    most ``bound``, and empty when ``bound`` is negative.  Roots are taken in
+    sorted order, so position i is finished after the root (i, n): a state
+    is dropped there when alpha_i + rho_i is negative or repeats a finished
+    value, and as soon as a last-block position, which only ever loses, has
+    alpha_j + rho_j below zero.  Such states straighten to zero or to a
+    weight with a negative part.
     """
     gamma = tuple(gamma)
+    n = len(gamma)
     states: dict[Vec, dict[int, int]] = {gamma: {0: 1}} if bound >= 0 else {}
     for (i, j) in sorted(roots_of(eta)):
+        floor = j - n if j > n - eta[-1] else None  # alpha_j + rho_j >= 0
         new: dict[Vec, dict[int, int]] = {}
         for v, coeffs in states.items():
             vv = list(v)
+            finished = {v[k] + n - 1 - k for k in range(i - 1)} if j == n else None
             for k in range(bound - min(coeffs) + 1):
-                acc = new.setdefault(tuple(vv), {})
-                for e, c in coeffs.items():
-                    if e + k <= bound:
-                        acc[e + k] = acc.get(e + k, 0) + c
+                if floor is not None and vv[j - 1] < floor:
+                    break
+                top = vv[i - 1] + n - i
+                if finished is None or (top >= 0 and top not in finished):
+                    acc = new.setdefault(tuple(vv), {})
+                    for e, c in coeffs.items():
+                        if e + k <= bound:
+                            acc[e + k] = acc.get(e + k, 0) + c
                 vv[i - 1] += 1
                 vv[j - 1] -= 1
         states = new
@@ -507,7 +522,8 @@ def series_monomials(gamma, eta, bound: int) -> dict[Vec, dict[int, int]]:
 
 
 def series_decomposition(gamma, eta, bound: int) -> dict[Vec, QPoly]:
-    """All coefficients K(lambda) at once, by monomial straightening."""
+    """All coefficients K(lambda), lambda a partition, at once, by monomial
+    straightening."""
     out: dict[Vec, dict[int, int]] = {}
     for alpha, coeffs in series_monomials(gamma, eta, bound).items():
         res = bott_straighten(alpha)
@@ -523,8 +539,8 @@ def series_decomposition(gamma, eta, bound: int) -> dict[Vec, QPoly]:
 def k_by_series(idx: KIndex, degree_bound: int | None = None) -> QPoly:
     """Engine C: expand the generating function and straighten monomials."""
     lam, gamma, eta = idx.lam, idx.gamma, idx.eta
-    if not is_weakly_decreasing(lam):
-        raise ValueError(f"lambda must be dominant, got {lam}")
+    if not is_weakly_decreasing(lam) or (lam and lam[-1] < 0):
+        raise ValueError(f"lambda must be a partition, got {lam}")
     if sum(lam) != sum(gamma):
         return ZERO
     if degree_bound is None:

@@ -450,7 +450,7 @@ def enumerate_cst(outer, inner, cnt) -> tuple[Tableau, ...]:
         inner[i] > outer[i] for i in range(len(inner))
     ):
         raise ValueError(f"not a skew shape: {outer}/{inner}")
-    if sum(outer) - sum(inner) != sum(cnt):
+    if sum(outer) - sum(inner) != sum(cnt) or any(x < 0 for x in cnt):
         return ()
     letters = len(cnt)
     base = [inner[i] if i < len(inner) else 0 for i in range(len(outer))]

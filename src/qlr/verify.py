@@ -33,10 +33,10 @@ from .kpoly import (
     default_degree_bound,
     dominant_reorderings,
     dual_index,
-    k_at_one,
     k_by_charge,
     k_by_kostant,
     k_by_recurrence,
+    lr_product,
     series_decomposition,
 )
 from .shapes import (
@@ -159,10 +159,11 @@ def crosscheck_family(
         gamma = rseq.gamma
         bound = default_degree_bound((sum(gamma),) + (0,) * (rseq.n - 1), gamma)
         decomposition = series_decomposition(gamma, rseq.eta, bound)
-        return decomposition, charge_engine_status(rseq) == PROVEN
+        product = lr_product(rseq.rects, rseq.n)
+        return decomposition, product, charge_engine_status(rseq) == PROVEN
 
     def check(rep, idx, rseq, prepared):
-        decomposition, proven = prepared
+        decomposition, product, proven = prepared
         lam = idx.lam
         p_rec = k_by_recurrence(lam, rseq)
         p_kos = k_by_kostant(idx)
@@ -183,8 +184,9 @@ def crosscheck_family(
             if p_charge != p_rec:
                 rep.found(check="charge", index=idx, charge=p_charge, exact=p_rec)
         rep.checks += 1
-        if p_rec.at_one() != k_at_one(lam, rseq):
-            rep.found(check="q=1", index=idx, poly=p_rec, lr=k_at_one(lam, rseq))
+        lr = product.get(trim(lam), 0)
+        if p_rec.at_one() != lr:
+            rep.found(check="q=1", index=idx, poly=p_rec, lr=lr)
         if include_dualities:
             rep.checks += 1
             p_dual, _ = compute(dual_index(idx), "recurrence")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qlr.cli import main, load_cache, poset_dot
+from qlr.cli import build_parser, main, load_cache, poset_dot
 from qlr.kpoly import QPoly
 
 
@@ -79,6 +79,29 @@ def test_cache_roundtrip(tmp_path, capsys):
     code, lines = run(capsys, *args)
     assert code == 0 and lines[0]["status"] == "cached:exact"
     assert lines[0]["poly"] == {"coeffs": {"1": -1, "2": 1, "3": 1}}
+
+
+def test_calls_in_one_process_share_no_option(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    index = ["--lam", "2,1,0", "--gamma", "0,2,1", "--eta", "1,1,1"]
+    code, lines = run(capsys, "compute", *index, "--engine", "recurrence",
+                      "--cache", str(cache), "--degree-bound", "9")
+    assert code == 0 and [r["status"] for r in lines] == ["exact"]
+    # the next call names no cache and no engine: nothing is read or written,
+    # and every engine runs
+    code, lines = run(capsys, "compute", *index)
+    assert code == 0
+    assert [(r["engine"], r["status"]) for r in lines] == [
+        ("kostant", "exact"), ("recurrence", "exact"), ("series", "exact"),
+        ("charge", "inapplicable")]
+    assert len(cache.read_text().splitlines()) == 1
+    code, lines = run(capsys, "crosscheck", "--max-n", "2", "--max-weight", "2")
+    assert code == 0 and lines[0]["ok"]
+    assert lines[0]["descriptor"] == {"kind": "crosscheck", "max_n": 2,
+                                      "max_weight": 2, "sample": None}
+    args = build_parser().parse_args(["compute"])
+    assert (args.cache, args.engine, args.degree_bound) == (None, "all", None)
+    assert build_parser() is build_parser()
 
 
 def test_cache_keeps_the_charge_label(tmp_path, capsys):

@@ -33,6 +33,8 @@ from qlr.kpoly import (
     kostka_number,
     lr3,
     lr_coefficient,
+    lr_product,
+    lr_product_coefficient,
     lr_skew_times_row,
     series_decomposition,
     series_monomials,
@@ -504,18 +506,72 @@ def series_decomposition_reference(gamma, eta, bound):
 
 
 def test_series_matches_the_qpoly_reference_at_every_bound():
+    # the expansion drops states on finished coordinates, so it keeps a subset
+    # of the reference's monomials; every dropped one straightens to zero or
+    # to a weight with a negative part, and no partition lambda changes
     for gamma, eta, _ in index_family(4, 4):
         n = len(gamma)
         top = default_degree_bound((sum(gamma),) + (0,) * (n - 1), gamma)
         for bound in range(-1, top + 1):
             monomials = series_monomials(gamma, eta, bound)
             reference = series_monomials_reference(gamma, eta, bound)
-            # the same monomials in the same order, so their count keeps its meaning
-            assert list(monomials) == list(reference)
-            assert [QPoly(c) for c in monomials.values()] == list(reference.values())
+            last = n - eta[-1]
+            for alpha, coeffs in monomials.items():
+                assert QPoly(coeffs) == reference[alpha], (gamma, eta, bound, alpha)
+                # what survives has distinct finished values and no negative one
+                v = vec_add(alpha, rho(n))
+                assert len(set(v[:last])) == last and min(v) >= 0, (gamma, eta, alpha)
+            for alpha in reference.keys() - monomials.keys():
+                res = bott_straighten(alpha)
+                assert res is None or min(res[1]) < 0, (gamma, eta, bound, alpha)
             got = series_decomposition(gamma, eta, bound)
             expected = series_decomposition_reference(gamma, eta, bound)
-            assert list(got.items()) == list(expected.items())
+            assert got == {lam: p for lam, p in expected.items() if min(lam) >= 0}
+
+
+def test_series_prunes_dead_states():
+    # x^(1,1,1,1) against eta=(2,2): the unpruned expansion also keeps states
+    # that can only straighten to zero or to a weight with a negative part
+    full = series_monomials_reference((1, 1, 1, 1), (2, 2), 4)
+    kept = series_monomials((1, 1, 1, 1), (2, 2), 4)
+    assert 0 < len(kept) < len(full)
+    assert all(min(lam) >= 0 for lam in series_decomposition((1, 1, 1, 1), (2, 2), 4))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_pruned_series_matches_kostant_on_random_groups(seed):
+    # past the exhaustive ranges: dominant groups at n = 6-7, every lambda
+    rng = random.Random(seed)
+    for _ in range(3):
+        n = rng.randint(6, 7)
+        gamma = pad(rng.choice(partitions(rng.randint(3, 5), max_len=n)), n)
+        eta = rng.choice(compositions(n))
+        top = default_degree_bound((sum(gamma),) + (0,) * (n - 1), gamma)
+        decomposition = series_decomposition(gamma, eta, top)
+        for lam in partitions(sum(gamma), max_len=n):
+            lam = pad(lam, n)
+            expected = k_by_kostant(KIndex(lam, gamma, eta))
+            assert decomposition.get(lam, ZERO) == expected, (lam, gamma, eta)
+
+
+def test_series_requires_a_partition_lambda():
+    with pytest.raises(ValueError, match="lambda must be a partition"):
+        k_by_series(KIndex((2, 0, -1), (1, 0, 0), (1, 1, 1)))
+    with pytest.raises(ValueError, match="lambda must be a partition"):
+        k_by_series(KIndex((0, 1), (1, 0), (1, 1)))
+
+
+def test_lr_product_matches_the_coefficients():
+    rects = ((2, 2), (1,), (1, 1))
+    product = lr_product(rects, 5)
+    # s_22 s_1 = s_32 + s_221, and each meets s_331 once against s_11
+    assert product[(3, 3, 1)] == lr_product_coefficient((3, 3, 1), rects) == 2
+    for size in range(8):
+        for lam in partitions(size, max_len=5):
+            assert product.get(lam, 0) == lr_product_coefficient(lam, rects), lam
+    # a shorter max_len keeps exactly the shorter partitions
+    short = lr_product(rects, 3)
+    assert short == {lam: c for lam, c in product.items() if len(lam) <= 3}
 
 
 def test_series_with_a_negative_bound_is_empty():

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from qlr.kpoly import kostka_number
 from qlr.shapes import partitions
 from qlr.tableaux import (
     EMPTY,
@@ -289,6 +290,13 @@ def test_enumerate_cst_examples():
     for t in enumerate_cst((3, 2), (1,), (2, 1, 1)):
         assert t.is_column_strict()
         assert t.content() == (2, 1, 1)
+
+
+def test_enumerate_cst_rejects_negative_content():
+    # the total matches the shape, but no tableau has a negative content
+    assert straight_cst((1,), (2, -1)) == ()
+    assert enumerate_cst((2, 1), (1,), (3, -1)) == ()
+    assert kostka_number((1,), (2, -1)) == 0
 
 
 def test_yamanouchi_tableau():

@@ -1,5 +1,6 @@
 import pytest
 
+from qlr import verify
 from qlr.kpoly import QPoly, cocharge_kostka, k_by_recurrence
 from qlr.shapes import pad, partitions, rect_sequence
 from qlr.verify import (
@@ -110,6 +111,21 @@ def test_report_sizes_are_pinned(name, args, checks):
 def test_sampled_crosscheck_size_is_pinned():
     rep = crosscheck_family(3, 3, sample=(11, 6))
     assert (rep.checks, rep.ok) == (80, True)
+
+
+def test_sampled_crosscheck_at_n6_is_pinned():
+    # twelve groups at n <= 6, weight <= 6: the series expansion of a whole
+    # group is the costly step there
+    rep = crosscheck_family(6, 6, sample=(0, 12))
+    assert (rep.checks, rep.ok) == (378, True)
+
+
+def test_crosscheck_compares_against_the_group_lr_product(monkeypatch):
+    monkeypatch.setattr(verify, "lr_product", lambda rects, max_len: {})
+    rep = crosscheck_family(2, 2, include_dualities=False)
+    assert rep.counterexamples
+    assert {ce["check"] for ce in rep.counterexamples} == {"q=1"}
+    assert all(ce["lr"] == 0 for ce in rep.counterexamples)
 
 
 def test_sampled_scans_record_their_sample():

@@ -67,7 +67,6 @@ from .kpoly import (
     QPoly,
     compute,
     cocharge_kostka,
-    k_at_one,
     k_by_charge,
     k_by_kostant,
     k_by_recurrence,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import zip_longest
 
-from .shapes import RectSequence, is_weakly_decreasing, trim
+from .shapes import RectSequence, is_partition, trim
 from .tableaux import EMPTY, Tableau, enumerate_cst, h_slice, v_slice
 
 
@@ -21,7 +21,7 @@ def yamanouchi_block(rseq: RectSequence, i: int) -> Tableau:
     """The block tableau Y_i: row j holds the j-th smallest letter of A_i."""
     start, _ = rseq.intervals[i]
     shape = trim(rseq.rects[i])
-    if not is_weakly_decreasing(shape) or (shape and shape[-1] < 0):
+    if not is_partition(shape):
         raise ValueError(f"block {i} of {rseq} is not a partition")
     return Tableau([[start + j] * x for j, x in enumerate(shape)])
 

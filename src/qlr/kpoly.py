@@ -35,10 +35,10 @@ from .shapes import (
     Vec,
     dominates,
     from_rects,
+    is_partition,
     is_weakly_decreasing,
     normalize_index,
     pad,
-    partitions,
     partitions_containing,
     rect_sequence,
     rho,
@@ -201,7 +201,6 @@ def bott_straighten(alpha):
     return straighten(alpha)
 
 
-@cache
 def kostka_number(shape, alpha) -> int:
     """Number of column-strict tableaux of the given shape and content."""
     return len(straight_cst(trim(shape), tuple(alpha)))
@@ -230,29 +229,6 @@ def lr_coefficient(outer, inner, lam, mu) -> int:
     )
 
 
-def lr3(c, a, b) -> int:
-    """The structure constant <s_c, s_a s_b>: lattice fillings of c/a by b."""
-    c, a = trim(c), trim(a)
-    if len(a) > len(c) or any(a[i] > c[i] for i in range(len(a))):
-        return 0
-    return lr_coefficient(c, a, trim(b), ())
-
-
-@cache
-def lr_skew_times_row(sigma, alpha, r1, beta) -> int:
-    """<s_sigma, s_{alpha/r1} s_beta>, summed over the middle partition."""
-    sigma, alpha, r1, beta = trim(sigma), trim(alpha), trim(r1), trim(beta)
-    deg = sum(alpha) - sum(r1)
-    if deg < 0 or sum(sigma) != deg + sum(beta):
-        return 0
-    total = 0
-    for nu in partitions(deg, max_len=len(alpha) or 1):
-        c1 = lr3(alpha, r1, nu)
-        if c1:
-            total += c1 * lr3(sigma, beta, nu)
-    return total
-
-
 def lr_product(rects, max_len: int) -> dict[Vec, int]:
     """The product of the s_{R_i} by the iterated LR rule, as
     {partition: coefficient} over the partitions with at most max_len parts."""
@@ -262,22 +238,11 @@ def lr_product(rects, max_len: int) -> dict[Vec, int]:
         new: dict[Vec, int] = {}
         for sigma, mult in state.items():
             for tau in partitions_containing(sigma, sum(sigma) + sum(r), max_len):
-                c = lr3(tau, sigma, r)
+                c = lr_coefficient(tau, sigma, r, ())
                 if c:
                     new[tau] = new.get(tau, 0) + mult * c
         state = new
     return state
-
-
-def lr_product_coefficient(lam, rects) -> int:
-    """Coefficient of s_lam in the product of the s_{R_i}."""
-    lam = trim(lam)
-    return lr_product(rects, len(lam) or 1).get(lam, 0)
-
-
-def k_at_one(lam, rseq: RectSequence) -> int:
-    """The q = 1 specialization: the LR coefficient of the block product."""
-    return lr_product_coefficient(lam, rseq.rects)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +413,7 @@ def _k_rec(lam: Vec, key) -> QPoly:
             continue
         deg = sum(alpha) - sum(r1)
         for sigma in partitions_containing(beta, deg + sum(beta), n - m):
-            c = lr_skew_times_row(sigma, alpha, r1, trim(beta))
+            c = lr_coefficient(sigma, trim(beta), trim(alpha), r1)
             if c:
                 for e, x in _k_rec(pad(sigma, n - m), tail.key()).coeffs.items():
                     total[deg + e] = total.get(deg + e, 0) + sign * c * x
@@ -458,7 +423,7 @@ def _k_rec(lam: Vec, key) -> QPoly:
 def k_by_recurrence(lam, rseq: RectSequence) -> QPoly:
     """Engine B: peel the first block with coset data and skew LR numbers."""
     lam = pad(lam, rseq.n)
-    if not is_weakly_decreasing(lam) or (lam and lam[-1] < 0):
+    if not is_partition(lam):
         raise ValueError(f"lambda must be a partition, got {lam}")
     if not rseq.all_partitions():
         raise ValueError(f"every block of {rseq} must be a partition")
@@ -539,7 +504,7 @@ def series_decomposition(gamma, eta, bound: int) -> dict[Vec, QPoly]:
 def k_by_series(idx: KIndex, degree_bound: int | None = None) -> QPoly:
     """Engine C: expand the generating function and straighten monomials."""
     lam, gamma, eta = idx.lam, idx.gamma, idx.eta
-    if not is_weakly_decreasing(lam) or (lam and lam[-1] < 0):
+    if not is_partition(lam):
         raise ValueError(f"lambda must be a partition, got {lam}")
     if sum(lam) != sum(gamma):
         return ZERO
@@ -616,7 +581,7 @@ def two_rectangle_formula(lam, r1, r2) -> QPoly:
         return ZERO
     lam = pad(lam, m + len(r2))
     alpha, beta = lam[:m], lam[m:]
-    c = lr_skew_times_row(trim(r2), trim(alpha), trim(r1), trim(beta))
+    c = lr_coefficient(r2, beta, alpha, r1)
     if not c:
         return ZERO
     return QPoly.term(sum(alpha) - sum(r1), c)
@@ -660,11 +625,7 @@ def dual_index(idx: KIndex) -> KIndex:
 
 def dominant_reorderings(rseq: RectSequence):
     """All orderings of the blocks that keep the concatenation dominant."""
-    seen = set()
-    for perm in itertools.permutations(rseq.rects):
-        if perm in seen:
-            continue
-        seen.add(perm)
+    for perm in dict.fromkeys(itertools.permutations(rseq.rects)):
         cand = from_rects(perm)
         if cand.is_dominant():
             yield cand

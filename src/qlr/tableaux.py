@@ -109,7 +109,7 @@ class Tableau:
         for i, r in enumerate(self.rows):
             rows.append([x for x in r if lo <= x <= hi])
             inner.append(self.inner_at(i) + sum(1 for x in r if x < lo))
-        return Tableau(rows, trim(inner) if any(inner) else ())
+        return Tableau(rows, inner)
 
     def relabel(self, offset: int) -> "Tableau":
         return Tableau([[x + offset for x in r] for r in self.rows], self.inner)
@@ -259,14 +259,6 @@ def schensted_p(w) -> Tableau:
     return Tableau(rows)
 
 
-def schensted_p_by_columns(w) -> Tableau:
-    """Same tableau as :func:`schensted_p`, built by column insertion."""
-    rows: list[list[int]] = []
-    for x in reversed(tuple(w)):
-        _column_insert(rows, x)
-    return Tableau(rows)
-
-
 def knuth_equivalent(u, v) -> bool:
     return schensted_p(u) == schensted_p(v)
 
@@ -358,24 +350,19 @@ def evacuation(t: Tableau, n: int) -> Tableau:
 
 def h_slice(t: Tableau, r: int) -> Tableau:
     """Cut between rows r and r+1 and insert the north part before the south."""
-    r = max(0, min(r, len(t.rows)))
-    north = Tableau(t.rows[:r], t.inner[:r])
-    south = Tableau(t.rows[r:], t.inner[r:])
-    return schensted_p(north.word() + south.word())
+    w = t.word()
+    k = sum(map(len, t.rows[max(r, 0):]))  # the south part leads the word
+    return schensted_p(w[k:] + w[:k])
 
 
 def v_slice(t: Tableau, c: int) -> Tableau:
     """Cut between columns c and c+1 and insert the east part before the west."""
-    west_rows, west_inner, east_rows, east_inner = [], [], [], []
-    for i, row in enumerate(t.rows):
-        base = t.inner_at(i)
-        west_rows.append([x for j, x in enumerate(row) if base + j < c])
-        west_inner.append(min(base, c))
-        east_rows.append([x for j, x in enumerate(row) if base + j >= c])
-        east_inner.append(max(base - c, 0))
-    west = Tableau(west_rows, trim(west_inner) if any(west_inner) else ())
-    east = Tableau(east_rows, trim(east_inner) if any(east_inner) else ())
-    return schensted_p(east.word() + west.word())
+    west, east = [], []
+    for i in reversed(range(len(t.rows))):  # row reading: bottom row first
+        k = max(c - t.inner_at(i), 0)
+        west += t.rows[i][:k]
+        east += t.rows[i][k:]
+    return schensted_p(east + west)
 
 
 def overlap(v, u) -> int:
@@ -431,7 +418,7 @@ def jdt_slide(t: Tableau, cell) -> Tableau:
         if cols != list(range(inner[r], inner[r] + len(cols))):
             raise ValueError("slide produced a broken row")
         rows.append([grid[(r, c)] for c in cols])
-    return Tableau(rows, trim(inner) if any(inner) else ())
+    return Tableau(rows, inner)
 
 
 # ---------------------------------------------------------------------------

@@ -160,10 +160,12 @@ def crosscheck_family(
         bound = default_degree_bound((sum(gamma),) + (0,) * (rseq.n - 1), gamma)
         decomposition = series_decomposition(gamma, rseq.eta, bound)
         product = lr_product(rseq.rects, rseq.n)
-        return decomposition, product, charge_engine_status(rseq) == PROVEN
+        reorderings = ([other for other in dominant_reorderings(rseq) if other != rseq]
+                       if include_dualities else ())
+        return decomposition, product, charge_engine_status(rseq) == PROVEN, reorderings
 
     def check(rep, idx, rseq, prepared):
-        decomposition, product, proven = prepared
+        decomposition, product, proven, reorderings = prepared
         lam = idx.lam
         p_rec = k_by_recurrence(lam, rseq)
         p_kos = k_by_kostant(idx)
@@ -197,9 +199,7 @@ def crosscheck_family(
             p_box = k_by_recurrence(lam_c, rs_c)
             if p_box != p_rec:
                 rep.found(check="box", index=idx, poly=p_rec, complement=p_box)
-            for other in dominant_reorderings(rseq):
-                if other == rseq:
-                    continue
+            for other in reorderings:
                 rep.checks += 1
                 p_sym = k_by_recurrence(pad(lam, other.n), other)
                 if p_sym != p_rec:
@@ -469,7 +469,7 @@ def check_white_fitting(total: int = 6, alphabet: int = 3) -> ScanReport:
     test assembles into a skew column-strict tableau.
     """
     with ScanReport.timed(kind="white_fitting", total=total, alphabet=alphabet) as rep:
-        for words in _word_sequences(total, alphabet, max_words=3):
+        for words in _word_sequences(total, alphabet):
             mu_len = len(words)
             _, q = column_rsk(words)
             for mu in partitions_upto(total, mu_len):
@@ -493,26 +493,31 @@ def _assembles(words, mu, lam) -> bool:
     return t.is_column_strict()
 
 
-def _word_sequences(total: int, alphabet: int, max_words: int):
-    """All tuples of weakly increasing words with total length <= total."""
+def _word_sequences(total: int, alphabet: int):
+    """All lists of one to three weakly increasing words with total length
+    <= total, in the order of ``itertools.product`` over the words by length."""
     singles = [()]
     for ln in range(1, total + 1):
-        singles.extend(
-            w
-            for w in itertools.combinations_with_replacement(
-                range(1, alphabet + 1), ln
-            )
-        )
-    for k in range(1, max_words + 1):
-        for combo in itertools.product(singles, repeat=k):
-            if sum(len(w) for w in combo) <= total:
-                yield list(combo)
+        singles.extend(itertools.combinations_with_replacement(range(1, alphabet + 1), ln))
+
+    def fill(k, budget):
+        if not k:
+            yield []
+            return
+        for w in singles:
+            if len(w) > budget:
+                break  # singles are sorted by length
+            for rest in fill(k - 1, budget - len(w)):
+                yield [w] + rest
+
+    for k in range(1, 4):
+        yield from fill(k, total)
 
 
 def check_ev_duality(total: int = 6, alphabet: int = 3) -> ScanReport:
     """Reversing and complementing the inputs evacuates both RSK outputs."""
     with ScanReport.timed(kind="ev_duality", total=total, alphabet=alphabet) as rep:
-        for words in _word_sequences(total, alphabet, max_words=3):
+        for words in _word_sequences(total, alphabet):
             n = len(words)
             p, q = column_rsk(words)
             flipped = [

@@ -23,7 +23,6 @@ from qlr.kpoly import (
     dominant_reorderings,
     dual_index,
     index_from_rects,
-    k_at_one,
     k_by_charge,
     k_by_kostant,
     k_by_recurrence,
@@ -31,11 +30,8 @@ from qlr.kpoly import (
     kostant_q,
     kostka_foulkes,
     kostka_number,
-    lr3,
     lr_coefficient,
     lr_product,
-    lr_product_coefficient,
-    lr_skew_times_row,
     series_decomposition,
     series_monomials,
     standard_cocharge_sum,
@@ -49,6 +45,7 @@ from qlr.shapes import (
     conjugate,
     pad,
     partitions,
+    partitions_upto,
     perm_apply,
     perm_inverse,
     perm_sign,
@@ -296,26 +293,42 @@ def test_kostka_numbers():
 
 
 def test_lr_coefficients():
-    assert lr3((2, 1), (1,), (1, 1)) == 1
-    assert lr3((2, 1), (2, 1), ()) == 1
-    assert lr3((2, 2), (2, 1), (1,)) == 1
-    assert lr3((2, 2), (1,), (1, 1)) == 0
+    assert lr_coefficient((2, 1), (1,), (1, 1), ()) == 1
+    assert lr_coefficient((2, 1), (2, 1), (), ()) == 1
+    assert lr_coefficient((2, 2), (2, 1), (1,), ()) == 1
+    assert lr_coefficient((2, 2), (1,), (1, 1), ()) == 0
     assert lr_coefficient((2, 1), (), (2, 1), ()) == 1
-    # <s_{sigma}, s_{alpha/r1} s_beta> collapses correctly at the edges
-    assert lr_skew_times_row((2, 1), (2, 1), (2, 1), ()) == 0
-    assert lr_skew_times_row((), (2, 1), (2, 1), ()) == 1
-    assert lr_skew_times_row((2,), (3, 1), (2,), ()) == 1
+    # <s_{sigma}, s_{alpha/r1} s_beta> = <s_{sigma/beta}, s_{alpha/r1}> at the edges
+    assert lr_coefficient((2, 1), (), (2, 1), (2, 1)) == 0
+    assert lr_coefficient((), (), (2, 1), (2, 1)) == 1
+    assert lr_coefficient((2,), (), (3, 1), (2,)) == 1
+
+
+def lr_skew_times_row_reference(sigma, alpha, r1, beta) -> int:
+    """<s_sigma, s_{alpha/r1} s_beta>, summed over the middle partition nu of
+    <s_alpha, s_r1 s_nu> <s_sigma, s_beta s_nu>."""
+    deg = sum(alpha) - sum(r1)
+    return sum(
+        lr_coefficient(alpha, r1, nu, ()) * lr_coefficient(sigma, beta, nu, ())
+        for nu in partitions(deg, max_len=len(alpha) or 1)
+    )
 
 
 def test_lr_skew_times_row_against_direct_expansion():
-    # independent oracle: r1-lattice fillings of sigma/beta by alpha - r1
-    for alpha in partitions(4):
-        for r1 in partitions(2):
-            for beta in partitions(2):
-                deg = sum(alpha) - sum(r1)
-                for sigma in partitions(deg + sum(beta)):
+    # skewing is adjoint to multiplication: the engine's one count, r1-lattice
+    # fillings of sigma/beta by alpha - r1, equals the sum over nu
+    cases = nonzero = 0
+    for alpha in partitions_upto(5, max_len=3):
+        for r1 in partitions_upto(sum(alpha), max_len=len(alpha)):
+            if any(x > a for x, a in zip(r1, alpha)):
+                continue
+            for beta in partitions_upto(3):
+                size = sum(alpha) - sum(r1) + sum(beta)
+                for sigma in partitions(size, max_len=4):
                     direct = lr_coefficient(sigma, beta, alpha, r1)
-                    assert lr_skew_times_row(sigma, alpha, r1, beta) == direct
+                    assert lr_skew_times_row_reference(sigma, alpha, r1, beta) == direct
+                    cases, nonzero = cases + 1, nonzero + bool(direct)
+    assert (cases, nonzero) == (3214, 1661)
 
 
 def test_paper_values_all_engines():
@@ -342,7 +355,7 @@ def test_catabolizable_fixture_value():
     assert k_by_series(idx) == expected
     res = k_by_charge((5, 3, 1), rs)
     assert res.poly == expected and res.status == CONJECTURAL
-    assert k_at_one((5, 3, 1), rs) == 4
+    assert lr_product(rs.rects, 3)[(5, 3, 1)] == 4
 
 
 def test_empty_index():
@@ -565,10 +578,10 @@ def test_lr_product_matches_the_coefficients():
     rects = ((2, 2), (1,), (1, 1))
     product = lr_product(rects, 5)
     # s_22 s_1 = s_32 + s_221, and each meets s_331 once against s_11
-    assert product[(3, 3, 1)] == lr_product_coefficient((3, 3, 1), rects) == 2
+    assert product[(3, 3, 1)] == lr_product(rects, 3)[(3, 3, 1)] == 2
     for size in range(8):
         for lam in partitions(size, max_len=5):
-            assert product.get(lam, 0) == lr_product_coefficient(lam, rects), lam
+            assert product.get(lam, 0) == lr_product(rects, len(lam) or 1).get(lam, 0), lam
     # a shorter max_len keeps exactly the shorter partitions
     short = lr_product(rects, 3)
     assert short == {lam: c for lam, c in product.items() if len(lam) <= 3}

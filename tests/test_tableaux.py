@@ -7,6 +7,7 @@ from qlr.shapes import partitions
 from qlr.tableaux import (
     EMPTY,
     Tableau,
+    _column_insert,
     column_rsk,
     column_rsk_inverse,
     content,
@@ -17,7 +18,6 @@ from qlr.tableaux import (
     knuth_equivalent,
     overlap,
     schensted_p,
-    schensted_p_by_columns,
     straight_cst,
     tab,
     two_row_tableau,
@@ -79,6 +79,14 @@ def test_schensted_word_is_knuth_equivalent():
         p = schensted_p(w)
         assert p.is_column_strict()
         assert p.word() in knuth_class(w)
+
+
+def schensted_p_by_columns(w) -> Tableau:
+    """Same tableau as ``schensted_p``, built by column insertion."""
+    rows: list[list[int]] = []
+    for x in reversed(tuple(w)):
+        _column_insert(rows, x)
+    return Tableau(rows)
 
 
 def test_row_and_column_insertion_agree():
@@ -198,11 +206,35 @@ def test_evacuation_involution():
                     assert evacuation(e, n) == t
 
 
+def cut_word(t, keep):
+    """Row-reading word of the cells of t that ``keep`` selects."""
+    cells = sorted(t.cells(), key=lambda cell: (-cell[0], cell[1]))
+    return tuple(t.entry(cell) for cell in cells if keep(cell))
+
+
+SKEW_SLICE_INPUTS = [
+    t
+    for outer, inner, cnt in (
+        ((3, 2, 1), (), (1, 1, 1, 1, 1, 1)),
+        ((4, 3, 1), (2, 1), (2, 1, 1, 1)),
+        ((3, 3, 2), (3, 1), (1, 1, 1, 1)),
+        ((4, 2, 2, 1), (3, 2), (2, 2)),
+    )
+    for t in enumerate_cst(outer, inner, cnt)
+]
+
+
 def test_h_slice():
     s = tab([1, 2, 3, 4, 7], [5, 6, 9], [8])
     assert h_slice(s, 1) == tab([1, 2, 3, 4, 5, 6, 9], [7, 8])
     assert h_slice(s, 0) == schensted_p(s.word())
     assert h_slice(s, 5) == schensted_p(s.word())
+    # skew inputs at every cut, before, inside and past the rows
+    for t in SKEW_SLICE_INPUTS:
+        for r in range(-1, len(t.rows) + 2):
+            north = cut_word(t, lambda cell: cell[0] < r)
+            south = cut_word(t, lambda cell: cell[0] >= r)
+            assert h_slice(t, r) == schensted_p(north + south), (t, r)
 
 
 def test_v_slice():
@@ -214,6 +246,12 @@ def test_v_slice():
         out = v_slice(s, c)
         assert out.is_column_strict()
         assert sorted(out.word()) == sorted(s.word())
+    # skew inputs at every cut, before, inside and past the columns
+    for t in SKEW_SLICE_INPUTS:
+        for c in range(-1, t.outer[0] + 2):
+            west = cut_word(t, lambda cell: cell[1] < c)
+            east = cut_word(t, lambda cell: cell[1] >= c)
+            assert v_slice(t, c) == schensted_p(east + west), (t, c)
 
 
 def test_overlap():

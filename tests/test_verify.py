@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from qlr import verify
@@ -126,6 +128,39 @@ def test_crosscheck_compares_against_the_group_lr_product(monkeypatch):
     assert rep.counterexamples
     assert {ce["check"] for ce in rep.counterexamples} == {"q=1"}
     assert all(ce["lr"] == 0 for ce in rep.counterexamples)
+
+
+def test_crosscheck_builds_the_reorderings_once_per_group(monkeypatch):
+    calls = []
+
+    def counted(rseq):
+        calls.append(rseq)
+        return original(rseq)
+
+    original = verify.dominant_reorderings
+    monkeypatch.setattr(verify, "dominant_reorderings", counted)
+    assert crosscheck_family(3, 3).ok
+    assert len(calls) == len(list(index_family(3, 3)))
+    calls.clear()
+    crosscheck_family(3, 3, include_dualities=False)
+    assert calls == []
+
+
+def word_sequences_reference(total, alphabet):
+    """The whole product of one to three words, filtered by length after."""
+    singles = [()]
+    for ln in range(1, total + 1):
+        singles.extend(itertools.combinations_with_replacement(range(1, alphabet + 1), ln))
+    for k in range(1, 4):
+        for combo in itertools.product(singles, repeat=k):
+            if sum(map(len, combo)) <= total:
+                yield list(combo)
+
+
+@pytest.mark.parametrize("total, alphabet", [(0, 2), (1, 1), (2, 3), (4, 2), (5, 3)])
+def test_word_sequences_match_the_filtered_product(total, alphabet):
+    expected = list(word_sequences_reference(total, alphabet))
+    assert list(verify._word_sequences(total, alphabet)) == expected
 
 
 def test_sampled_scans_record_their_sample():

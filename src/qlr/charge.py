@@ -62,21 +62,12 @@ def circular_decompose(w) -> ChargeDecomposition:
         if letters != list(range(1, len(letters) + 1)):
             raise ValueError("content lost partition form during decomposition")
         chosen = []
-        cursor = None
+        cursor = len(w)
         for v in range(1, len(letters) + 1):
-            order = (
-                [p for p in reversed(free) if p < cursor]
-                + [p for p in reversed(free) if p >= cursor]
-                if cursor is not None
-                else list(reversed(free))
-            )
-            for p in order:
-                if w[p] == v:
-                    chosen.append(p)
-                    cursor = p
-                    break
-            else:
-                raise ValueError("letter ran out during circular reading")
+            # free is ascending, and the letters check above makes ``at`` nonempty
+            at = [p for p in free if w[p] == v]
+            cursor = max((p for p in at if p < cursor), default=at[-1])
+            chosen.append(cursor)
         chosen.sort()
         out.append((tuple(w[p] for p in chosen), tuple(chosen)))
         free = [p for p in free if p not in set(chosen)]
@@ -87,8 +78,6 @@ def circular_decompose(w) -> ChargeDecomposition:
 def charge(w) -> int:
     """Charge of an arbitrary word."""
     w = tuple(w)
-    if not w:
-        return 0
     cnt = content(w)
     if cnt and cnt[0] == 0:
         # leading zero counts: shift the alphabet down instead of acting

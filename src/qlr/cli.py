@@ -7,8 +7,10 @@ given malformed input (an unparsable index or content, a size below its
 least legal value, a --cache or --out path that is a directory or lies in
 a missing one), which it reports as one JSON error record (2), on stdout
 only for a bad path.  The --cache option points at an append-only
-JSON-lines file keyed by the canonical normalized index and engine tag; on
-reload the last write wins and lines that do not parse are skipped.  A
+JSON-lines file keyed by the canonical normalized index and engine tag.  A
+record holds the normalized index's polynomial, and a read multiplies it by
+the Bott sign of the index asked about.  On reload the last write wins, and
+lines that do not parse or carry another format version are skipped.  A
 series result cut short by a --degree-bound below the attainable degree is
 labelled ``truncated`` and is never cached.
 """
@@ -24,6 +26,9 @@ from pathlib import Path
 from .cyclage import cyclage_poset
 from .kpoly import ENGINES, KIndex, QPoly, compute, index_from_rects
 from .verify import CHECKS, SCANS, crosscheck_family, index_key
+
+# records written before the cache held normalized polynomials have no version
+CACHE_VERSION = 2
 
 
 def _vec(text):
@@ -42,7 +47,8 @@ def _emit(obj, out):
 
 
 def load_cache(path, wanted=None):
-    """Map (index key, engine) -> (QPoly, status); last valid write wins.
+    """Map (index key, engine) -> (QPoly, status); the last valid write of
+    this format version wins.
 
     With ``wanted``, a set of such keys, a line is parsed only when it begins
     as ``compute`` writes a record of one of them.
@@ -63,7 +69,7 @@ def load_cache(path, wanted=None):
             try:
                 rec = json.loads(line)
                 key = (rec["key"], rec["engine"])
-                if wanted is None or key in wanted:
+                if rec["version"] == CACHE_VERSION and (wanted is None or key in wanted):
                     cache[key] = (QPoly.from_json(rec["poly"]), rec.get("status", "exact"))
             except (ValueError, KeyError, TypeError, AttributeError):
                 continue
@@ -98,6 +104,8 @@ def cmd_compute(args) -> int:
     run_all = args.engine == "all"
     engines = ENGINES if run_all else (args.engine,)
     key = index_key(idx)
+    norm = idx.normalized()
+    sign = norm[0] if norm else 1
     cache = load_cache(args.cache, {(key, e) for e in engines}) if args.cache else None
     failures = 0
     for engine in engines:
@@ -109,7 +117,7 @@ def cmd_compute(args) -> int:
         }
         cached = cache.get((key, engine)) if cache is not None else None
         if cached is not None:
-            poly, status = cached[0], f"cached:{cached[1]}"
+            poly, status = cached[0] * sign, f"cached:{cached[1]}"
         else:
             try:
                 poly, status = compute(idx, engine, degree_bound=args.degree_bound)
@@ -123,8 +131,9 @@ def cmd_compute(args) -> int:
                 continue
             if args.cache and status != "truncated":
                 with open(args.cache, "a") as fh:
-                    fh.write(json.dumps({"key": key, "engine": engine,
-                                         "poly": poly.to_json(), "status": status}) + "\n")
+                    fh.write(json.dumps({"key": key, "engine": engine, "version": CACHE_VERSION,
+                                         "poly": (poly * sign).to_json(),
+                                         "status": status}) + "\n")
         record.update(poly=poly.to_json(), display=repr(poly), status=status)
         _emit(record, args.out)
     return 1 if failures else 0

@@ -43,13 +43,11 @@ def r_pairing(w, r: int) -> RPairing:
     return RPairing(r, tuple(paired), tuple(low), tuple(stack))
 
 
-def _rewrite(w, pairing: RPairing, p: int, q: int) -> Word:
-    slots = list(pairing.unpaired_low) + list(pairing.unpaired_high)
-    if p + q != len(slots):
-        raise ValueError("unpaired subword length mismatch")
+def _rewrite(w: Word, pairing: RPairing, a: int) -> Word:
+    """Write the unpaired subword of ``w`` as r^a (r+1)^(p+q-a)."""
     out = list(w)
-    for k, pos in enumerate(slots):
-        out[pos] = pairing.r if k < p else pairing.r + 1
+    for k, pos in enumerate(pairing.unpaired_low + pairing.unpaired_high):
+        out[pos] = pairing.r if k < a else pairing.r + 1
     return tuple(out)
 
 
@@ -57,27 +55,25 @@ def reflection(w, r: int) -> Word:
     """The involution swapping the numbers of r's and (r+1)'s."""
     w = tuple(w)
     pr = r_pairing(w, r)
-    return _rewrite(w, pr, len(pr.unpaired_high), len(pr.unpaired_low))
+    return _rewrite(w, pr, len(pr.unpaired_high))
 
 
 def raising(w, r: int):
     """Turn the leftmost unpaired r+1 into an r; None when impossible."""
     w = tuple(w)
     pr = r_pairing(w, r)
-    p, q = len(pr.unpaired_low), len(pr.unpaired_high)
-    if q == 0:
+    if not pr.unpaired_high:
         return None
-    return _rewrite(w, pr, p + 1, q - 1)
+    return _rewrite(w, pr, len(pr.unpaired_low) + 1)
 
 
 def lowering(w, r: int):
     """Turn the rightmost unpaired r into an r+1; None when impossible."""
     w = tuple(w)
     pr = r_pairing(w, r)
-    p, q = len(pr.unpaired_low), len(pr.unpaired_high)
-    if p == 0:
+    if not pr.unpaired_low:
         return None
-    return _rewrite(w, pr, p - 1, q + 1)
+    return _rewrite(w, pr, len(pr.unpaired_low) - 1)
 
 
 def plactic_act(w_perm, u) -> Word:
@@ -95,8 +91,6 @@ def plactic_act(w_perm, u) -> Word:
 def sort_to_partition_content(u) -> Word:
     """Act by the inverse sorting permutation, making the content dominant."""
     u = tuple(u)
-    if not u:
-        return u
     alpha = content(u)
     _, w = dominant_sort(alpha)
     return plactic_act(perm_inverse(w), u)
@@ -154,10 +148,10 @@ def lattice_involution(w, mu=()) -> Word:
     r = lattice_violation(w, mu)
     if r is None:
         raise ValueError(f"{w} is already lattice for mu={mu}")
-    mu = pad(trim(mu), r + 1)
-    out = w
-    for _ in range(mu[r - 1] - mu[r] + 1):
-        out = raising(out, r)
-        if out is None:
-            raise RuntimeError("raising ran out of unpaired letters")
-    return reflection(out, r)
+    mu = pad(mu, max(r + 1, len(mu)))
+    k = mu[r - 1] - mu[r] + 1
+    # k raisings leave r^(p+k) (r+1)^(q-k) unpaired; the reflection swaps them
+    pr = r_pairing(w, r)
+    if len(pr.unpaired_high) < k:
+        raise RuntimeError("raising ran out of unpaired letters")
+    return _rewrite(w, pr, len(pr.unpaired_high) - k)

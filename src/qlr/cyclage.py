@@ -15,7 +15,7 @@ lowering step that turns the rightmost 1 into a 2.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .charge import cocharge_grade
 from .crystal import lowering, plactic_act, refill
@@ -239,31 +239,13 @@ def cyclage_poset(alpha) -> CyclagePoset:
     if sum(alpha) > MAX_POSET_SIZE:
         raise ValueError(f"poset size {sum(alpha)} exceeds {MAX_POSET_SIZE}")
     verts = all_cst_of_content(alpha)
-    sorted_alpha, w = dominant_sort(alpha)
+    # the sorting permutation is the identity when alpha is a partition
+    _, w = dominant_sort(alpha)
     w_inv = perm_inverse(w)
-    is_dominant = trim(sorted_alpha) == trim(alpha)
-
-    def to_dominant(t):
-        return t if is_dominant else refill(t, plactic_act(w_inv, t.word()))
-
-    def from_dominant(t):
-        return t if is_dominant else refill(t, plactic_act(w, t.word()))
-
     edges = []
     for v in verts:
-        for e in cyclage_covers(to_dominant(v)):
-            if is_dominant:
-                edges.append(e)
-            else:
-                edges.append(
-                    CyclageEdge(
-                        v,
-                        from_dominant(e.lower),
-                        e.start_cell,
-                        e.letter,
-                        e.intermediate,
-                        e.end_cell,
-                    )
-                )
+        for e in cyclage_covers(refill(v, plactic_act(w_inv, v.word()))):
+            lower = refill(e.lower, plactic_act(w, e.lower.word()))
+            edges.append(replace(e, upper=v, lower=lower))
     grades = tuple(cocharge_grade(v) for v in verts)
     return CyclagePoset(alpha, verts, tuple(edges), grades)

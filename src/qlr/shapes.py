@@ -154,15 +154,11 @@ def reduced_word(w) -> Vec:
     """
     v = list(w)
     swaps = []
-    done = False
-    while not done:
-        done = True
-        for i in range(len(v) - 1):
+    for end in range(len(v) - 1, 0, -1):
+        for i in range(end):
             if v[i] > v[i + 1]:
                 v[i], v[i + 1] = v[i + 1], v[i]
                 swaps.append(i + 1)
-                done = False
-                break
     # sorting multiplied w on the right by s_{a_1}...s_{a_p}, so
     # w = s_{a_p} ... s_{a_1}
     return tuple(reversed(swaps))

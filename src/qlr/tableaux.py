@@ -69,8 +69,6 @@ class Tableau:
         return hash((self.inner, self.rows))
 
     def __repr__(self):
-        if not self.rows:
-            return "Tableau([])"
         if self.inner:
             return f"Tableau({list(map(list, self.rows))}, inner={list(self.inner)})"
         return f"Tableau({list(map(list, self.rows))})"
@@ -144,13 +142,6 @@ class Tableau:
             if x and (i + 1 == len(outer) or outer[i + 1] < x):
                 out.append((i, x - 1))
         return out
-
-    def to_json(self) -> dict:
-        return {"inner": list(self.inner), "rows": [list(r) for r in self.rows]}
-
-    @staticmethod
-    def from_json(data) -> "Tableau":
-        return Tableau(data["rows"], tuple(data.get("inner", ())))
 
 
 def tab(*rows) -> Tableau:
@@ -383,8 +374,6 @@ def two_row_tableau(top, bottom) -> Tableau:
     columns of height two.
     """
     top, bottom = tuple(top), tuple(bottom)
-    if not bottom:
-        return Tableau([top])
     k = overlap(bottom, top)
     return Tableau([top, bottom], (len(bottom) - k,))
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qlr.cli import build_parser, main, load_cache, poset_dot
+from qlr.cli import CACHE_VERSION, build_parser, main, load_cache, poset_dot
 from qlr.kpoly import QPoly
 
 
@@ -79,6 +79,29 @@ def test_cache_roundtrip(tmp_path, capsys):
     code, lines = run(capsys, *args)
     assert code == 0 and lines[0]["status"] == "cached:exact"
     assert lines[0]["poly"] == {"coeffs": {"1": -1, "2": 1, "3": 1}}
+
+
+def test_cache_serves_each_index_with_its_own_sign(tmp_path, capsys):
+    # lam = (1, 1) and (0, 2) normalize to one index, with opposite Bott signs
+    cache = tmp_path / "cache.jsonl"
+    index = ["--gamma", "0,2", "--eta", "1,1", "--engine", "recurrence"]
+    polys = {"1,1": {"coeffs": {"0": -1, "1": 1}}, "0,2": {"coeffs": {"0": 1, "1": -1}}}
+    for lam, status in [("1,1", "exact"), ("0,2", "cached:exact"), ("1,1", "cached:exact")]:
+        code, lines = run(capsys, "compute", "--lam", lam, *index, "--cache", str(cache))
+        assert code == 0 and (lines[0]["poly"], lines[0]["status"]) == (polys[lam], status)
+    # a record without the format version, as older files hold, is never served
+    cache.write_text(json.dumps({"key": json.loads(cache.read_text())["key"],
+                                 "engine": "recurrence", "poly": polys["1,1"]}) + "\n")
+    assert load_cache(cache) == {}
+    # computed first, the index of sign -1 also stores the normalized polynomial
+    for lam, status in [("0,2", "exact"), ("1,1", "cached:exact")]:
+        code, lines = run(capsys, "compute", "--lam", lam, *index, "--cache", str(cache))
+        assert code == 0 and (lines[0]["poly"], lines[0]["status"]) == (polys[lam], status)
+    # an identically zero index is cached under the key "zero"
+    for status in ("exact", "cached:exact"):
+        code, lines = run(capsys, "compute", "--lam", "0,1", *index, "--cache", str(cache))
+        assert code == 0 and (lines[0]["poly"], lines[0]["status"]) == ({"coeffs": {}}, status)
+    assert json.loads(cache.read_text().splitlines()[-1])["key"] == "zero"
 
 
 def test_calls_in_one_process_share_no_option(tmp_path, capsys):
@@ -245,7 +268,7 @@ def test_crosscheck_detects_corrupted_cache(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     key = "[1, 0]|[1, 0]|[1, 1]"
     cache.write_text(
-        json.dumps({"key": key, "engine": "recurrence",
+        json.dumps({"key": key, "engine": "recurrence", "version": CACHE_VERSION,
                     "poly": {"coeffs": {"5": 7}}}) + "\n"
     )
     code, lines = run(

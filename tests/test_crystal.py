@@ -177,7 +177,8 @@ def test_lattice_matches_pairing_characterization():
 
 
 def test_lattice_involution_is_involution():
-    for mu in [(), (1,), (2,)]:
+    # mu may have parts past r+1; only mu_r and mu_{r+1} enter the formula
+    for mu in [(), (1,), (2,), (2, 1), (1, 1, 1)]:
         for u in all_words(3, 6):
             if is_mu_lattice(u, mu):
                 continue

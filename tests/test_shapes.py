@@ -184,4 +184,6 @@ def test_partition_helpers():
     assert sorted(partitions_containing((2, 1), 4, 3)) == [(2, 1, 1), (2, 2), (3, 1)]
     assert trim((2, 1, 0, 0)) == (2, 1)
     assert pad((2, 1), 4) == (2, 1, 0, 0)
+    with pytest.raises(ValueError, match="cannot pad"):
+        pad((2, 1), 1)
     assert from_rects([(3, 2), (2, 1), (1,)]).eta == (2, 2, 1)

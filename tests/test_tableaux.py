@@ -62,8 +62,12 @@ def test_reading_word_and_content():
     assert t.content() == (2, 4, 3, 2, 1)
     assert t.outer == (6, 5, 3, 3)
     assert t.is_column_strict()
+    assert not tab([2, 1]).is_column_strict()
     assert tab([1, 1, 2]).word() == (1, 1, 2)
     assert EMPTY.word() == ()
+    assert repr(t) == "Tableau([[1, 2, 2], [1, 2, 3], [2, 3, 3], [4, 4, 5]], inner=[3, 2])"
+    assert repr(tab([1, 1, 2], [2])) == "Tableau([[1, 1, 2], [2]])"
+    assert repr(EMPTY) == "Tableau([])"
     assert content(()) == ()
     assert content((4, 3, 2, 3, 4, 1, 1, 2, 5, 5)) == (2, 2, 2, 2, 2)
 
@@ -273,6 +277,7 @@ def test_two_row_tableau():
     t = two_row_tableau((2, 2, 2, 5, 6), (3, 3, 3, 5, 6, 7, 7, 7))
     assert t == Tableau([[2, 2, 2, 5, 6], [3, 3, 3, 5, 6, 7, 7, 7]], (3,))
     assert t.is_column_strict()
+    assert two_row_tableau((1, 2), ()) == Tableau([(1, 2)])
 
 
 def test_jdt_slide_preserves_class():

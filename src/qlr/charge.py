@@ -1,77 +1,46 @@
 """The charge and cocharge statistics on words and tableaux.
 
-Charge is defined in three layers: standard words get the index sum of the
-classical rule; words of partition content are split into disjoint standard
-subwords by the left circular reading; arbitrary content is reduced to the
-dominant rearrangement by the plactic permutation action.
+Charge is defined in two layers.  A word of partition content is read in one
+pass: the left circular reading picks its disjoint standard subwords, and
+each letter scores the running index of the classical rule as it is picked.
+Arbitrary content is reduced to the dominant rearrangement by the plactic
+permutation action.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
 from functools import cache
 
 from .shapes import is_weakly_decreasing, n_stat, trim
-from .tableaux import Tableau, Word, content
+from .tableaux import Tableau, content
 from .crystal import sort_to_partition_content
 
 
-def charge_standard(w) -> int:
-    """Charge of a word of content (1, 1, ..., 1).
+def _charge_partition(w) -> int:
+    """Charge of a word of partition content, by the left circular reading.
 
-    The letter 1 gets index 0; letter i gets the index of i-1, plus one when
-    i sits to the right of i-1.  Charge is the sum of the indices.
+    Each standard subword starts at the right end: letter v is the nearest
+    free v left of the cursor, or the rightmost free v when none is left and
+    the reading wraps.  Letter 1 gets index 0, and letter v gets the index of
+    v-1, plus one when the reading wrapped to reach it; the charge is the sum
+    of all indices.
     """
-    w = tuple(w)
-    n = len(w)
-    pos = [0] * (n + 1)
+    at = [[] for _ in range(max(w, default=0))]
     for p, x in enumerate(w):
-        if not 1 <= x <= n or pos[x]:
-            raise ValueError(f"{w} is not standard")
-        pos[x] = p + 1
-    total = idx = 0
-    for i in range(2, n + 1):
-        if pos[i] > pos[i - 1]:
-            idx += 1
-        total += idx
+        at[x - 1].append(p)
+    total = 0
+    while at and at[0]:
+        cursor, idx = len(w), 0
+        for ps in at:
+            if not ps:
+                break
+            k = bisect_left(ps, cursor)
+            if k == 0:  # no free v left of the cursor: wrap to the right end
+                idx += 1
+            cursor = ps.pop(k - 1)
+            total += idx
     return total
-
-
-@dataclass(frozen=True)
-class ChargeDecomposition:
-    """Disjoint standard subwords covering a word of partition content."""
-
-    subwords: tuple[tuple[Word, tuple[int, ...]], ...]  # (word, 0-based positions)
-
-
-def circular_decompose(w) -> ChargeDecomposition:
-    """Split a partition-content word into standard subwords.
-
-    Each subword is extracted by the left circular reading: pick the first 1
-    from the right end, then the first 2 left of it, wrapping around to the
-    right end whenever the scan falls off the left edge.
-    """
-    w = tuple(w)
-    cnt = content(w)
-    if not is_weakly_decreasing(cnt):
-        raise ValueError(f"content {cnt} is not a partition")
-    free = list(range(len(w)))
-    out = []
-    while free:
-        letters = sorted({w[p] for p in free})
-        if letters != list(range(1, len(letters) + 1)):
-            raise ValueError("content lost partition form during decomposition")
-        chosen = []
-        cursor = len(w)
-        for v in range(1, len(letters) + 1):
-            # free is ascending, and the letters check above makes ``at`` nonempty
-            at = [p for p in free if w[p] == v]
-            cursor = max((p for p in at if p < cursor), default=at[-1])
-            chosen.append(cursor)
-        chosen.sort()
-        out.append((tuple(w[p] for p in chosen), tuple(chosen)))
-        free = [p for p in free if p not in set(chosen)]
-    return ChargeDecomposition(tuple(out))
 
 
 @cache
@@ -85,7 +54,7 @@ def charge(w) -> int:
         return charge(tuple(x - drop for x in w))
     if not is_weakly_decreasing(cnt):
         return charge(sort_to_partition_content(w))
-    return sum(charge_standard(u) for u, _ in circular_decompose(w).subwords)
+    return _charge_partition(w)
 
 
 def cocharge(w) -> int:

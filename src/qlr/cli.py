@@ -103,8 +103,8 @@ def cmd_compute(args) -> int:
         return _bad_input(args, exc)
     run_all = args.engine == "all"
     engines = ENGINES if run_all else (args.engine,)
-    key = index_key(idx)
     norm = idx.normalized()
+    key = index_key(norm)
     sign = norm[0] if norm else 1
     cache = load_cache(args.cache, {(key, e) for e in engines}) if args.cache else None
     failures = 0

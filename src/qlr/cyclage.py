@@ -8,8 +8,9 @@ tableau at the bottom.  Non-partition contents are handled by conjugating
 with the plactic action of the sorting permutation.
 
 The embeddings between contents alpha >= beta (dominance of the sorted
-contents) compose two elementary moves: a plactic permutation step and the
-lowering step that turns the rightmost 1 into a 2.
+contents) compose two elementary moves on the reading word: a plactic
+permutation step and the lowering step that turns the rightmost unpaired 1
+into a 2.  The word is refilled into the tableau's shape once, at the end.
 """
 
 from __future__ import annotations
@@ -101,23 +102,6 @@ def covers_col_restricted(edge: CyclageEdge, c: int) -> bool:
 # embeddings between contents
 
 
-def transfer_step(t: Tableau) -> Tableau:
-    """Move one unit of content from letter 1 to letter 2.
-
-    Requires c_1 > c_2 + 1; on a tableau this is the lowering operator for
-    r = 1, which turns the rightmost 1 into a 2 and preserves the shape.
-    """
-    cnt = t.content()
-    c1 = cnt[0] if cnt else 0
-    c2 = cnt[1] if len(cnt) > 1 else 0
-    if c1 <= c2 + 1:
-        raise ValueError(f"content {cnt} does not allow a 1 -> 2 transfer")
-    w = lowering(t.word(), 1)
-    if w is None:
-        raise RuntimeError("no unpaired 1 despite the content precondition")
-    return refill(t, w)
-
-
 def _matching_perm(src, dst):
     """Canonical w with perm_apply(w, src) == dst: equal values match stably."""
     n = len(src)
@@ -134,53 +118,15 @@ def _matching_perm(src, dst):
     return tuple(w)
 
 
-def permute_content(t: Tableau, target) -> Tableau:
-    """Plactic action by a permutation taking t's content to ``target``."""
-    target = tuple(target)
-    src = pad(t.content(), len(target))
-    w = _matching_perm(src, target)
-    return refill(t, plactic_act(w, t.word()))
-
-
-def _chain(alpha, beta):
-    """A canonical chain of elementary content moves from alpha to beta."""
-    n = max(len(alpha), len(beta))
-    alpha, beta = pad(alpha, n), pad(beta, n)
-    target = tuple(sorted(beta, reverse=True))
-    chain = [alpha]
-    cur = alpha
-    while tuple(sorted(cur, reverse=True)) != target:
-        mu = tuple(sorted(cur, reverse=True))
-        move = None
-        for i, j in itertools.product(range(n), repeat=2):
-            if i == j or mu[i] < mu[j] + 2:
-                continue
-            nxt = list(mu)
-            nxt[i] -= 1
-            nxt[j] += 1
-            if dominates(tuple(sorted(nxt, reverse=True)), target):
-                move = (i, j)
-                break
-        if move is None:
-            raise ValueError(f"{alpha} does not dominate {beta}")
-        i, j = move
-        rest = sorted(
-            (mu[k] for k in range(n) if k not in (i, j)), reverse=True
-        )
-        staged = (mu[i], mu[j], *rest)
-        chain.append(staged)
-        cur = (mu[i] - 1, mu[j] + 1, *rest)
-        chain.append(cur)
-    if cur != beta:
-        chain.append(beta)
-    return chain
-
-
 def content_embedding(alpha, beta, t: Tableau) -> Tableau:
     """The graded embedding of the content-alpha poset into content-beta.
 
     Requires sorted(alpha) to dominate sorted(beta); the map is independent
-    of the particular chain of elementary moves used here.
+    of the particular chain of elementary moves used here.  Each move acts on
+    the reading word: with mu the sorted content, it stages the content as
+    (mu_i, mu_j, rest) by the plactic action and lowers at r = 1, taking the
+    first (i, j) in product order with mu_i >= mu_j + 2 whose result still
+    dominates beta.  A last plactic action reaches beta itself.
     """
     alpha, beta = tuple(alpha), tuple(beta)
     if trim(t.content()) != trim(alpha):
@@ -189,14 +135,23 @@ def content_embedding(alpha, beta, t: Tableau) -> Tableau:
         tuple(sorted(alpha, reverse=True)), tuple(sorted(beta, reverse=True))
     ):
         raise ValueError(f"{alpha} does not dominate {beta}")
-    chain = _chain(alpha, beta)
-    cur = t
-    for prev, nxt in zip(chain, chain[1:]):
-        if tuple(sorted(prev, reverse=True)) == tuple(sorted(nxt, reverse=True)):
-            cur = permute_content(cur, nxt)
-        else:
-            cur = transfer_step(cur)
-    return cur
+    n = max(len(alpha), len(beta))
+    cnt, beta = pad(alpha, n), pad(beta, n)
+    target = tuple(sorted(beta, reverse=True))
+    w = t.word()
+    while (mu := tuple(sorted(cnt, reverse=True))) != target:
+        # mu strictly dominates target, so some move keeps the dominance
+        for i, j in itertools.product(range(n), repeat=2):
+            if i == j or mu[i] < mu[j] + 2:
+                continue
+            rest = sorted((mu[k] for k in range(n) if k not in (i, j)), reverse=True)
+            moved = (mu[i] - 1, mu[j] + 1, *rest)
+            if dominates(tuple(sorted(moved, reverse=True)), target):
+                break
+        # the staged content has c_1 >= c_2 + 2: at least two 1's are unpaired
+        w = lowering(plactic_act(_matching_perm(cnt, (mu[i], mu[j], *rest)), w), 1)
+        cnt = moved
+    return refill(t, plactic_act(_matching_perm(cnt, beta), w))
 
 
 def cyclage_standardization(t: Tableau) -> Tableau:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .catabolism import enumerate_catabolizable
 from .charge import charge_tableau
-from .crystal import lattice_violation, raising, reflection, refill
+from .crystal import lattice_involution, lattice_violation, refill
 from .kpoly import QPoly, k_by_recurrence
 from .shapes import (
     RectSequence,
@@ -129,18 +129,15 @@ class InvolutionContext:
         """One application of the cancelling involution on (w, P, Q).
 
         Returns None on a fixed point (lattice Q), else (w s_r, P, Q') with
-        Q' the reflection of the raising of Q at the violation letter.
+        Q' the reflection of the raising of Q at the violation letter r,
+        which is the lattice involution with mu = ().
         """
         qw = q.word()
         r = lattice_violation(qw)
         if r is None:
             return None
         w2 = perm_mul(w, adjacent_transposition(self.n, r))
-        lifted = raising(qw, r)
-        if lifted is None:
-            raise RuntimeError("violation letter must be unpaired above r")
-        q2 = refill(q, reflection(lifted, r))
-        return w2, p, q2
+        return w2, p, refill(q, lattice_involution(qw))
 
     def theta(self, triple: SignedTriple):
         """The involution on triples; None marks a fixed point."""

@@ -211,8 +211,9 @@ def crosscheck_family(
                         other=p_sym,
                     )
         if cache is not None:
+            key = index_key(idx.normalized())
             for engine, value in (("recurrence", p_rec), ("kostant", p_kos)):
-                cached = cache.get((index_key(idx), engine))
+                cached = cache.get((key, engine))
                 if cached is not None:
                     rep.checks += 1
                     if cached[0] != value:
@@ -227,8 +228,8 @@ def crosscheck_family(
     return _scan_family("crosscheck", max_n, max_weight, sample, check, prepare)
 
 
-def index_key(idx: KIndex) -> str:
-    norm = idx.normalized()
+def index_key(norm) -> str:
+    """Cache key of an index from its normalization ``idx.normalized()``."""
     if norm is None:
         return "zero"
     _, nidx = norm

@@ -1,17 +1,70 @@
+import itertools
+
 import pytest
 
 from qlr.charge import (
     charge,
-    charge_standard,
     charge_tableau,
-    circular_decompose,
     cocharge,
     cocharge_grade,
     cocharge_tableau,
 )
-from qlr.shapes import n_stat, partitions
-from qlr.tableaux import yamanouchi_tableau
+from qlr.shapes import is_weakly_decreasing, n_stat, partitions
+from qlr.tableaux import content, yamanouchi_tableau
 from qlr.verify import check_charge_axioms
+
+
+# Reference: the two-phase charge that the one-pass circular reading replaced.
+
+
+def charge_standard(w) -> int:
+    """Charge of a word of content (1, 1, ..., 1).
+
+    The letter 1 gets index 0; letter i gets the index of i-1, plus one when
+    i sits to the right of i-1.  Charge is the sum of the indices.
+    """
+    w = tuple(w)
+    n = len(w)
+    pos = [0] * (n + 1)
+    for p, x in enumerate(w):
+        if not 1 <= x <= n or pos[x]:
+            raise ValueError(f"{w} is not standard")
+        pos[x] = p + 1
+    total = idx = 0
+    for i in range(2, n + 1):
+        if pos[i] > pos[i - 1]:
+            idx += 1
+        total += idx
+    return total
+
+
+def circular_decompose(w):
+    """Split a partition-content word into standard subwords.
+
+    Each subword, returned with its 0-based positions, is extracted by the
+    left circular reading: pick the first 1 from the right end, then the
+    first 2 left of it, wrapping around to the right end whenever the scan
+    falls off the left edge.
+    """
+    w = tuple(w)
+    cnt = content(w)
+    if not is_weakly_decreasing(cnt):
+        raise ValueError(f"content {cnt} is not a partition")
+    free = list(range(len(w)))
+    out = []
+    while free:
+        letters = sorted({w[p] for p in free})
+        chosen = []
+        cursor = len(w)
+        for v in range(1, len(letters) + 1):
+            # free is ascending and keeps partition content: ``at`` is nonempty
+            at = [p for p in free if w[p] == v]
+            cursor = max((p for p in at if p < cursor), default=at[-1])
+            chosen.append(cursor)
+        chosen.sort()
+        out.append((tuple(w[p] for p in chosen), tuple(chosen)))
+        free = [p for p in free if p not in set(chosen)]
+    return tuple(out)
 
 
 def test_charge_standard_examples():
@@ -31,16 +84,28 @@ def test_charge_standard_rejects_nonstandard():
 
 def test_circular_decomposition_example():
     dec = circular_decompose((4, 3, 2, 3, 4, 1, 1, 2, 5, 5))
-    assert dec.subwords[0] == ((4, 3, 2, 1, 5), (0, 1, 2, 6, 9))
-    assert dec.subwords[1] == ((3, 4, 1, 2, 5), (3, 4, 5, 7, 8))
+    assert dec[0] == ((4, 3, 2, 1, 5), (0, 1, 2, 6, 9))
+    assert dec[1] == ((3, 4, 1, 2, 5), (3, 4, 5, 7, 8))
 
 
 def test_circular_decomposition_trivia():
-    assert [w for w, _ in circular_decompose((1, 1)).subwords] == [(1,), (1,)]
+    assert [w for w, _ in circular_decompose((1, 1))] == [(1,), (1,)]
     std = (2, 4, 1, 3)
-    assert circular_decompose(std).subwords == ((std, (0, 1, 2, 3)),)
+    assert circular_decompose(std) == ((std, (0, 1, 2, 3)),)
     with pytest.raises(ValueError):
         circular_decompose((2, 2, 1))
+
+
+def test_one_pass_reading_matches_two_phase_charge():
+    words = [
+        w
+        for n in range(8)
+        for w in itertools.product(range(1, 6), repeat=n)
+        if is_weakly_decreasing(content(w))
+    ]
+    assert len(words) == 5111
+    for w in words:
+        assert charge(w) == sum(charge_standard(u) for u, _ in circular_decompose(w)), w
 
 
 def test_charge_examples():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import qlr.kpoly
 from qlr.cli import CACHE_VERSION, build_parser, main, load_cache, poset_dot
 from qlr.kpoly import QPoly
 
@@ -22,6 +23,19 @@ def test_compute_single_engine(capsys):
     assert lines[0]["poly"] == {"coeffs": {"0": -1, "1": 1}}
     assert lines[0]["display"] == "-1 + q"
     assert lines[0]["status"] == "exact"
+
+
+def test_compute_normalizes_the_index_once_besides_the_engine(capsys, monkeypatch):
+    # one normalization yields the cache key and the sign; compute() makes the other
+    calls = []
+    normalize = qlr.kpoly.normalize_index
+    monkeypatch.setattr(qlr.kpoly, "normalize_index",
+                        lambda *args: calls.append(args) or normalize(*args))
+    code, _ = run(
+        capsys, "compute", "--lam", "1,1", "--gamma", "0,2", "--eta", "1,1",
+        "--engine", "kostant",
+    )
+    assert code == 0 and len(calls) == 2
 
 
 def test_compute_all_engines_fixture(capsys):

@@ -4,7 +4,9 @@ import pytest
 
 from qlr.catabolism import catabolism_type
 from qlr.charge import cocharge_grade, cocharge_tableau
+from qlr.crystal import lowering, plactic_act, refill
 from qlr.cyclage import (
+    _matching_perm,
     cocyclage,
     content_embedding,
     covers_col_restricted,
@@ -12,8 +14,6 @@ from qlr.cyclage import (
     cyclage_covers,
     cyclage_poset,
     cyclage_standardization,
-    permute_content,
-    transfer_step,
 )
 from qlr.shapes import (
     all_permutations,
@@ -23,7 +23,89 @@ from qlr.shapes import (
     partitions,
     perm_apply,
 )
-from qlr.tableaux import all_cst_of_content, schensted_p, standard_tableaux, tab
+from qlr.tableaux import (
+    Tableau,
+    all_cst_of_content,
+    schensted_p,
+    standard_tableaux,
+    tab,
+)
+
+
+# Reference: the tableau-by-tableau embedding that the word-level loop
+# replaced.  It plans the chain of contents first, then rebuilds and checks a
+# tableau after every move.
+
+
+def transfer_step(t: Tableau) -> Tableau:
+    """Move one unit of content from letter 1 to letter 2.
+
+    Requires c_1 > c_2 + 1; on a tableau this is the lowering operator for
+    r = 1, which turns the rightmost 1 into a 2 and preserves the shape.
+    """
+    cnt = t.content()
+    c1 = cnt[0] if cnt else 0
+    c2 = cnt[1] if len(cnt) > 1 else 0
+    if c1 <= c2 + 1:
+        raise ValueError(f"content {cnt} does not allow a 1 -> 2 transfer")
+    w = lowering(t.word(), 1)
+    if w is None:
+        raise RuntimeError("no unpaired 1 despite the content precondition")
+    return refill(t, w)
+
+
+def permute_content(t: Tableau, target) -> Tableau:
+    """Plactic action by a permutation taking t's content to ``target``."""
+    target = tuple(target)
+    src = pad(t.content(), len(target))
+    w = _matching_perm(src, target)
+    return refill(t, plactic_act(w, t.word()))
+
+
+def content_chain(alpha, beta):
+    """A canonical chain of elementary content moves from alpha to beta."""
+    n = max(len(alpha), len(beta))
+    alpha, beta = pad(alpha, n), pad(beta, n)
+    target = tuple(sorted(beta, reverse=True))
+    chain = [alpha]
+    cur = alpha
+    while tuple(sorted(cur, reverse=True)) != target:
+        mu = tuple(sorted(cur, reverse=True))
+        move = None
+        for i, j in itertools.product(range(n), repeat=2):
+            if i == j or mu[i] < mu[j] + 2:
+                continue
+            nxt = list(mu)
+            nxt[i] -= 1
+            nxt[j] += 1
+            if dominates(tuple(sorted(nxt, reverse=True)), target):
+                move = (i, j)
+                break
+        if move is None:
+            raise ValueError(f"{alpha} does not dominate {beta}")
+        i, j = move
+        rest = sorted(
+            (mu[k] for k in range(n) if k not in (i, j)), reverse=True
+        )
+        staged = (mu[i], mu[j], *rest)
+        chain.append(staged)
+        cur = (mu[i] - 1, mu[j] + 1, *rest)
+        chain.append(cur)
+    if cur != beta:
+        chain.append(beta)
+    return chain
+
+
+def chain_embedding(alpha, beta, t: Tableau) -> Tableau:
+    """content_embedding, one refilled tableau per move of content_chain."""
+    chain = content_chain(tuple(alpha), tuple(beta))
+    cur = t
+    for prev, nxt in zip(chain, chain[1:]):
+        if tuple(sorted(prev, reverse=True)) == tuple(sorted(nxt, reverse=True)):
+            cur = permute_content(cur, nxt)
+        else:
+            cur = transfer_step(cur)
+    return cur
 
 
 def test_cover_example():
@@ -96,6 +178,25 @@ def test_embedding_requires_dominance():
         content_embedding((1, 1, 1), (2, 1), tab([1, 2, 3]))
 
 
+def test_embedding_matches_tableau_by_tableau_chain():
+    for n in range(1, 7):
+        betas = [
+            beta
+            for length in range(1, 5)
+            for beta in itertools.product(range(n + 1), repeat=length)
+            if sum(beta) == n
+        ]
+        for alpha in partitions(n):
+            dominated = [
+                beta for beta in betas if dominates(alpha, sorted(beta, reverse=True))
+            ]
+            for t in all_cst_of_content(alpha):
+                for beta in dominated:
+                    assert content_embedding(alpha, beta, t) == chain_embedding(
+                        alpha, beta, t
+                    ), (alpha, beta, t)
+
+
 def test_permutation_step_choice_does_not_matter():
     # any permutation with w alpha = beta acts the same on the whole fiber
     alpha, n = (1, 2, 1), 4
@@ -104,8 +205,6 @@ def test_permutation_step_choice_does_not_matter():
             w for w in all_permutations(n) if perm_apply(w, pad(alpha, n)) == beta
         ]
         for t in all_cst_of_content(alpha):
-            from qlr.crystal import plactic_act, refill
-
             images = {refill(t, plactic_act(w, t.word())) for w in movers}
             assert len(images) == 1
             assert images == {permute_content(t, beta)}

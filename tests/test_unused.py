@@ -1,4 +1,5 @@
-"""Every public function and method of qlr is named somewhere besides its def."""
+"""Every public function and method of qlr, and every private module-level
+helper, is named somewhere besides its def."""
 
 import ast
 import re
@@ -8,18 +9,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "qlr"
 READERS = (SOURCE, ROOT / "tests", ROOT / "perfbench")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def public_defs():
-    """Count the module-level functions and class methods per public name."""
+def checked_defs():
+    """Count the module-level functions and class methods per name, keeping
+    the public names and the private module-level helpers (not dunders)."""
     defs = Counter()
+    helpers = set()
     for path in SOURCE.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
             body = node.body if isinstance(node, ast.ClassDef) else [node]
             for item in body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if isinstance(item, FUNCTIONS):
                     defs[item.name] += 1
-    return {name: n for name, n in defs.items() if not name.startswith("_")}
+            if isinstance(node, FUNCTIONS) and not node.name.startswith("__"):
+                helpers.add(node.name)
+    return {
+        name: n for name, n in defs.items()
+        if not name.startswith("_") or name in helpers
+    }
 
 
 def test_no_public_function_is_unused():
@@ -29,5 +38,5 @@ def test_no_public_function_is_unused():
         for p in d.glob("*.py")
         for word in re.findall(r"\w+", p.read_text())
     )
-    unused = sorted(name for name, n in public_defs().items() if words[name] <= n)
+    unused = sorted(name for name, n in checked_defs().items() if words[name] <= n)
     assert unused == []

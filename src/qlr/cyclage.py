@@ -1,4 +1,4 @@
-"""Cyclage covers, restricted covering relations, and content embeddings.
+"""Cyclage covers and content embeddings.
 
 A tableau T of partition content covers S when some corner of T reverse
 column-inserts to a letter a > 1 and an intermediate tableau U with
@@ -16,6 +16,7 @@ into a 2.  The word is refilled into the tableau's shape once, at the end.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 from .charge import cocharge_grade
@@ -30,10 +31,9 @@ from .shapes import (
 )
 from .tableaux import (
     Tableau,
-    _column_insert,
-    _reverse_column_insert,
-    _reverse_row_insert,
-    _row_insert,
+    _insert,
+    _transpose,
+    _uninsert,
     all_cst_of_content,
 )
 
@@ -51,12 +51,13 @@ class CyclageEdge:
 
 
 def _edge_from_corner(t: Tableau, cell):
-    rows = [list(r) for r in t.rows]
-    a = _reverse_column_insert(rows, cell)
+    cols = _transpose(t.rows)
+    a = _uninsert(cols, cell[::-1], bisect_right)
     if a == 1:
         return None
-    u = Tableau([list(r) for r in rows])
-    end = _row_insert(rows, a)
+    rows = _transpose(cols)
+    u = Tableau(rows)
+    end = _insert(rows, a, bisect_right)
     return CyclageEdge(t, Tableau(rows), cell, a, u, end)
 
 
@@ -78,24 +79,13 @@ def cocyclage(t: Tableau, cell):
     """Invert a cover from below: reverse row insert at ``cell``, then column
     insert the emitted letter.  None when the emitted letter is 1."""
     rows = [list(r) for r in t.rows]
-    a = _reverse_row_insert(rows, cell)
+    a = _uninsert(rows, cell, bisect_left)
     if a == 1:
         return None
-    u = Tableau([list(r) for r in rows])
-    start = _column_insert(rows, a)
-    return CyclageEdge(Tableau(rows), t, start, a, u, cell)
-
-
-def covers_row_restricted(edge: CyclageEdge, r: int) -> bool:
-    """The cover counts for the row-restricted order >=_(r,): its reverse
-    column insertion starts strictly below row number r (1-based)."""
-    return edge.start_cell[0] >= r
-
-
-def covers_col_restricted(edge: CyclageEdge, c: int) -> bool:
-    """The cover counts for the column-restricted order >=_(,c): its row
-    insertion ends strictly right of column number c (1-based)."""
-    return edge.end_cell[1] >= c
+    u = Tableau(rows)
+    cols = _transpose(rows)
+    start = _insert(cols, a, bisect_left)
+    return CyclageEdge(Tableau(_transpose(cols)), t, start[::-1], a, u, cell)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,12 @@ immutable.
 
 Insertion conventions (validated against the Knuth-class oracle in the test
 suite): row insertion bumps the leftmost entry strictly greater than x;
-column insertion bumps the topmost entry weakly greater than x.  P(u) is
+column insertion bumps the topmost entry weakly greater than x.  Both are
+one bumping rule over lines, the rows or the columns of the tableau, with
+the strict and the weak bisection swapped; so are their inverses.  P(u) is
 computed by row-inserting u left to right, which agrees with column-inserting
-u right to left.
+u right to left.  Column RSK inserts into a buffer of columns and records Q
+row by row, since the two tableaux share one shape.
 """
 
 from __future__ import annotations
@@ -116,12 +119,7 @@ class Tableau:
         """Transpose a straight-shape tableau."""
         if self.inner:
             raise ValueError("transpose is only defined for straight shapes")
-        if not self.rows:
-            return self
-        cols = []
-        for j in range(len(self.rows[0])):
-            cols.append([r[j] for r in self.rows if len(r) > j])
-        return Tableau(cols)
+        return Tableau(_transpose(self.rows))
 
     def cells(self):
         """All (row, col) cell coordinates, 0-based."""
@@ -170,83 +168,59 @@ def is_weakly_increasing_word(w) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# insertion primitives.  All work on a list-of-lists buffer for straight
-# shapes; the buffer always stays a column-strict tableau of partition shape.
+# insertion primitives.  One bumping rule over the lines of a list-of-lists
+# buffer of partition shape that stays a column-strict tableau: its rows for
+# row insertion (``find`` = bisect_right), its columns for column insertion
+# (``find`` = bisect_left).
 
 
-def _row_insert(rows, x):
-    """Row-insert x; returns the (row, col) cell where the bumping ends."""
+def _insert(lines, x, find):
+    """Insert x, bumping ``line[find(line, x)]`` into the next line; returns
+    the (line, position) cell where the bumping ends."""
     i = 0
-    while True:
-        if i == len(rows):
-            rows.append([x])
-            return (i, 0)
-        r = rows[i]
-        j = bisect_right(r, x)
-        if j == len(r):
-            r.append(x)
+    for line in lines:
+        j = find(line, x)
+        if j == len(line):
+            line.append(x)
             return (i, j)
-        r[j], x = x, r[j]
+        line[j], x = x, line[j]
         i += 1
+    lines.append([x])
+    return (i, 0)
 
 
-def _column_insert(rows, x):
-    """Column-insert x; returns the (row, col) cell where the bumping ends."""
-    c = 0
-    while True:
-        height = sum(1 for r in rows if len(r) > c)
-        col = [rows[i][c] for i in range(height)]
-        i = bisect_left(col, x)
-        if i == len(col):
-            if i == len(rows):
-                rows.append([x])
-            else:
-                rows[i].append(x)
-            return (i, c)
-        rows[i][c], x = x, rows[i][c]
-        c += 1
+def _uninsert(lines, cell, find):
+    """Undo the insertion that ended at ``cell``; returns the letter.
 
-
-def _pop_cell(rows, cell):
+    ``find`` is the other bisection (bisect_left to undo a row insertion,
+    bisect_right for a column insertion): the bump came from the entry just
+    before ``find(line, x)``.
+    """
     i, j = cell
-    if j != len(rows[i]) - 1 or (i + 1 < len(rows) and len(rows[i + 1]) > j):
+    if j != len(lines[i]) - 1 or (i + 1 < len(lines) and len(lines[i + 1]) > j):
         raise ValueError(f"{cell} is not a removable cell")
-    x = rows[i].pop()
-    if not rows[i]:
-        rows.pop()
+    x = lines[i].pop()
+    if not lines[i]:
+        lines.pop()
+    for line in reversed(lines[:i]):
+        p = find(line, x) - 1
+        line[p], x = x, line[p]
     return x
 
 
-def _reverse_row_insert(rows, cell):
-    """Undo the row insertion that ended at ``cell``; returns the letter."""
-    i, _ = cell
-    x = _pop_cell(rows, cell)
-    for k in range(i - 1, -1, -1):
-        r = rows[k]
-        # the rightmost entry strictly below x is where the bump came from
-        p = bisect_left(r, x) - 1
-        r[p], x = x, r[p]
-    return x
-
-
-def _reverse_column_insert(rows, cell):
-    """Undo the column insertion that ended at ``cell``; returns the letter."""
-    _, j = cell
-    x = _pop_cell(rows, cell)
-    for c in range(j - 1, -1, -1):
-        height = sum(1 for r in rows if len(r) > c)
-        col = [rows[i][c] for i in range(height)]
-        # the bottommost entry weakly below x is where the bump came from
-        p = bisect_right(col, x) - 1
-        rows[p][c], x = x, rows[p][c]
-    return x
+def _transpose(lines):
+    """Rows to columns (or back) of a partition-shaped buffer, as new lists."""
+    return [
+        [line[j] for line in lines if len(line) > j]
+        for j in range(len(lines[0]) if lines else 0)
+    ]
 
 
 def schensted_p(w) -> Tableau:
     """The unique straight column-strict tableau Knuth-equivalent to ``w``."""
     rows: list[list[int]] = []
     for x in w:
-        _row_insert(rows, x)
+        _insert(rows, x, bisect_right)
     return Tableau(rows)
 
 
@@ -265,18 +239,18 @@ def column_rsk(words):
     cells are recorded in Q with the letter i, so the content of Q lists the
     word lengths.  Returns the pair (P, Q).
     """
-    p_rows: list[list[int]] = []
+    cols: list[list[int]] = []
     q_rows: list[list[int]] = []
     for lab, w in enumerate(map(tuple, words), 1):
         if not is_weakly_increasing_word(w):
             raise ValueError(f"word {w} is not weakly increasing")
         for x in reversed(w):
-            _column_insert(p_rows, x)
-        for i, r in enumerate(p_rows):
+            # P and Q share one shape, so the new cell ends row i of Q too
+            _, i = _insert(cols, x, bisect_left)
             if i == len(q_rows):
                 q_rows.append([])
-            q_rows[i].extend([lab] * (len(r) - len(q_rows[i])))
-    p, q = Tableau(p_rows), Tableau(q_rows)
+            q_rows[i].append(lab)
+    p, q = Tableau(_transpose(cols)), Tableau(q_rows)
     if not q.is_column_strict():
         raise ValueError("words do not yield a column-strict recording tableau")
     return p, q
@@ -294,7 +268,7 @@ def column_rsk_inverse(p: Tableau, q: Tableau, labels=None):
         raise ValueError("P and Q must be column strict")
     if labels is None:
         labels = list(range(1, (max(q.word()) if q.size else 0) + 1))
-    rows = [list(r) for r in p.rows]
+    cols = _transpose(p.rows)
     strips: dict[int, list] = {}
     for cell in q.cells():
         strips.setdefault(q.entry(cell), []).append(cell)
@@ -303,8 +277,8 @@ def column_rsk_inverse(p: Tableau, q: Tableau, labels=None):
         cells = sorted(strips.pop(lab, ()), key=lambda c: -c[1])
         if len({c[1] for c in cells}) != len(cells):
             raise ValueError(f"cells of label {lab} are not a horizontal strip")
-        words.append(tuple(_reverse_column_insert(rows, c) for c in cells))
-    if strips or any(rows):
+        words.append(tuple(_uninsert(cols, (j, i), bisect_right) for i, j in cells))
+    if strips or cols:
         raise ValueError("recording labels do not exhaust Q")
     words.reverse()
     for w in words:
@@ -325,11 +299,12 @@ def evacuation(t: Tableau, n: int) -> Tableau:
     """
     if t.inner:
         raise ValueError("evacuation expects a straight tableau")
-    if t.size and max(t.word()) > n:
+    w = t.word()
+    if w and max(w) > n:
         raise ValueError(f"letters exceed the alphabet [1, {n}]")
     shapes = [()]
     for i in range(1, n + 1):
-        shapes.append(schensted_p(t.restrict(n + 1 - i, n).word()).outer)
+        shapes.append(schensted_p([x for x in w if x > n - i]).outer)
     rows: list[list[int]] = [[] for _ in shapes[-1]]
     for i in range(1, n + 1):
         prev = shapes[i - 1]

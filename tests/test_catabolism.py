@@ -18,12 +18,13 @@ from qlr.catabolism import (
     yamanouchi_block,
 )
 from qlr.charge import charge_tableau, cocharge_tableau
-from qlr.cyclage import covers_col_restricted, covers_row_restricted, cyclage_covers
+from qlr.cyclage import cyclage_covers
 from qlr.involution import InvolutionContext
 from qlr.kpoly import QPoly, k_by_charge
 from qlr.shapes import compositions, dominates, pad, partitions, rect_sequence, trim
 from qlr.tableaux import EMPTY, standard_tableaux, straight_cst, tab
 from qlr.verify import index_family
+from test_cyclage import covers_col_restricted, covers_row_restricted
 
 RSEQ = rect_sequence((2, 2, 1), (3, 2, 2, 1, 1))
 

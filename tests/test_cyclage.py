@@ -6,11 +6,10 @@ from qlr.catabolism import catabolism_type
 from qlr.charge import cocharge_grade, cocharge_tableau
 from qlr.crystal import lowering, plactic_act, refill
 from qlr.cyclage import (
+    CyclageEdge,
     _matching_perm,
     cocyclage,
     content_embedding,
-    covers_col_restricted,
-    covers_row_restricted,
     cyclage_covers,
     cyclage_poset,
     cyclage_standardization,
@@ -106,6 +105,18 @@ def chain_embedding(alpha, beta, t: Tableau) -> Tableau:
         else:
             cur = transfer_step(cur)
     return cur
+
+
+def covers_row_restricted(edge: CyclageEdge, r: int) -> bool:
+    """The cover counts for the row-restricted order >=_(r,): its reverse
+    column insertion starts strictly below row number r (1-based)."""
+    return edge.start_cell[0] >= r
+
+
+def covers_col_restricted(edge: CyclageEdge, c: int) -> bool:
+    """The cover counts for the column-restricted order >=_(,c): its row
+    insertion ends strictly right of column number c (1-based)."""
+    return edge.end_cell[1] >= c
 
 
 def test_cover_example():

@@ -1,4 +1,5 @@
 import itertools
+from bisect import bisect_left, bisect_right
 
 import pytest
 
@@ -7,7 +8,9 @@ from qlr.shapes import partitions
 from qlr.tableaux import (
     EMPTY,
     Tableau,
-    _column_insert,
+    _insert,
+    _transpose,
+    _uninsert,
     column_rsk,
     column_rsk_inverse,
     content,
@@ -24,6 +27,7 @@ from qlr.tableaux import (
     v_slice,
     yamanouchi_tableau,
 )
+from qlr.verify import _word_sequences
 
 
 def knuth_neighbors(w):
@@ -87,10 +91,10 @@ def test_schensted_word_is_knuth_equivalent():
 
 def schensted_p_by_columns(w) -> Tableau:
     """Same tableau as ``schensted_p``, built by column insertion."""
-    rows: list[list[int]] = []
+    cols: list[list[int]] = []
     for x in reversed(tuple(w)):
-        _column_insert(rows, x)
-    return Tableau(rows)
+        _insert(cols, x, bisect_left)
+    return Tableau(_transpose(cols))
 
 
 def test_row_and_column_insertion_agree():
@@ -116,28 +120,16 @@ def test_schensted_fixed_on_tableau_words():
 
 
 def test_reverse_insertions_invert_insertions():
-    from qlr.tableaux import (
-        _column_insert,
-        _reverse_column_insert,
-        _reverse_row_insert,
-        _row_insert,
-    )
-
-    for w in all_words(3, 6):
-        rows = []
-        for x in w:
-            before = [list(r) for r in rows]
-            cell = _row_insert(rows, x)
-            undo = [list(r) for r in rows]
-            assert _reverse_row_insert(undo, cell) == x
-            assert undo == before
-        rows = []
-        for x in w:
-            before = [list(r) for r in rows]
-            cell = _column_insert(rows, x)
-            undo = [list(r) for r in rows]
-            assert _reverse_column_insert(undo, cell) == x
-            assert undo == before
+    # (insert's bisection, uninsert's bisection): rows, then columns
+    for find, back in ((bisect_right, bisect_left), (bisect_left, bisect_right)):
+        for w in all_words(3, 6):
+            lines = []
+            for x in w:
+                before = [list(r) for r in lines]
+                cell = _insert(lines, x, find)
+                undo = [list(r) for r in lines]
+                assert _uninsert(undo, cell, back) == x
+                assert undo == before
 
 
 def test_knuth_equivalent():
@@ -174,6 +166,44 @@ def word_sequences(alphabet, max_words, total):
         for combo in itertools.product(singles, repeat=k):
             if sum(len(w) for w in combo) <= total:
                 yield list(combo)
+
+
+def column_insert_by_rows(rows, x):
+    """Column-insert x into a row buffer; returns the (row, col) end cell."""
+    c = 0
+    while True:
+        height = sum(1 for r in rows if len(r) > c)
+        col = [rows[i][c] for i in range(height)]
+        i = bisect_left(col, x)
+        if i == len(col):
+            if i == len(rows):
+                rows.append([x])
+            else:
+                rows[i].append(x)
+            return (i, c)
+        rows[i][c], x = x, rows[i][c]
+        c += 1
+
+
+def column_rsk_by_rows(words):
+    """Reference column RSK: a row buffer, Q recorded after each word."""
+    p_rows: list[list[int]] = []
+    q_rows: list[list[int]] = []
+    for lab, w in enumerate(map(tuple, words), 1):
+        for x in reversed(w):
+            column_insert_by_rows(p_rows, x)
+        for i, r in enumerate(p_rows):
+            if i == len(q_rows):
+                q_rows.append([])
+            q_rows[i].extend([lab] * (len(r) - len(q_rows[i])))
+    return Tableau(p_rows), Tableau(q_rows)
+
+
+def test_column_rsk_matches_the_row_buffer_reference():
+    seqs = list(_word_sequences(6, 3))
+    assert len(seqs) == 6013
+    for words in seqs:
+        assert column_rsk(words) == column_rsk_by_rows(words)
 
 
 def test_column_rsk_roundtrip():

@@ -373,49 +373,45 @@ def k_by_kostant(idx: KIndex) -> QPoly:
 # engine B: the block-peeling recurrence
 
 
-def coset_reps(lam, m: int):
-    """Minimal coset data for splitting off the first m positions.
+def _kept_cosets(lam_rho, r1):
+    """Coset data (sign, alpha, beta) for splitting off the first m = len(r1)
+    positions of w^{-1}(lam + rho) - rho, for the cosets whose alpha contains r1.
 
-    One entry per m-subset of positions of lam + rho: (sign, alpha, beta)
-    where (alpha, beta) are the first m and last n-m parts of
-    w^{-1}(lam + rho) - rho.
+    The positions of alpha are chosen in increasing order.  lam + rho strictly
+    decreases, so once an entry is below the floor rho_k + r1_k, every later
+    one is too.  Each choice passes i - k unchosen positions.
     """
-    lam = tuple(lam)
-    n = len(lam)
-    if not is_weakly_decreasing(lam):
-        raise ValueError(f"lambda must be dominant, got {lam}")
-    v = vec_add(lam, rho(n))
-    out = []
-    for subset in itertools.combinations(range(n), m):
-        rest = [i for i in range(n) if i not in subset]
-        xi = vec_sub(tuple(v[i] for i in itertools.chain(subset, rest)), rho(n))
-        crossings = sum(1 for i in subset for j in rest if j < i)
-        out.append((-1 if crossings % 2 else 1, xi[:m], xi[m:]))
-    return out
+    n, m = len(lam_rho), len(r1)
+    floors = vec_add(rho(n), r1)
+
+    def walk(k, start, chosen, crossings):
+        if k == m:
+            rest = (x for i, x in enumerate(lam_rho) if i not in chosen)
+            alpha = vec_sub((lam_rho[i] for i in chosen), rho(n))
+            yield (-1 if crossings % 2 else 1), alpha, vec_sub(rest, rho(n - m))
+            return
+        for i in range(start, n):
+            if lam_rho[i] < floors[k]:
+                break
+            yield from walk(k + 1, i + 1, chosen + (i,), crossings + i - k)
+
+    yield from walk(0, 0, (), 0)
 
 
 @cache
-def _k_rec(lam: Vec, key) -> QPoly:
-    rseq = RectSequence(*key)
-    if rseq.t == 0:
-        return ONE if not any(lam) else ZERO
-    if rseq.t == 1:
-        return ONE if trim(lam) == trim(rseq.rects[0]) else ZERO
-    m = rseq.eta[0]
-    r1 = trim(rseq.rects[0])
-    n = rseq.n
+def _k_rec(lam: Vec, rseq: RectSequence) -> QPoly:
+    if rseq.t <= 1:
+        return ONE if trim(lam) == trim(rseq.gamma) else ZERO
+    r1 = rseq.rects[0]
+    m, n = len(r1), rseq.n
     tail = rseq.tail()
     total: dict[int, int] = {}
-    for sign, alpha, beta in coset_reps(lam, m):
-        if any(x < 0 for x in alpha):
-            continue
-        if len(r1) > m or any(r1[i] > alpha[i] for i in range(len(r1))):
-            continue
+    for sign, alpha, beta in _kept_cosets(vec_add(lam, rho(n)), r1):
         deg = sum(alpha) - sum(r1)
         for sigma in partitions_containing(beta, deg + sum(beta), n - m):
-            c = lr_coefficient(sigma, trim(beta), trim(alpha), r1)
+            c = lr_coefficient(sigma, trim(beta), trim(alpha), trim(r1))
             if c:
-                for e, x in _k_rec(pad(sigma, n - m), tail.key()).coeffs.items():
+                for e, x in _k_rec(pad(sigma, n - m), tail).coeffs.items():
                     total[deg + e] = total.get(deg + e, 0) + sign * c * x
     return QPoly(total) if total else ZERO
 
@@ -429,7 +425,7 @@ def k_by_recurrence(lam, rseq: RectSequence) -> QPoly:
         raise ValueError(f"every block of {rseq} must be a partition")
     if sum(lam) != sum(rseq.gamma):
         return ZERO
-    return _k_rec(lam, rseq.key())
+    return _k_rec(lam, rseq)
 
 
 # ---------------------------------------------------------------------------

@@ -270,9 +270,6 @@ class RectSequence:
     def all_partitions(self) -> bool:
         return all(is_partition(r) for r in self.rects)
 
-    def key(self):
-        return (self.eta, self.gamma)
-
 
 def rect_sequence(eta, gamma) -> RectSequence:
     """Slice the weight ``gamma`` into blocks of sizes ``eta``."""

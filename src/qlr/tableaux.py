@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import cache
 
-from .shapes import Vec, is_weakly_decreasing, trim
+from .shapes import Vec, is_weakly_decreasing, partitions, trim
 
 Word = tuple[int, ...]
 
@@ -437,8 +437,6 @@ def straight_cst(shape, cnt) -> tuple[Tableau, ...]:
 
 def all_cst_of_content(cnt) -> tuple[Tableau, ...]:
     """Every straight column-strict tableau with the given content."""
-    from .shapes import partitions
-
     cnt = tuple(cnt)
     out = []
     for shape in partitions(sum(cnt), max_len=len(cnt) if cnt else 1):

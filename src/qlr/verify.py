@@ -327,8 +327,8 @@ def scan_monotonicity_heights(max_n: int, max_weight: int, *, sample=None) -> Sc
             heights = eta[start:stop]
             total = sum(heights)
             length = stop - start
-            for beta in itertools.product(range(1, total + 1), repeat=length):
-                if sum(beta) != total or beta == heights:
+            for beta in compositions(total):
+                if len(beta) != length or beta == heights:
                     continue
                 if not dominates(
                     tuple(sorted(heights, reverse=True)),
@@ -509,17 +509,14 @@ def _word_sequences(total: int, alphabet: int):
 def check_ev_duality(total: int = 6, alphabet: int = 3) -> ScanReport:
     """Reversing and complementing the inputs evacuates both RSK outputs."""
     with ScanReport.timed(kind="ev_duality", total=total, alphabet=alphabet) as rep:
-        for words in _word_sequences(total, alphabet):
-            n = len(words)
-            p, q = column_rsk(words)
-            flipped = [
-                tuple(alphabet + 1 - x for x in reversed(words[n - i]))
-                for i in range(1, n + 1)
-            ]
-            p2, q2 = column_rsk(flipped)
+        # the flip maps the word sequences onto themselves: one RSK per sequence
+        rsk = {tuple(words): column_rsk(words) for words in _word_sequences(total, alphabet)}
+        for words, (p, q) in rsk.items():
+            flipped = tuple(tuple(alphabet + 1 - x for x in reversed(w)) for w in reversed(words))
+            p2, q2 = rsk[flipped]
             rep.checks += 1
-            if p2 != evacuation(p, alphabet) or q2 != evacuation(q, n):
-                rep.found(check="ev", words=words, p=p, q=q)
+            if p2 != evacuation(p, alphabet) or q2 != evacuation(q, len(words)):
+                rep.found(check="ev", words=list(words), p=p, q=q)
     return rep
 
 

@@ -13,12 +13,12 @@ from qlr.kpoly import (
     PROVEN,
     QPoly,
     ZERO,
+    _kept_cosets,
     _root_flow_arrangements,
     bott_straighten,
     charge_engine_status,
     cocharge_kostka,
     compute,
-    coset_reps,
     default_degree_bound,
     dominant_reorderings,
     dual_index,
@@ -43,6 +43,7 @@ from qlr.shapes import (
     box_complement,
     compositions,
     conjugate,
+    is_weakly_decreasing,
     pad,
     partitions,
     partitions_upto,
@@ -374,11 +375,47 @@ def test_single_block_is_kronecker():
     assert k_by_recurrence((3, 0), rect_sequence((2,), (2, 1))) == ZERO
 
 
+def coset_reps(lam, m: int):
+    """Minimal coset data for splitting off the first m positions.
+
+    One entry per m-subset of positions of lam + rho: (sign, alpha, beta)
+    where (alpha, beta) are the first m and last n-m parts of
+    w^{-1}(lam + rho) - rho.
+    """
+    lam = tuple(lam)
+    n = len(lam)
+    if not is_weakly_decreasing(lam):
+        raise ValueError(f"lambda must be dominant, got {lam}")
+    v = vec_add(lam, rho(n))
+    out = []
+    for subset in itertools.combinations(range(n), m):
+        rest = [i for i in range(n) if i not in subset]
+        xi = vec_sub(tuple(v[i] for i in itertools.chain(subset, rest)), rho(n))
+        crossings = sum(1 for i in subset for j in rest if j < i)
+        out.append((-1 if crossings % 2 else 1, xi[:m], xi[m:]))
+    return out
+
+
 def test_coset_reps():
     assert sorted(coset_reps((1, 1), 1)) == [(-1, (0,), (2,)), (1, (1,), (1,))]
     assert coset_reps((2, 1, 0), 3) == [(1, (2, 1, 0), ())]
     for m in range(4):
         assert len(coset_reps((3, 2, 1), m)) == [1, 3, 3, 1][m]
+
+
+def test_kept_cosets_are_the_reference_cosets_with_alpha_containing_r1():
+    walks = 0
+    for n in range(1, 6):
+        for lam in partitions_upto(6, n):
+            lam = pad(lam, n)
+            for m in range(n + 1):
+                reference = coset_reps(lam, m)
+                for r1 in partitions_upto(sum(lam), m):
+                    r1 = pad(r1, m)
+                    kept = [c for c in reference if all(a >= r for a, r in zip(c[1], r1))]
+                    assert list(_kept_cosets(vec_add(lam, rho(n)), r1)) == kept, (lam, r1)
+                    walks += 1
+    assert walks == 4208
 
 
 def test_charge_engine_requires_dominant_blocks():

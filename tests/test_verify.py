@@ -146,6 +146,19 @@ def test_crosscheck_builds_the_reorderings_once_per_group(monkeypatch):
     assert calls == []
 
 
+def test_ev_duality_runs_column_rsk_once_per_word_sequence(monkeypatch):
+    calls = []
+
+    def counted(words):
+        calls.append(words)
+        return original(words)
+
+    original = verify.column_rsk
+    monkeypatch.setattr(verify, "column_rsk", counted)
+    rep = check_ev_duality(6, 3)
+    assert (len(calls), rep.checks, rep.ok) == (6013, 6013, True)
+
+
 def word_sequences_reference(total, alphabet):
     """The whole product of one to three words, filtered by length after."""
     singles = [()]

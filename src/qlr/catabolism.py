@@ -9,40 +9,65 @@ partition extracted by iterating the first-row catabolism operator.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 from .shapes import RectSequence, is_partition, trim
-from .tableaux import EMPTY, Tableau, enumerate_cst, h_slice, v_slice
+from .tableaux import EMPTY, Tableau, _insert, enumerate_cst, h_slice, v_slice
 
 
+@cache
 def yamanouchi_block(rseq: RectSequence, i: int) -> Tableau:
     """The block tableau Y_i: row j holds the j-th smallest letter of A_i."""
     start, _ = rseq.intervals[i]
     shape = trim(rseq.rects[i])
     if not is_partition(shape):
         raise ValueError(f"block {i} of {rseq} is not a partition")
-    return Tableau([[start + j] * x for j, x in enumerate(shape)])
+    return Tableau._of(tuple((start + j,) * x for j, x in enumerate(shape)))
+
+
+def _strip(rows, block, m: int):
+    """Rows without their letters 1..m, or None unless those fill ``block``."""
+    rest = []
+    for r, b in zip_longest(rows, block, fillvalue=()):
+        k = len(b)
+        if r[:k] != b or (k < len(r) and r[k] <= m):
+            return None
+        rest.append(r[k:])
+    return rest
+
+
+def _cat_step(rows, rseq: RectSequence, shift: int):
+    """Strip Y_1 off the rows of a straight tableau and row-insert the north rows,
+    then the south ones, each bottom to top and lowered by ``shift``; None without Y_1."""
+    m = rseq.eta[0]
+    rest = _strip(rows, yamanouchi_block(rseq, 0).rows, m)
+    if rest is None:
+        return None
+    out: list[list[int]] = []
+    for x in chain(*rest[:m][::-1], *rest[m:][::-1]):
+        _insert(out, x - shift, bisect_right)
+    return tuple(map(tuple, out))
 
 
 def _catabolize(t: Tableau, block: Tableau, m: int, cut, at: int):
     """One catabolism step: strip ``block`` (the letters 1..m) off t and
     apply the slice ``cut(rest, at)``; None when t restricted to 1..m is not
     ``block``."""
-    if t.restrict(1, m) != block:
-        return None
-    return cut(Tableau([[x for x in r if x > m] for r in t.rows], block.outer), at)
+    rest = None if t.inner else _strip(t.rows, block.rows, m)
+    return None if rest is None else cut(Tableau(rest, block.outer), at)
 
 
 def cat_block(t: Tableau, rseq: RectSequence):
     """First-block catabolism: strip Y_1 and slice below the block's rows.
 
-    Returns None when t does not restrict to Y_1 on the first alphabet
-    block.  The result keeps its letters in the original alphabet.
+    Returns None when t is skew or does not restrict to Y_1 on the first
+    alphabet block.  The result keeps its letters in the original alphabet.
     """
-    m = rseq.eta[0]
-    return _catabolize(t, yamanouchi_block(rseq, 0), m, h_slice, m)
+    rows = None if t.inner else _cat_step(t.rows, rseq, 0)
+    return None if rows is None else Tableau._of(rows)
 
 
 @dataclass(frozen=True)
@@ -54,33 +79,27 @@ class CatTrace:
 
 def catabolism_trace(t: Tableau, rseq: RectSequence):
     """Full catabolism run of t against the block sequence, or None."""
-    steps = []
-    cur, blocks = t, rseq
-    while True:
-        if blocks.t == 0:
-            return CatTrace(tuple(steps)) if not cur else None
+    steps, cur, blocks = [], t, rseq
+    while blocks.t:
         after = cat_block(cur, blocks)
         if after is None:
             return None
-        m = blocks.eta[0]
         steps.append((cur, yamanouchi_block(blocks, 0), after))
-        cur = after.relabel(-m)
-        blocks = blocks.tail()
+        cur, blocks = after.relabel(-blocks.eta[0]), blocks.tail()
+    return None if cur else CatTrace(tuple(steps))
 
 
 def is_catabolizable(t: Tableau, rseq: RectSequence) -> bool:
-    return _catabolizable(t, rseq)
+    return not t.inner and _catabolizable(t.rows, rseq)
 
 
 @cache
-def _catabolizable(t: Tableau, rseq: RectSequence) -> bool:
-    """Catabolizability, one step at a time; each distinct tail is tested once."""
+def _catabolizable(rows, rseq: RectSequence) -> bool:
+    """Catabolizability of a straight tableau's rows; each tail is tested once."""
     if rseq.t == 0:
-        return not t
-    after = cat_block(t, rseq)
-    if after is None:
-        return False
-    return _catabolizable(after.relabel(-rseq.eta[0]), rseq.tail())
+        return not rows
+    after = _cat_step(rows, rseq, rseq.eta[0])
+    return after is not None and _catabolizable(after, rseq.tail())
 
 
 def enumerate_catabolizable(shape, rseq: RectSequence) -> tuple[Tableau, ...]:
@@ -99,7 +118,7 @@ def enumerate_catabolizable(shape, rseq: RectSequence) -> tuple[Tableau, ...]:
         if any(a > b for a, b in zip_longest(inner, shape, fillvalue=0)):
             return ()
         candidates = sorted(
-            (Tableau(y + r for y, r in zip_longest(y1.rows, s.rows, fillvalue=()))
+            (Tableau._of(tuple(y + r for y, r in zip_longest(y1.rows, s.rows, fillvalue=())))
              for s in enumerate_cst(shape, inner, (0,) * m + rseq.gamma[m:])),
             key=Tableau.word,
         )

@@ -83,7 +83,7 @@ def plactic_act(w_perm, u) -> Word:
     the bubble-sort decomposition used here is one convenient choice.
     """
     u = tuple(u)
-    for r in reversed(reduced_word(w_perm)):
+    for r in reversed(reduced_word(tuple(w_perm))):
         u = reflection(u, r)
     return u
 
@@ -104,8 +104,8 @@ def refill(t: Tableau, w) -> Tableau:
     for r in t.rows:
         rows.append(w[pos - len(r):pos])
         pos -= len(r)
-    out = Tableau(rows, t.inner)
-    if not out.is_column_strict():
+    out = Tableau._of(tuple(rows), t.inner)
+    if pos or not out.is_column_strict():
         raise ValueError("word does not fill the shape column-strictly")
     return out
 

@@ -145,7 +145,8 @@ def all_permutations(n: int):
     return itertools.permutations(range(1, n + 1))
 
 
-def reduced_word(w) -> Vec:
+@cache
+def reduced_word(w: Vec) -> Vec:
     """A reduced decomposition of ``w`` into simple reflections.
 
     Returns indices (i_1, ..., i_p) with w = s_{i_1} ... s_{i_p} as a

@@ -44,6 +44,15 @@ class Tableau:
         if not is_weakly_decreasing(outer) or not is_weakly_decreasing(inner):
             raise ValueError(f"not a skew shape: {outer}/{inner}")
 
+    @classmethod
+    def _of(cls, rows, inner=()) -> "Tableau":
+        """Trusted constructor: ``rows`` (tuples) and ``inner`` already are
+        what the public constructor would store for a valid tableau."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "rows", rows)
+        object.__setattr__(t, "inner", inner)
+        return t
+
     def __setattr__(self, *a):
         raise AttributeError("Tableau is immutable")
 
@@ -84,18 +93,16 @@ class Tableau:
         return content(self.word())
 
     def is_column_strict(self) -> bool:
-        grid = {}
+        """Rows weakly increase; columns strictly increase where rows overlap."""
+        above, a0 = (), 0
         for i, r in enumerate(self.rows):
-            base = self.inner_at(i)
-            prev = None
-            for j, x in enumerate(r):
-                if prev is not None and x < prev:
-                    return False
-                prev = x
-                grid[(i, base + j)] = x
-        return all(
-            grid.get((i - 1, c), x - 1) < x for (i, c), x in grid.items()
-        )
+            b = self.inner_at(i)
+            if any(x > y for x, y in zip(r, r[1:])) or any(
+                a >= x for a, x in zip(above[max(b - a0, 0):], r[max(a0 - b, 0):])
+            ):
+                return False
+            above, a0 = r, b
+        return True
 
     def is_standard(self) -> bool:
         return (
@@ -104,16 +111,8 @@ class Tableau:
             and sorted(self.word()) == list(range(1, self.size + 1))
         )
 
-    def restrict(self, lo: int, hi: int) -> "Tableau":
-        """Subtableau of entries with values in [lo, hi] (a skew tableau)."""
-        rows, inner = [], []
-        for i, r in enumerate(self.rows):
-            rows.append([x for x in r if lo <= x <= hi])
-            inner.append(self.inner_at(i) + sum(1 for x in r if x < lo))
-        return Tableau(rows, inner)
-
     def relabel(self, offset: int) -> "Tableau":
-        return Tableau([[x + offset for x in r] for r in self.rows], self.inner)
+        return Tableau._of(tuple(tuple(x + offset for x in r) for r in self.rows), self.inner)
 
     def transpose(self) -> "Tableau":
         """Transpose a straight-shape tableau."""
@@ -221,7 +220,7 @@ def schensted_p(w) -> Tableau:
     rows: list[list[int]] = []
     for x in w:
         _insert(rows, x, bisect_right)
-    return Tableau(rows)
+    return Tableau._of(tuple(map(tuple, rows)))
 
 
 def knuth_equivalent(u, v) -> bool:
@@ -250,7 +249,7 @@ def column_rsk(words):
             if i == len(q_rows):
                 q_rows.append([])
             q_rows[i].append(lab)
-    p, q = Tableau(_transpose(cols)), Tableau(q_rows)
+    p, q = (Tableau._of(tuple(map(tuple, lines))) for lines in (_transpose(cols), q_rows))
     if not q.is_column_strict():
         raise ValueError("words do not yield a column-strict recording tableau")
     return p, q
@@ -412,7 +411,7 @@ def enumerate_cst(outer, inner, cnt) -> tuple[Tableau, ...]:
 
     def fill(k):
         if k == len(cells):
-            found.append(Tableau([list(r) for r in rows], tuple(base)))
+            found.append(Tableau._of(tuple(map(tuple, rows)), inner))
             return
         i, j = cells[k]
         lo = rows[i][j - 1] if j > 0 else 1

@@ -14,6 +14,7 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 
 from .catabolism import (
     catabolism_type,
@@ -470,9 +471,8 @@ def check_white_fitting(total: int = 6, alphabet: int = 3) -> ScanReport:
     test assembles into a skew column-strict tableau.
     """
     with ScanReport.timed(kind="white_fitting", total=total, alphabet=alphabet) as rep:
-        for words in _word_sequences(total, alphabet):
+        for words, (_, q) in _column_rsk_table(total, alphabet).items():
             mu_len = len(words)
-            _, q = column_rsk(words)
             for mu in partitions_upto(total, mu_len):
                 mu_p = pad(trim(mu), mu_len)
                 lam = tuple(m + len(w) for m, w in zip(mu_p, words))
@@ -506,11 +506,17 @@ def _word_sequences(total: int, alphabet: int):
         yield from fill(k, total)
 
 
+@cache
+def _column_rsk_table(total: int, alphabet: int) -> dict:
+    """Column RSK of every word sequence, keyed by the sequence as a tuple."""
+    return {tuple(words): column_rsk(words) for words in _word_sequences(total, alphabet)}
+
+
 def check_ev_duality(total: int = 6, alphabet: int = 3) -> ScanReport:
     """Reversing and complementing the inputs evacuates both RSK outputs."""
     with ScanReport.timed(kind="ev_duality", total=total, alphabet=alphabet) as rep:
-        # the flip maps the word sequences onto themselves: one RSK per sequence
-        rsk = {tuple(words): column_rsk(words) for words in _word_sequences(total, alphabet)}
+        # the flip maps the word sequences onto themselves
+        rsk = _column_rsk_table(total, alphabet)
         for words, (p, q) in rsk.items():
             flipped = tuple(tuple(alphabet + 1 - x for x in reversed(w)) for w in reversed(words))
             p2, q2 = rsk[flipped]

@@ -1,9 +1,11 @@
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
 from qlr.catabolism import (
+    _cat_step,
     cat_block,
     catabolism_trace,
     catabolism_type,
@@ -22,7 +24,15 @@ from qlr.cyclage import cyclage_covers
 from qlr.involution import InvolutionContext
 from qlr.kpoly import QPoly, k_by_charge
 from qlr.shapes import compositions, dominates, pad, partitions, rect_sequence, trim
-from qlr.tableaux import EMPTY, standard_tableaux, straight_cst, tab
+from qlr.tableaux import (
+    EMPTY,
+    Tableau,
+    all_cst_of_content,
+    h_slice,
+    standard_tableaux,
+    straight_cst,
+    tab,
+)
 from qlr.verify import index_family
 from test_cyclage import covers_col_restricted, covers_row_restricted
 
@@ -67,6 +77,40 @@ def test_catabolizable_trivia():
     y1 = yamanouchi_block(RSEQ, 0)
     assert is_catabolizable(y1, rect_sequence((2,), (3, 2)))
     assert enumerate_catabolizable((4, 3, 1), RSEQ) == ()
+    # a skew tableau is never catabolizable, even when its rows are Y_1's
+    skew = Tableau(y1.rows, (1,))
+    assert not is_catabolizable(skew, rect_sequence((2,), (3, 2)))
+    assert cat_block(skew, rect_sequence((2,), (3, 2))) is None
+    assert row_catabolism(Tableau([[1, 2]], (1,)), 2) is None
+
+
+def restrict(t, lo, hi):
+    """Subtableau of entries with values in [lo, hi] (a skew tableau)."""
+    rows, inner = [], []
+    for i, r in enumerate(t.rows):
+        rows.append([x for x in r if lo <= x <= hi])
+        inner.append(t.inner_at(i) + sum(1 for x in r if x < lo))
+    return Tableau(rows, inner)
+
+
+def cat_block_by_tableaux(t, rseq):
+    """First-block catabolism on whole tableaux: restrict t to the letters
+    1..m, compare with Y_1, strip it and insert north before south."""
+    m = rseq.eta[0]
+    y1 = yamanouchi_block(rseq, 0)
+    if restrict(t, 1, m) != y1:
+        return None
+    return h_slice(Tableau([[x for x in r if x > m] for r in t.rows], y1.outer), m)
+
+
+def is_catabolizable_by_tableaux(t, rseq):
+    """A full catabolism run, relabelling the result of each step."""
+    while rseq.t:
+        t = cat_block_by_tableaux(t, rseq)
+        if t is None:
+            return False
+        t, rseq = t.relabel(-rseq.eta[0]), rseq.tail()
+    return not t
 
 
 def enumerate_catabolizable_reference(shape, rseq):
@@ -75,13 +119,13 @@ def enumerate_catabolizable_reference(shape, rseq):
     if sum(shape) != sum(rseq.gamma):
         return ()
     return tuple(
-        t for t in straight_cst(shape, rseq.gamma) if catabolism_trace(t, rseq) is not None
+        t for t in straight_cst(shape, rseq.gamma) if is_catabolizable_by_tableaux(t, rseq)
     )
 
 
 def test_generator_matches_the_all_cst_reference():
     # n <= 5, every eta, weight <= 6: the same tableaux in the same order, and
-    # the memoized test agrees with a full catabolism run on every CST
+    # the memoized test and the trace agree with the reference on every CST
     kept = 0
     for gamma, eta, lams in index_family(5, 6):
         rseq = rect_sequence(eta, gamma)
@@ -90,8 +134,32 @@ def test_generator_matches_the_all_cst_reference():
             assert found == enumerate_catabolizable_reference(lam, rseq), (lam, rseq)
             kept += len(found)
             for t in straight_cst(trim(lam), gamma):
-                assert is_catabolizable(t, rseq) == (catabolism_trace(t, rseq) is not None)
+                expected = is_catabolizable_by_tableaux(t, rseq)
+                assert is_catabolizable(t, rseq) == expected
+                assert (catabolism_trace(t, rseq) is not None) == expected
     assert kept
+
+
+def test_cat_step_matches_the_tableau_reference():
+    # each first block at n <= 5, weight <= 6, against every straight CST of
+    # weight <= 6 and letters <= 5 that holds the letters of that block, in
+    # the original alphabet and lowered by m, rejections included
+    blocks = {}
+    for gamma, eta, _ in index_family(5, 6):
+        blocks.setdefault((eta[0], gamma[:eta[0]]), rect_sequence(eta, gamma))
+    contents = [c for c in itertools.product(range(7), repeat=5) if sum(c) <= 6]
+    outcomes = Counter()
+    for (m, y), rseq in blocks.items():
+        for cnt in contents:
+            if any(a < b for a, b in zip(cnt, y)):
+                continue
+            for t in all_cst_of_content(trim(cnt)):
+                after = cat_block_by_tableaux(t, rseq)
+                assert cat_block(t, rseq) == after, (t, rseq)
+                lowered = None if after is None else after.relabel(-m).rows
+                assert _cat_step(t.rows, rseq, m) == lowered, (t, rseq)
+                outcomes[after is None] += 1
+    assert outcomes[True] and outcomes[False]
 
 
 def test_catabolizable_ts_match_the_all_cst_filter():
@@ -102,7 +170,7 @@ def test_catabolizable_ts_match_the_all_cst_filter():
             expected = [
                 t
                 for t in straight_cst(shape, ctx.t_content)
-                if catabolism_trace(t.relabel(-ctx.m), tail) is not None
+                if is_catabolizable_by_tableaux(t.relabel(-ctx.m), tail)
             ]
             assert list(ctx.catabolizable_ts(shape)) == expected, (ctx.rseq, shape)
 
@@ -218,7 +286,7 @@ def test_hook_block_sequences_reduce_to_content():
         y1 = yamanouchi_block(rs, 0)
         for shape in partitions(sum(gamma)):
             for t in straight_cst(shape, gamma):
-                simple = t.restrict(1, eta[0]) == y1
+                simple = restrict(t, 1, eta[0]) == y1
                 assert is_catabolizable(t, rs) == simple
 
 

@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from qlr.crystal import (
     is_lattice,
     is_mu_lattice,
@@ -10,10 +12,11 @@ from qlr.crystal import (
     r_pairing,
     raising,
     reflection,
+    refill,
     sort_to_partition_content,
 )
 from qlr.shapes import all_permutations, perm_apply
-from qlr.tableaux import column_rsk, content, schensted_p
+from qlr.tableaux import column_rsk, content, schensted_p, tab
 
 # the worked 25-letter example word
 U25 = (1, 2, 4, 3, 1, 2, 2, 3, 3, 4, 2, 3, 3, 4, 3, 3, 1, 3, 1, 2, 3, 4, 2, 2, 3)
@@ -125,6 +128,16 @@ def test_operators_commute_with_knuth_classes():
 def test_plactic_act_basics():
     assert plactic_act((1, 2, 3), (1, 2, 1)) == (1, 2, 1)
     assert plactic_act((2, 1), (1,)) == (2,)
+    # a permutation given as a list acts as its tuple does
+    assert plactic_act([2, 3, 1], (1, 2, 1)) == plactic_act((2, 3, 1), (1, 2, 1))
+
+
+def test_refill_rejects_words_that_do_not_fill_the_shape():
+    t = tab([1, 2], [3])
+    assert refill(t, (3, 1, 2)) == t
+    for w in [(1, 2), (9, 3, 1, 2), (1, 1, 2)]:
+        with pytest.raises(ValueError):
+            refill(t, w)
 
 
 def test_plactic_act_braid_independence():

@@ -1,5 +1,6 @@
 import itertools
 from bisect import bisect_left, bisect_right
+from collections import Counter
 
 import pytest
 
@@ -74,6 +75,42 @@ def test_reading_word_and_content():
     assert repr(EMPTY) == "Tableau([])"
     assert content(()) == ()
     assert content((4, 3, 2, 3, 4, 1, 1, 2, 5, 5)) == (2, 2, 2, 2, 2)
+
+
+def is_column_strict_by_grid(t):
+    """A grid of the filled cells: rows weakly increase, and each filled cell
+    exceeds the filled cell above it."""
+    grid = {}
+    for i, r in enumerate(t.rows):
+        base = t.inner_at(i)
+        prev = None
+        for j, x in enumerate(r):
+            if prev is not None and x < prev:
+                return False
+            prev = x
+            grid[(i, base + j)] = x
+    return all(grid.get((i - 1, c), x - 1) < x for (i, c), x in grid.items())
+
+
+def test_is_column_strict_matches_the_grid_reference():
+    # every filling with letters 1..3 of every skew shape of at most five
+    # cells inside an outer shape of size <= 6, passing and failing alike
+    verdicts = Counter()
+    for size in range(7):
+        for outer in partitions(size):
+            for inner_size in range(max(size - 5, 0), size + 1):
+                for inner in partitions(inner_size, max_len=len(outer)):
+                    if any(a > b for a, b in zip(inner, outer)):
+                        continue
+                    lengths = [o - (inner[i] if i < len(inner) else 0)
+                               for i, o in enumerate(outer)]
+                    for letters in itertools.product((1, 2, 3), repeat=sum(lengths)):
+                        it = iter(letters)
+                        t = Tableau([[next(it) for _ in range(k)] for k in lengths], inner)
+                        verdict = t.is_column_strict()
+                        assert verdict == is_column_strict_by_grid(t), t
+                        verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_schensted_examples():

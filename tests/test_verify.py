@@ -155,8 +155,10 @@ def test_ev_duality_runs_column_rsk_once_per_word_sequence(monkeypatch):
 
     original = verify.column_rsk
     monkeypatch.setattr(verify, "column_rsk", counted)
-    rep = check_ev_duality(6, 3)
-    assert (len(calls), rep.checks, rep.ok) == (6013, 6013, True)
+    # the white-fitting check reads the same recording table
+    verify._column_rsk_table.cache_clear()
+    ev, fit = check_ev_duality(6, 3), check_white_fitting(6, 3)
+    assert (len(calls), ev.checks, ev.ok, fit.ok) == (6013, 6013, True, True)
 
 
 def word_sequences_reference(total, alphabet):

@@ -3,10 +3,10 @@
 Four independent engines compute the same family K(lambda, gamma, eta):
 
 * ``k_by_kostant``     -- alternating sum over the symmetric group of
-                          q-counted root flows, walking only the arrangements
-                          of lambda + rho whose demand meets Gale's condition
-                          and counting only flows that can be completed (no
-                          zero term is ever built);
+                          q-counted root flows, as one signed walk over the
+                          positions that places an entry of lambda + rho and
+                          its outflow together, so arrangements that agree
+                          on what is left share its count;
 * ``k_by_recurrence``  -- the block-peeling recurrence driven by minimal
                           coset representatives and skew LR coefficients;
 * ``k_by_series``      -- direct expansion of the product generating
@@ -23,9 +23,11 @@ coefficients) and the generating-function identities around cocharge.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
+from operator import add, ge, le
 
 from .catabolism import catabolism_type, enumerate_catabolizable
 from .charge import charge_tableau, cocharge_tableau
@@ -246,127 +248,123 @@ def lr_product(rects, max_len: int) -> dict[Vec, int]:
 
 
 # ---------------------------------------------------------------------------
-# engine A: the q-analogue of the Kostant partition function
-#
-# A root flow is a map m from the block roots e_i - e_j (i in an earlier
-# block than j) to N; its demand is the sum of m(i,j) (e_i - e_j).  By
-# Gale's feasibility theorem for uncapacitated transshipment, a demand is the
-# demand of some root flow exactly when it sums to zero and, for every block,
-# the demand before the block plus the negative entries inside it is >= 0.
+# engine A: K = sum over w of sign(w) P_q(w(lam + rho) - (gamma + rho)), where
+# P_q(d) sums q^|m| over the maps m from the block roots e_i - e_j (i in an
+# earlier block than j) to N with demand sum m(i,j)(e_i - e_j) = d (Kostant).
 
 
-def _is_root_flow(eta, demand) -> bool:
-    """Gale's condition on ``demand``."""
-    before = start = 0
-    for e in eta:
-        block = demand[start:start + e]
-        if before + sum(x for x in block if x < 0) < 0:
-            return False
-        before, start = before + sum(block), start + e
-    return before == 0
+def _runs_sign(heads) -> int:
+    """The sum of the signs of the ways to give position j one of the first
+    ``heads[j]`` of m increasing values, each once: a determinant of rows of
+    ones that each start at the first column, so it is nonzero exactly when
+    the heads are 1..m in some order."""
+    if sorted(heads) != list(range(1, len(heads) + 1)):
+        return 0
+    return -1 if sum(x < y for x, y in itertools.combinations(heads, 2)) % 2 else 1
 
 
-@cache
-def _kostant_count(widths, state) -> tuple[int, ...]:
-    """Coefficients by q-degree of the sum of q^|m| over the root flows m
-    with demand ``state``, which meets Gale's condition, on blocks of sizes
-    ``widths`` (the first cut down to the positions left in it).
+class _KostantStates(dict):
+    """Coefficients by q-degree of the signed flow count from a state of the
+    walk for one eta, computed on a miss.
 
-    The first position's outflow ``state[0]`` is placed from the farthest
-    block inward.  Sending a_p to p and A to block b or beyond keeps b's
-    condition iff sum(state before b) - A + sum_p min(0, state[p] + a_p) >= 0:
-    each unit past p's deficit spends a unit of b's slack, and the nearest
-    block takes the rest, above a floor that keeps the rest placeable.  So
-    every state built meets Gale's condition.
+    A state after positions 0..p-1 is (the entries of lam + rho not yet
+    placed, increasing; what each position from p on still needs, its
+    (gamma + rho) less its inflow so far).  Arrangements that agree on it
+    share its count.  Placing v with k unplaced entries above it has sign
+    (-1)^k and outflow v - need_p, which falls with v, so the loop stops at
+    the first negative one; the outflow lowers the later blocks' needs.  A
+    last-block position only receives and ends up holding its need, so that
+    need never drops below the least entry left.  A state is dropped at once
+    unless the positions left in p's block can take distinct entries at
+    least their needs and the last block distinct entries at most theirs.
     """
-    if len(widths) < 2:
-        return (1,)  # the last block, whose demand is zero
-    out = state[0]
-    rest = widths[1:] if widths[0] == 1 else (widths[0] - 1,) + widths[1:]
-    if not out:
-        return _kostant_count(rest, state[1:])
-    ends = list(itertools.accumulate(widths))
-    blocks = list(zip(ends, ends[1:]))
-    base = [sum(state[:s]) + sum(x for x in state[s:e] if x < 0) for s, e in blocks]
-    deficit = [max(0, -x) for x in state]
-    first = ends[0]
-    child = list(state[1:])
-    acc: list[int] = []
 
-    def place(b, p, left, slack):
-        if p < blocks[b][0]:
-            if b == 0:
-                coeffs = _kostant_count(rest, tuple(child))
-                acc.extend([0] * (len(coeffs) - len(acc)))
-                for k, c in enumerate(coeffs):
-                    acc[k] += c
+    def __init__(self, eta):
+        starts = list(itertools.accumulate(eta, initial=0))
+        self.n, self.last = starts[-1], starts[-2]
+        # the first position of the block after each position's own
+        self.first = [b for a, b in zip(starts, starts[1:]) for _ in range(a, b)]
+
+    def __missing__(self, state):
+        values, needs = state
+        n, last = self.n, self.last
+        top = len(values) - 1
+        p = n - 1 - top
+        acc = []
+        if p + 1 == last:
+            # p sends each last-block position its need less the entry it
+            # ends up with, so the count sums over the bijections of the rest
+            # onto the last block: _runs_sign of the heads (the entries at
+            # most each need), each one less where it passes v.  That is
+            # nonzero only when the heads sorted are 1..r, r+2..top+1 and v
+            # is entry r or r+1.
+            heads = [bisect_right(values, x) for x in needs[1:]]
+            r = sum(x == i for i, x in enumerate(sorted(heads), 1))
+            sign = _runs_sign([x - (x > r) for x in heads])
+            for k in range(min(r + 1, top), r - 1, -1):
+                out = values[k] - needs[0]
+                if sign and out >= 0:
+                    acc.extend([0] * (out + 1 - len(acc)))
+                    acc[out] += -sign if (top - k) % 2 else sign
+            return self.setdefault(state, tuple(acc))
+        first = self.first[p]
+        here = sorted(needs[:first - p])
+        if not (all(map(ge, values[len(values) - len(here):], here))
+                and all(map(le, values, sorted(needs[last - p:])))):
+            return self.setdefault(state, ())
+        child = list(needs[1:])
+
+        def spread(j, left):
+            # spread ``left`` over the targets first..j, from j inward
+            i = j - p - 1
+            need = child[i]
+            if left and j > first:
+                for a in range((min(left, need - low) if j >= last else left) + 1):
+                    child[i] = need - a
+                    spread(j - 1, left - a)
+                child[i] = need
                 return
-            b, p = b - 1, blocks[b - 1][1] - 1
-            slack = base[b] - (out - left)
-        d = deficit[p]
-        hi = min(left, d + slack)
-        lo = max(0, left - slack - sum(deficit[first:p])) if b == 0 else 0
-        if p == first:
-            lo = hi = left
-        for a in range(lo, hi + 1):
-            child[p - 1] = state[p] + a
-            place(b, p - 1, left - a, slack - a + d if a > d else slack)
-        child[p - 1] = state[p]
+            if j >= last and left > need - low:
+                return
+            child[i] = need - left
+            coeffs = self[rest, tuple(child)]
+            child[i] = need
+            if coeffs:
+                acc.extend([0] * (out + len(coeffs) - len(acc)))
+                for d, c in enumerate(coeffs, out):
+                    acc[d] += sign * c
 
-    place(len(blocks) - 1, blocks[-1][1] - 1, out, base[-1])
-    return (0,) * out + tuple(acc)
-
-
-def kostant_q(eta, demand) -> QPoly:
-    """Sum of q^|m| over maps m from the block root set to N with
-    sum of m(i,j) (e_i - e_j) equal to ``demand``."""
-    eta, demand = tuple(eta), tuple(demand)
-    if not _is_root_flow(eta, demand):
-        return ZERO
-    return QPoly(dict(enumerate(_kostant_count(eta, demand))))
+        for k in range(top, -1, -1):
+            out = values[k] - needs[0]
+            if out < 0:
+                break
+            rest = values[:k] + values[k + 1:]
+            low = rest[0]
+            sign = -1 if (top - k) % 2 else 1
+            spread(n - 1, out)
+        return self.setdefault(state, tuple(acc))
 
 
-def _root_flow_arrangements(lam_rho, gamma_rho, eta):
-    """Yield (sign, demand) for the arrangements of ``lam_rho`` whose demand
-    ``arrangement - gamma_rho`` meets Gale's condition, tested as positions
-    are filled (the total is zero when |lam_rho| = |gamma_rho|).  Each
-    arrangement is one w, as ``lam_rho`` is strictly decreasing, and its
-    sign counts the pairs placed out of order.
-    """
-    n = len(lam_rho)
-    starts = set(itertools.accumulate(eta, initial=0))
-    used = [False] * n
-    demand = [0] * n
-
-    def place(p, before, slack, inversions):
-        if p == n:
-            yield (-1 if inversions % 2 else 1), tuple(demand)
-            return
-        if p in starts:
-            slack = before
-        for k in range(n):
-            d = lam_rho[k] - gamma_rho[p]
-            if used[k] or slack + d < 0:  # slack >= 0, so only a deficit fails
-                continue
-            used[k] = True
-            demand[p] = d
-            yield from place(p + 1, before + d, slack + d if d < 0 else slack,
-                             inversions + sum(used[k + 1:]))
-            used[k] = False
-
-    yield from place(0, 0, 0, 0)
+# one dict of states per (gamma + rho, eta), kept while that stays the same
+@lru_cache(maxsize=1)
+def _kostant_states(gamma_rho, eta) -> _KostantStates:
+    return _KostantStates(eta)
 
 
 def k_by_kostant(idx: KIndex) -> QPoly:
-    """Engine A: alternating sum over W of q-counted root flows, walking
-    only the arrangements whose demand is a root-flow demand."""
+    """Engine A: Kostant's alternating sum of q-counted root flows."""
     lam, gamma, eta = idx.lam, idx.gamma, idx.eta
     if not is_weakly_decreasing(lam):
         raise ValueError(f"lambda must be dominant, got {lam}")
     if sum(lam) != sum(gamma):
         return ZERO
-    walk = _root_flow_arrangements(vec_add(lam, rho(idx.n)), vec_add(gamma, rho(idx.n)), eta)
-    return sum((kostant_q(eta, d) * sign for sign, d in walk), ZERO)
+    n = len(lam)
+    lam_rho = tuple(map(add, reversed(lam), range(n)))
+    gamma_rho = tuple(map(add, gamma, range(n - 1, -1, -1)))
+    if len(eta) < 2:
+        return ONE * _runs_sign([bisect_right(lam_rho, b) for b in gamma_rho])
+    coeffs = _kostant_states(gamma_rho, eta)[lam_rho, gamma_rho]  # nothing placed yet
+    return QPoly(dict(enumerate(coeffs))) if coeffs else ZERO
 
 
 # ---------------------------------------------------------------------------

@@ -310,7 +310,7 @@ def evacuation(t: Tableau, n: int) -> Tableau:
         for r, ln in enumerate(shapes[i]):
             old = prev[r] if r < len(prev) else 0
             rows[r].extend([i] * (ln - old))
-    return Tableau(rows)
+    return Tableau._of(tuple(map(tuple, rows)))
 
 
 def h_slice(t: Tableau, r: int) -> Tableau:

@@ -14,7 +14,6 @@ from qlr.kpoly import (
     QPoly,
     ZERO,
     _kept_cosets,
-    _root_flow_arrangements,
     bott_straighten,
     charge_engine_status,
     cocharge_kostka,
@@ -27,7 +26,6 @@ from qlr.kpoly import (
     k_by_kostant,
     k_by_recurrence,
     k_by_series,
-    kostant_q,
     kostka_foulkes,
     kostka_number,
     lr_coefficient,
@@ -81,6 +79,123 @@ def test_bott_straighten():
     assert bott_straighten((0, 1)) is None
     assert bott_straighten((0, 2)) == (-1, (1, 1))
     assert bott_straighten((2, 1, 0)) == (1, (2, 1, 0))
+
+
+# ---------------------------------------------------------------------------
+# engine A's former per-arrangement walk, kept as the reference: the
+# arrangements of lambda + rho whose demand meets Gale's condition, each
+# counted by a q-count of the root flows with that demand
+
+
+def _is_root_flow(eta, demand) -> bool:
+    """Gale's condition on ``demand``."""
+    before = start = 0
+    for e in eta:
+        block = demand[start:start + e]
+        if before + sum(x for x in block if x < 0) < 0:
+            return False
+        before, start = before + sum(block), start + e
+    return before == 0
+
+
+@cache
+def _kostant_count(widths, state) -> tuple[int, ...]:
+    """Coefficients by q-degree of the sum of q^|m| over the root flows m
+    with demand ``state``, which meets Gale's condition, on blocks of sizes
+    ``widths`` (the first cut down to the positions left in it).
+
+    The first position's outflow ``state[0]`` is placed from the farthest
+    block inward.  Sending a_p to p and A to block b or beyond keeps b's
+    condition iff sum(state before b) - A + sum_p min(0, state[p] + a_p) >= 0:
+    each unit past p's deficit spends a unit of b's slack, and the nearest
+    block takes the rest, above a floor that keeps the rest placeable.  So
+    every state built meets Gale's condition.
+    """
+    if len(widths) < 2:
+        return (1,)  # the last block, whose demand is zero
+    out = state[0]
+    rest = widths[1:] if widths[0] == 1 else (widths[0] - 1,) + widths[1:]
+    if not out:
+        return _kostant_count(rest, state[1:])
+    ends = list(itertools.accumulate(widths))
+    blocks = list(zip(ends, ends[1:]))
+    base = [sum(state[:s]) + sum(x for x in state[s:e] if x < 0) for s, e in blocks]
+    deficit = [max(0, -x) for x in state]
+    first = ends[0]
+    child = list(state[1:])
+    acc: list[int] = []
+
+    def place(b, p, left, slack):
+        if p < blocks[b][0]:
+            if b == 0:
+                coeffs = _kostant_count(rest, tuple(child))
+                acc.extend([0] * (len(coeffs) - len(acc)))
+                for k, c in enumerate(coeffs):
+                    acc[k] += c
+                return
+            b, p = b - 1, blocks[b - 1][1] - 1
+            slack = base[b] - (out - left)
+        d = deficit[p]
+        hi = min(left, d + slack)
+        lo = max(0, left - slack - sum(deficit[first:p])) if b == 0 else 0
+        if p == first:
+            lo = hi = left
+        for a in range(lo, hi + 1):
+            child[p - 1] = state[p] + a
+            place(b, p - 1, left - a, slack - a + d if a > d else slack)
+        child[p - 1] = state[p]
+
+    place(len(blocks) - 1, blocks[-1][1] - 1, out, base[-1])
+    return (0,) * out + tuple(acc)
+
+
+def kostant_q(eta, demand) -> QPoly:
+    """Sum of q^|m| over maps m from the block root set to N with
+    sum of m(i,j) (e_i - e_j) equal to ``demand``."""
+    eta, demand = tuple(eta), tuple(demand)
+    if not _is_root_flow(eta, demand):
+        return ZERO
+    return QPoly(dict(enumerate(_kostant_count(eta, demand))))
+
+
+def _root_flow_arrangements(lam_rho, gamma_rho, eta):
+    """Yield (sign, demand) for the arrangements of ``lam_rho`` whose demand
+    ``arrangement - gamma_rho`` meets Gale's condition, tested as positions
+    are filled (the total is zero when |lam_rho| = |gamma_rho|).  Each
+    arrangement is one w, as ``lam_rho`` is strictly decreasing, and its
+    sign counts the pairs placed out of order.
+    """
+    n = len(lam_rho)
+    starts = set(itertools.accumulate(eta, initial=0))
+    used = [False] * n
+    demand = [0] * n
+
+    def place(p, before, slack, inversions):
+        if p == n:
+            yield (-1 if inversions % 2 else 1), tuple(demand)
+            return
+        if p in starts:
+            slack = before
+        for k in range(n):
+            d = lam_rho[k] - gamma_rho[p]
+            if used[k] or slack + d < 0:  # slack >= 0, so only a deficit fails
+                continue
+            used[k] = True
+            demand[p] = d
+            yield from place(p + 1, before + d, slack + d if d < 0 else slack,
+                             inversions + sum(used[k + 1:]))
+            used[k] = False
+
+    yield from place(0, 0, 0, 0)
+
+
+def kostant_walk_reference(idx: KIndex) -> QPoly:
+    """Kostant's sum one root-flow arrangement at a time."""
+    if sum(idx.lam) != sum(idx.gamma):
+        return ZERO
+    n = idx.n
+    walk = _root_flow_arrangements(vec_add(idx.lam, rho(n)), vec_add(idx.gamma, rho(n)), idx.eta)
+    return sum((kostant_q(idx.eta, d) * sign for sign, d in walk), ZERO)
 
 
 def test_kostant_counts():
@@ -161,7 +276,7 @@ def test_kostant_q_is_nonzero_exactly_on_root_flow_demands():
 def test_kostant_count_builds_only_root_flow_states(monkeypatch):
     # every (block sizes, demand) state the count recurses into meets
     # Gale's condition: n <= 5, every eta, entries in [-2, 2]
-    count = kpoly._kostant_count
+    count = _kostant_count
     count.cache_clear()
     states = []
 
@@ -169,7 +284,7 @@ def test_kostant_count_builds_only_root_flow_states(monkeypatch):
         states.append((widths, state))
         return count(widths, state)
 
-    monkeypatch.setattr(kpoly, "_kostant_count", recorded)
+    monkeypatch.setitem(globals(), "_kostant_count", recorded)
     for n in range(1, 6):
         for eta in compositions(n):
             for d in itertools.product(range(-2, 3), repeat=n):
@@ -281,6 +396,45 @@ def test_kostant_walk_matches_reference_and_recurrence(seed):
 def test_kostant_agrees_with_recurrence_at_the_n8_anchor():
     idx = KIndex((6, 4, 3, 2, 1, 0, 0, 0), (2,) * 8, (2, 2, 2, 2))
     assert k_by_kostant(idx) == k_by_recurrence(idx.lam, idx.rects())
+
+
+def test_kostant_walk_matches_the_arrangement_walk_exhaustively():
+    # every eta, every partition gamma and lambda, n <= 5, weight <= 5
+    checked = 0
+    for n in range(1, 6):
+        for eta in compositions(n):
+            for size in range(6):
+                for gamma in partitions(size, max_len=n):
+                    for lam in partitions(size, max_len=n):
+                        idx = KIndex(pad(lam, n), pad(gamma, n), eta)
+                        assert k_by_kostant(idx) == kostant_walk_reference(idx), idx
+                        checked += 1
+    assert checked == 2318
+
+
+def test_kostant_walk_matches_the_arrangement_walk_off_partitions():
+    # gamma with entries out of order or negative, on random indices
+    rng = random.Random(7)
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        eta = rng.choice(compositions(n))
+        gamma = tuple(rng.randint(-2, 3) for _ in range(n))
+        size = sum(gamma)
+        lam = pad(rng.choice(list(partitions(size, max_len=n))), n) if size >= 0 else (0,) * n
+        idx = KIndex(lam, gamma, eta)
+        assert k_by_kostant(idx) == kostant_walk_reference(idx), idx
+
+
+def test_kostant_walk_shares_states_at_the_n8_anchor():
+    # the anchor has 260 root-flow arrangements; the walk visits each of
+    # its distinct states once
+    idx = KIndex((6, 4, 3, 2, 1, 0, 0, 0), (2,) * 8, (2, 2, 2, 2))
+    kpoly._kostant_states.cache_clear()
+    k_by_kostant(idx)
+    states = kpoly._kostant_states(vec_add(idx.gamma, rho(8)), idx.eta)
+    walked = list(_root_flow_arrangements(
+        vec_add(idx.lam, rho(8)), vec_add(idx.gamma, rho(8)), idx.eta))
+    assert (len(walked), len(states)) == (260, 1264)
 
 
 def test_kostka_numbers():

@@ -5,6 +5,7 @@ import pytest
 from qlr import verify
 from qlr.kpoly import QPoly, cocharge_kostka, k_by_recurrence
 from qlr.shapes import pad, partitions, rect_sequence
+from qlr.tableaux import Tableau
 from qlr.verify import (
     CHECKS,
     SCANS,
@@ -159,6 +160,23 @@ def test_ev_duality_runs_column_rsk_once_per_word_sequence(monkeypatch):
     verify._column_rsk_table.cache_clear()
     ev, fit = check_ev_duality(6, 3), check_white_fitting(6, 3)
     assert (len(calls), ev.checks, ev.ok, fit.ok) == (6013, 6013, True, True)
+
+
+def test_white_fitting_and_evacuation_build_no_validated_tableau(monkeypatch):
+    # the white-fitting test reads the word rows with the trimmed inner
+    # shape, and evacuation fills a nested chain of shapes: both are trusted
+    built = []
+    original = Tableau.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tableau, "__init__", counted)
+    verify._column_rsk_table.cache_clear()
+    fit, ev = check_white_fitting(4, 3), check_ev_duality(4, 3)
+    assert (fit.ok, ev.ok, len(built)) == (True, True, 0)
+    assert (fit.checks, ev.checks) == (9930, 960)
 
 
 def word_sequences_reference(total, alphabet):

@@ -10,9 +10,9 @@ from .shapes import (
     box_complement,
     compositions,
     conjugate,
-    dominant_sort,
     dominates,
     from_rects,
+    matching_perm,
     n_stat,
     normalize_index,
     partitions,

@@ -39,25 +39,17 @@ def _strip(rows, block, m: int):
     return rest
 
 
-def _cat_step(rows, rseq: RectSequence, shift: int):
-    """Strip Y_1 off the rows of a straight tableau and row-insert the north rows,
-    then the south ones, each bottom to top and lowered by ``shift``; None without Y_1."""
-    m = rseq.eta[0]
-    rest = _strip(rows, yamanouchi_block(rseq, 0).rows, m)
+def _cat_step(rows, block, m: int, cut: int, shift: int):
+    """Strip ``block`` (the letters 1..m) off the rows of a straight tableau and
+    row-insert its first ``cut`` rows, then the others, each bottom to top and
+    lowered by ``shift``; None when the letters 1..m do not fill ``block``."""
+    rest = _strip(rows, block, m)
     if rest is None:
         return None
     out: list[list[int]] = []
-    for x in chain(*rest[:m][::-1], *rest[m:][::-1]):
+    for x in chain(*rest[:cut][::-1], *rest[cut:][::-1]):
         _insert(out, x - shift, bisect_right)
     return tuple(map(tuple, out))
-
-
-def _catabolize(t: Tableau, block: Tableau, m: int, cut, at: int):
-    """One catabolism step: strip ``block`` (the letters 1..m) off t and
-    apply the slice ``cut(rest, at)``; None when t restricted to 1..m is not
-    ``block``."""
-    rest = None if t.inner else _strip(t.rows, block.rows, m)
-    return None if rest is None else cut(Tableau(rest, block.outer), at)
 
 
 def cat_block(t: Tableau, rseq: RectSequence):
@@ -66,7 +58,8 @@ def cat_block(t: Tableau, rseq: RectSequence):
     Returns None when t is skew or does not restrict to Y_1 on the first
     alphabet block.  The result keeps its letters in the original alphabet.
     """
-    rows = None if t.inner else _cat_step(t.rows, rseq, 0)
+    m = rseq.eta[0]
+    rows = None if t.inner else _cat_step(t.rows, yamanouchi_block(rseq, 0).rows, m, m, 0)
     return None if rows is None else Tableau._of(rows)
 
 
@@ -98,7 +91,8 @@ def _catabolizable(rows, rseq: RectSequence) -> bool:
     """Catabolizability of a straight tableau's rows; each tail is tested once."""
     if rseq.t == 0:
         return not rows
-    after = _cat_step(rows, rseq, rseq.eta[0])
+    m = rseq.eta[0]
+    after = _cat_step(rows, yamanouchi_block(rseq, 0).rows, m, m, m)
     return after is not None and _catabolizable(after, rseq.tail())
 
 
@@ -163,18 +157,16 @@ def catabolism_type(t: Tableau):
     return tuple(a - b for a, b in zip(runs, [0] + runs[:-1]))
 
 
-def one_row_tableau(m: int) -> Tableau:
-    return Tableau([list(range(1, m + 1))]) if m else EMPTY
-
-
 def row_catabolism(t: Tableau, m: int):
     """H_1 of (t minus the one-row tableau on 1..m), or None."""
-    return _catabolize(t, one_row_tableau(m), m, h_slice, 1)
+    rows = None if t.inner else _cat_step(t.rows, (tuple(range(1, m + 1)),), m, 1, 0)
+    return None if rows is None else Tableau._of(rows)
 
 
 def column_catabolism(t: Tableau, m: int):
     """V_m of (t minus the one-row tableau on 1..m), or None."""
-    return _catabolize(t, one_row_tableau(m), m, v_slice, m)
+    rest = None if t.inner else _strip(t.rows, (tuple(range(1, m + 1)),), m)
+    return None if rest is None else v_slice(Tableau(rest, (m,)), m)
 
 
 def _mu_catabolizable(t: Tableau, mu, step) -> bool:

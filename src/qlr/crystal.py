@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .shapes import dominant_sort, pad, perm_inverse, reduced_word, trim
+from .shapes import matching_perm, pad, reduced_word, trim
 from .tableaux import Tableau, Word, content
 
 
@@ -89,11 +89,10 @@ def plactic_act(w_perm, u) -> Word:
 
 
 def sort_to_partition_content(u) -> Word:
-    """Act by the inverse sorting permutation, making the content dominant."""
+    """Act by the shortest permutation that sorts the content into a partition."""
     u = tuple(u)
     alpha = content(u)
-    _, w = dominant_sort(alpha)
-    return plactic_act(perm_inverse(w), u)
+    return plactic_act(matching_perm(alpha, sorted(alpha, reverse=True)), u)
 
 
 def refill(t: Tableau, w) -> Tableau:

@@ -21,14 +21,7 @@ from dataclasses import dataclass, replace
 
 from .charge import cocharge_grade
 from .crystal import lowering, plactic_act, refill
-from .shapes import (
-    dominant_sort,
-    dominates,
-    is_weakly_decreasing,
-    pad,
-    perm_inverse,
-    trim,
-)
+from .shapes import dominates, is_weakly_decreasing, matching_perm, pad, trim
 from .tableaux import (
     Tableau,
     _insert,
@@ -92,22 +85,6 @@ def cocyclage(t: Tableau, cell):
 # embeddings between contents
 
 
-def _matching_perm(src, dst):
-    """Canonical w with perm_apply(w, src) == dst: equal values match stably."""
-    n = len(src)
-    used = [False] * n
-    w = [0] * n
-    for i, x in enumerate(dst):
-        for j in range(n):
-            if not used[j] and src[j] == x:
-                used[j] = True
-                w[j] = i + 1
-                break
-        else:
-            raise ValueError(f"{dst} is not a rearrangement of {src}")
-    return tuple(w)
-
-
 def content_embedding(alpha, beta, t: Tableau) -> Tableau:
     """The graded embedding of the content-alpha poset into content-beta.
 
@@ -139,9 +116,9 @@ def content_embedding(alpha, beta, t: Tableau) -> Tableau:
             if dominates(tuple(sorted(moved, reverse=True)), target):
                 break
         # the staged content has c_1 >= c_2 + 2: at least two 1's are unpaired
-        w = lowering(plactic_act(_matching_perm(cnt, (mu[i], mu[j], *rest)), w), 1)
+        w = lowering(plactic_act(matching_perm(cnt, (mu[i], mu[j], *rest)), w), 1)
         cnt = moved
-    return refill(t, plactic_act(_matching_perm(cnt, beta), w))
+    return refill(t, plactic_act(matching_perm(cnt, beta), w))
 
 
 def cyclage_standardization(t: Tableau) -> Tableau:
@@ -185,8 +162,8 @@ def cyclage_poset(alpha) -> CyclagePoset:
         raise ValueError(f"poset size {sum(alpha)} exceeds {MAX_POSET_SIZE}")
     verts = all_cst_of_content(alpha)
     # the sorting permutation is the identity when alpha is a partition
-    _, w = dominant_sort(alpha)
-    w_inv = perm_inverse(w)
+    mu = tuple(sorted(alpha, reverse=True))
+    w, w_inv = matching_perm(mu, alpha), matching_perm(alpha, mu)
     edges = []
     for v in verts:
         for e in cyclage_covers(refill(v, plactic_act(w_inv, v.word()))):

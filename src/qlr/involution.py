@@ -29,13 +29,8 @@ from .kpoly import QPoly, k_by_recurrence
 from .shapes import (
     RectSequence,
     Vec,
-    adjacent_transposition,
-    identity_perm,
     pad,
     partitions,
-    perm_apply,
-    perm_inverse,
-    perm_mul,
     perm_sign,
     rho,
     trim,
@@ -72,13 +67,11 @@ class InvolutionContext:
         self.r1 = rseq.rects[0]
         self.gamma_hat = self.gamma[self.m:]
         self.t_content = (0,) * self.m + self.gamma_hat
+        self.lam_rho = vec_add(self.lam, rho(self.n))
         self._catabolizable_ts: dict[Vec, dict[Tableau, None]] = {}
 
     def xi(self, w) -> Vec:
-        return vec_sub(
-            perm_apply(perm_inverse(w), vec_add(self.lam, rho(self.n))),
-            rho(self.n),
-        )
+        return vec_sub([self.lam_rho[x - 1] for x in w], rho(self.n))
 
     def u_content(self, w):
         """Content vector of U for this w, or None when no U can exist."""
@@ -136,7 +129,7 @@ class InvolutionContext:
         r = lattice_violation(qw)
         if r is None:
             return None
-        w2 = perm_mul(w, adjacent_transposition(self.n, r))
+        w2 = w[:r - 1] + (w[r], w[r - 1]) + w[r + 1:]  # w s_r
         return w2, p, refill(q, lattice_involution(qw))
 
     def theta(self, triple: SignedTriple):
@@ -174,9 +167,8 @@ class InvolutionContext:
         only those.
         """
         n = self.n
-        lam_rho = vec_add(self.lam, rho(n))
         caps = [
-            sum(1 for x in lam_rho if x >= floor)
+            sum(1 for x in self.lam_rho if x >= floor)
             for floor in vec_add(rho(n), pad(self.r1, n))
         ]
         used = [False] * (n + 1)
@@ -247,7 +239,7 @@ def verify_involution(lam, rseq: RectSequence) -> InvolutionReport:
     """Run the whole cancellation argument for one dominant index."""
     ctx = InvolutionContext(lam, rseq)
     lam = ctx.lam
-    identity = identity_perm(ctx.n)
+    identity = tuple(range(1, ctx.n + 1))
     superstandard = yamanouchi_tableau(lam)
 
     signed: Counter[int] = Counter()

@@ -42,6 +42,7 @@ from .shapes import (
     normalize_index,
     pad,
     partitions_containing,
+    perm_sign,
     rect_sequence,
     rho,
     roots_of,
@@ -260,7 +261,7 @@ def _runs_sign(heads) -> int:
     the heads are 1..m in some order."""
     if sorted(heads) != list(range(1, len(heads) + 1)):
         return 0
-    return -1 if sum(x < y for x, y in itertools.combinations(heads, 2)) % 2 else 1
+    return perm_sign([-x for x in heads])
 
 
 class _KostantStates(dict):

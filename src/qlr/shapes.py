@@ -8,8 +8,9 @@ values are hashable and safe to share across threads.  Conventions:
   canonical form trims trailing zeros;
 * a *composition* is a tuple of nonnegative integers;
 * a permutation ``w`` is stored in one-line notation as a tuple with
-  ``w[i] == w(i+1)`` (0-based storage, 1-based values), acting on weights by
-  ``(w.v)[i] = v[w^{-1}(i)]``.
+  ``w[i] == w(i+1)`` (0-based storage, 1-based values); it moves the entry at
+  position j of a weight to position w(j), and ``matching_perm`` gives the
+  shortest w that takes one weight to a rearrangement of it.
 """
 
 from __future__ import annotations
@@ -102,42 +103,22 @@ def vec_sub(a, b) -> Vec:
 # permutations (one-line notation)
 
 
-def inversions(w) -> int:
-    return sum(1 for i, j in itertools.combinations(range(len(w)), 2) if w[i] > w[j])
-
-
 def perm_sign(w) -> int:
-    return -1 if inversions(w) % 2 else 1
+    """(-1) to the number of pairs of entries out of increasing order."""
+    return -1 if sum(x > y for x, y in itertools.combinations(w, 2)) % 2 else 1
 
 
-def perm_inverse(w) -> Vec:
-    inv = [0] * len(w)
-    for i, x in enumerate(w):
-        inv[x - 1] = i + 1
-    return tuple(inv)
-
-
-def perm_mul(u, v) -> Vec:
-    """Composition u*v, acting as functions: (u*v)(i) = u(v(i))."""
-    return tuple(u[v[i] - 1] for i in range(len(u)))
-
-
-def perm_apply(w, v) -> Vec:
-    """Place permutation: entry at position j moves to position w(j)."""
-    out = [0] * len(v)
-    for j, i in enumerate(w):
-        out[i - 1] = v[j]
-    return tuple(out)
-
-
-def identity_perm(n: int) -> Vec:
-    return tuple(range(1, n + 1))
-
-
-def adjacent_transposition(n: int, r: int) -> Vec:
-    """The simple transposition swapping r and r+1 (1-based) in S_n."""
-    w = list(range(1, n + 1))
-    w[r - 1], w[r] = w[r], w[r - 1]
+def matching_perm(src, dst) -> Vec:
+    """The shortest w moving the entry at position j of ``src`` to position
+    w(j) of ``dst``: equal values keep their order.  Raises ValueError unless
+    ``dst`` is a rearrangement of ``src``."""
+    by_src = sorted(range(len(src)), key=src.__getitem__)
+    by_dst = sorted(range(len(dst)), key=dst.__getitem__)
+    if [src[j] for j in by_src] != [dst[i] for i in by_dst]:
+        raise ValueError(f"{dst} is not a rearrangement of {src}")
+    w = [0] * len(src)
+    for j, i in zip(by_src, by_dst):
+        w[j] = i + 1
     return tuple(w)
 
 
@@ -165,20 +146,6 @@ def reduced_word(w: Vec) -> Vec:
     return tuple(reversed(swaps))
 
 
-def dominant_sort(a):
-    """Sort a weight into dominant (weakly decreasing) order.
-
-    Returns ``(a_plus, w)`` where ``perm_apply(w, a_plus) == a`` and ``w`` is
-    the shortest such permutation; stability among equal entries realizes the
-    minimal inversion count.
-    """
-    a = tuple(a)
-    order = sorted(range(len(a)), key=lambda j: (-a[j], j))
-    a_plus = tuple(a[j] for j in order)
-    w = tuple(j + 1 for j in order)
-    return a_plus, w
-
-
 def straighten(alpha):
     """Bott straightening of a weight: None when alpha + rho has a repeat,
     else (sign, dominant weight) with alpha + rho sorted and shifted back."""
@@ -186,8 +153,8 @@ def straighten(alpha):
     v = vec_add(alpha, rho(n))
     if len(set(v)) < n:
         return None
-    inv = sum(1 for i, j in itertools.combinations(range(n), 2) if v[i] < v[j])
-    return (-1 if inv % 2 else 1), vec_sub(tuple(sorted(v, reverse=True)), rho(n))
+    # the sign of sorting v into decreasing order
+    return perm_sign([-x for x in v]), vec_sub(tuple(sorted(v, reverse=True)), rho(n))
 
 
 # ---------------------------------------------------------------------------

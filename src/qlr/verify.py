@@ -272,6 +272,24 @@ def scan_catabolizable(max_n: int, max_weight: int, *, sample=None) -> ScanRepor
     return _scan_family("catabolizable", max_n, max_weight, sample, check)
 
 
+def _grows(kind: str):
+    """The scan check that K grows coefficientwise from each index's block
+    sequence to every variant ``prepare`` made of it."""
+
+    def check(rep, idx, rseq, variants):
+        if not variants:
+            return
+        base = k_by_recurrence(idx.lam, rseq)
+        for variant in variants:
+            rep.checks += 1
+            other = k_by_recurrence(idx.lam, variant)
+            if not base.leq(other):
+                rep.found(check=kind, index=idx, variant_eta=variant.eta,
+                          poly=base, other=other)
+
+    return check
+
+
 def scan_monotonicity_refine(max_n: int, max_weight: int, *, sample=None) -> ScanReport:
     """Refining one block of a dominant sequence should grow K coefficientwise."""
 
@@ -284,23 +302,8 @@ def scan_monotonicity_refine(max_n: int, max_weight: int, *, sample=None) -> Sca
             for a in range(1, part)
         ]
 
-    def check(rep, idx, rseq, refinements):
-        if not refinements:
-            return
-        base = k_by_recurrence(idx.lam, rseq)
-        for finer in refinements:
-            rep.checks += 1
-            bigger = k_by_recurrence(idx.lam, finer)
-            if not base.leq(bigger):
-                rep.found(
-                    check="monotonicity1",
-                    index=idx,
-                    refined_eta=finer.eta,
-                    poly=base,
-                    refined=bigger,
-                )
-
-    return _scan_family("monotonicity1", max_n, max_weight, sample, check, prepare)
+    kind = "monotonicity1"
+    return _scan_family(kind, max_n, max_weight, sample, _grows(kind), prepare)
 
 
 def _rectangle_runs(rseq):
@@ -339,23 +342,8 @@ def scan_monotonicity_heights(max_n: int, max_weight: int, *, sample=None) -> Sc
                 variants.append(rect_sequence(eta[:start] + beta + eta[stop:], rseq.gamma))
         return variants
 
-    def check(rep, idx, rseq, variants):
-        if not variants:
-            return
-        base = k_by_recurrence(idx.lam, rseq)
-        for spread in variants:
-            rep.checks += 1
-            other = k_by_recurrence(idx.lam, spread)
-            if not base.leq(other):
-                rep.found(
-                    check="monotonicity2",
-                    index=idx,
-                    new_eta=spread.eta,
-                    poly=base,
-                    other=other,
-                )
-
-    return _scan_family("monotonicity2", max_n, max_weight, sample, check, prepare)
+    kind = "monotonicity2"
+    return _scan_family(kind, max_n, max_weight, sample, _grows(kind), prepare)
 
 
 SCANS = {

@@ -157,7 +157,8 @@ def test_cat_step_matches_the_tableau_reference():
                 after = cat_block_by_tableaux(t, rseq)
                 assert cat_block(t, rseq) == after, (t, rseq)
                 lowered = None if after is None else after.relabel(-m).rows
-                assert _cat_step(t.rows, rseq, m) == lowered, (t, rseq)
+                y1 = yamanouchi_block(rseq, 0).rows
+                assert _cat_step(t.rows, y1, m, m, m) == lowered, (t, rseq)
                 outcomes[after is None] += 1
     assert outcomes[True] and outcomes[False]
 

@@ -15,7 +15,7 @@ from qlr.crystal import (
     refill,
     sort_to_partition_content,
 )
-from qlr.shapes import all_permutations, perm_apply
+from qlr.shapes import all_permutations
 from qlr.tableaux import column_rsk, content, schensted_p, tab
 
 # the worked 25-letter example word
@@ -25,6 +25,14 @@ U25 = (1, 2, 4, 3, 1, 2, 2, 3, 3, 4, 2, 3, 3, 4, 3, 3, 1, 3, 1, 2, 3, 4, 2, 2, 3
 def all_words(alphabet, max_len):
     for ln in range(max_len + 1):
         yield from itertools.product(range(1, alphabet + 1), repeat=ln)
+
+
+def perm_apply(w, v):
+    """Place permutation: entry at position j moves to position w(j)."""
+    out = [0] * len(v)
+    for j, i in enumerate(w):
+        out[i - 1] = v[j]
+    return tuple(out)
 
 
 def test_pairing_on_worked_example():

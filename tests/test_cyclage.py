@@ -7,7 +7,6 @@ from qlr.charge import cocharge_grade, cocharge_tableau
 from qlr.crystal import lowering, plactic_act, refill
 from qlr.cyclage import (
     CyclageEdge,
-    _matching_perm,
     cocyclage,
     content_embedding,
     cyclage_covers,
@@ -18,9 +17,9 @@ from qlr.shapes import (
     all_permutations,
     compositions,
     dominates,
+    matching_perm,
     pad,
     partitions,
-    perm_apply,
 )
 from qlr.tableaux import (
     Tableau,
@@ -29,6 +28,14 @@ from qlr.tableaux import (
     standard_tableaux,
     tab,
 )
+
+
+def perm_apply(w, v):
+    """Place permutation: entry at position j moves to position w(j)."""
+    out = [0] * len(v)
+    for j, i in enumerate(w):
+        out[i - 1] = v[j]
+    return tuple(out)
 
 
 # Reference: the tableau-by-tableau embedding that the word-level loop
@@ -57,7 +64,7 @@ def permute_content(t: Tableau, target) -> Tableau:
     """Plactic action by a permutation taking t's content to ``target``."""
     target = tuple(target)
     src = pad(t.content(), len(target))
-    w = _matching_perm(src, target)
+    w = matching_perm(src, target)
     return refill(t, plactic_act(w, t.word()))
 
 

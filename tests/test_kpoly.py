@@ -45,8 +45,6 @@ from qlr.shapes import (
     pad,
     partitions,
     partitions_upto,
-    perm_apply,
-    perm_inverse,
     perm_sign,
     rect_sequence,
     rho,
@@ -327,7 +325,7 @@ def _arrangement_demands(idx: KIndex):
     lam_rho = vec_add(idx.lam, rho(n))
     gamma_rho = vec_add(idx.gamma, rho(n))
     for w in all_permutations(n):
-        yield perm_sign(w), vec_sub(perm_apply(perm_inverse(w), lam_rho), gamma_rho)
+        yield perm_sign(w), vec_sub([lam_rho[x - 1] for x in w], gamma_rho)
 
 
 def kostant_reference(idx: KIndex) -> QPoly:

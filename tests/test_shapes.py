@@ -7,18 +7,14 @@ from qlr.shapes import (
     box_complement,
     compositions,
     conjugate,
-    dominant_sort,
     dominates,
     from_rects,
-    inversions,
+    matching_perm,
     n_stat,
     normalize_index,
     pad,
     partitions,
     partitions_containing,
-    perm_apply,
-    perm_inverse,
-    perm_mul,
     perm_sign,
     rect_sequence,
     reduced_word,
@@ -65,25 +61,51 @@ def test_dominance_partial_order_and_conjugation():
                 assert dominates(a, c)
 
 
-def test_dominant_sort_examples():
-    assert dominant_sort((0, 2)) == ((2, 0), (2, 1))
-    assert dominant_sort((2, 2, 1)) == ((2, 2, 1), (1, 2, 3))
-    a_plus, w = dominant_sort((1, 3, 1))
-    assert a_plus == (3, 1, 1)
-    assert perm_apply(w, a_plus) == (1, 3, 1)
+def inversions(w) -> int:
+    return sum(x > y for x, y in itertools.combinations(w, 2))
 
 
-def test_dominant_sort_is_shortest():
+def perm_apply(w, v):
+    """Place permutation: entry at position j moves to position w(j)."""
+    out = [0] * len(v)
+    for j, i in enumerate(w):
+        out[i - 1] = v[j]
+    return tuple(out)
+
+
+def perm_mul(u, v):
+    """Composition u*v, acting as functions: (u*v)(i) = u(v(i))."""
+    return tuple(u[v[i] - 1] for i in range(len(u)))
+
+
+def test_matching_perm_examples():
+    assert matching_perm((0, 2), (2, 0)) == (2, 1)
+    assert matching_perm((2, 2, 1), (2, 2, 1)) == (1, 2, 3)
+    assert matching_perm((3, 1, 1), (1, 3, 1)) == (2, 1, 3)
+    assert matching_perm((1, 3, 1), (3, 1, 1)) == (2, 1, 3)
+    assert matching_perm([], ()) == ()
+
+
+def test_matching_perm_is_shortest():
+    # every pair of rearrangements a, b: w moves a to b with the fewest
+    # inversions, which is the one matching equal values in order
     for n in range(1, 5):
         for a in itertools.product(range(3), repeat=n):
-            a_plus, w = dominant_sort(a)
-            assert perm_apply(w, a_plus) == a
-            best = min(
-                inversions(v)
-                for v in all_permutations(n)
-                if perm_apply(v, a_plus) == a
-            )
-            assert inversions(w) == best
+            for b in set(itertools.permutations(a)):
+                w = matching_perm(a, b)
+                assert perm_apply(w, a) == b
+                best = min(
+                    inversions(v)
+                    for v in all_permutations(n)
+                    if perm_apply(v, a) == b
+                )
+                assert inversions(w) == best, (a, b, w)
+
+
+def test_matching_perm_rejects_a_non_rearrangement():
+    for src, dst in [((1, 2), (2, 2)), ((1, 2), (1, 2, 0)), ((0, 1), (1,))]:
+        with pytest.raises(ValueError):
+            matching_perm(src, dst)
 
 
 def test_permutation_algebra():
@@ -93,7 +115,7 @@ def test_permutation_algebra():
         return tuple(s)
 
     for w in all_permutations(4):
-        assert perm_mul(w, perm_inverse(w)) == (1, 2, 3, 4)
+        assert perm_mul(w, matching_perm((1, 2, 3, 4), w)) == (1, 2, 3, 4)
         word = reduced_word(w)
         assert len(word) == inversions(w)
         rebuilt = (1, 2, 3, 4)

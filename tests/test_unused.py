@@ -1,5 +1,6 @@
 """Every public function and method of qlr, and every private module-level
-helper, is named somewhere besides its def."""
+helper, is named somewhere besides its def; every name a qlr module imports
+is used in it."""
 
 import ast
 import re
@@ -39,4 +40,23 @@ def test_no_public_function_is_unused():
         for word in re.findall(r"\w+", p.read_text())
     )
     unused = sorted(name for name, n in checked_defs().items() if words[name] <= n)
+    assert unused == []
+
+
+def test_no_import_is_unused():
+    # __init__.py is left out: it imports names only to re-export them
+    unused = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []

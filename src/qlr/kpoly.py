@@ -10,8 +10,9 @@ Four independent engines compute the same family K(lambda, gamma, eta):
 * ``k_by_recurrence``  -- the block-peeling recurrence driven by minimal
                           coset representatives and skew LR coefficients;
 * ``k_by_series``      -- direct expansion of the product generating
-                          function with integer coefficients per monomial,
-                          straightened monomial by monomial;
+                          function, keeping only the monomials whose
+                          alpha + rho can still reach lambda + rho, each
+                          straightened with integer coefficients;
 * ``k_by_charge``      -- the charge generating function over catabolizable
                           tableaux (proven in special cases, otherwise
                           conjectural; the result carries that label).
@@ -445,32 +446,40 @@ def default_degree_bound(lam, gamma) -> int:
     return staircase_functional(vec_sub(lam, gamma))
 
 
-def series_monomials(gamma, eta, bound: int) -> dict[Vec, dict[int, int]]:
+def series_monomials(gamma, eta, bound: int, values=None) -> dict[Vec, dict[int, int]]:
     """Expand the root product against x^gamma up to q-degree ``bound``.
 
     Returns monomial exponent vectors with their coefficients by q-degree;
-    exact for every s_lam, lam a partition, whose attainable degree is at
-    most ``bound``, and empty when ``bound`` is negative.  Roots are taken in
-    sorted order, so position i is finished after the root (i, n): a state
-    is dropped there when alpha_i + rho_i is negative or repeats a finished
-    value, and as soon as a last-block position, which only ever loses, has
-    alpha_j + rho_j below zero.  Such states straighten to zero or to a
-    weight with a negative part.
+    exact for every s_lam, lam a partition with the entries of lam + rho in
+    ``values`` (by default range(|gamma| + n), which holds them for every
+    partition of |gamma|), whose attainable degree is at most ``bound``; empty
+    when ``bound`` is negative.  Roots are taken in sorted order: from its
+    first root (i, .) on position i only gains, and position j can win back
+    at most the degree budget left (nothing in the last block).  So the
+    k-loop of root (i, j) stops once alpha_i + rho_i passes max(values) or
+    alpha_j + rho_j plus that budget is below min(values), and the root
+    (i, n) finishes position i: a state is kept only when alpha_i + rho_i is
+    in ``values`` and is not a finished value.  Every dropped state
+    straightens to zero or to a weight whose lam + rho leaves ``values``.
     """
     gamma = tuple(gamma)
     n = len(gamma)
+    if values is None:
+        values = range(sum(gamma) + n)
+    lo, hi = min(values, default=0), max(values, default=-1)  # empty at n = 0 (no roots)
     states: dict[Vec, dict[int, int]] = {gamma: {0: 1}} if bound >= 0 else {}
     for (i, j) in sorted(roots_of(eta)):
-        floor = j - n if j > n - eta[-1] else None  # alpha_j + rho_j >= 0
+        in_last = j > n - eta[-1]
         new: dict[Vec, dict[int, int]] = {}
         for v, coeffs in states.items():
             vv = list(v)
+            budget = bound - min(coeffs)
+            room = v[j - 1] + n - j - lo
+            stop = min(budget, hi - v[i - 1] - n + i, room if in_last else (room + budget) // 2)
             finished = {v[k] + n - 1 - k for k in range(i - 1)} if j == n else None
-            for k in range(bound - min(coeffs) + 1):
-                if floor is not None and vv[j - 1] < floor:
-                    break
+            for k in range(stop + 1):
                 top = vv[i - 1] + n - i
-                if finished is None or (top >= 0 and top not in finished):
+                if finished is None or (top in values and top not in finished):
                     acc = new.setdefault(tuple(vv), {})
                     for e, c in coeffs.items():
                         if e + k <= bound:
@@ -481,11 +490,11 @@ def series_monomials(gamma, eta, bound: int) -> dict[Vec, dict[int, int]]:
     return states
 
 
-def series_decomposition(gamma, eta, bound: int) -> dict[Vec, QPoly]:
-    """All coefficients K(lambda), lambda a partition, at once, by monomial
-    straightening."""
+def series_decomposition(gamma, eta, bound: int, values=None) -> dict[Vec, QPoly]:
+    """All coefficients K(lambda), lambda a partition with lambda + rho in
+    ``values``, at once, by monomial straightening."""
     out: dict[Vec, dict[int, int]] = {}
-    for alpha, coeffs in series_monomials(gamma, eta, bound).items():
+    for alpha, coeffs in series_monomials(gamma, eta, bound, values).items():
         res = bott_straighten(alpha)
         if res is None:
             continue
@@ -505,7 +514,8 @@ def k_by_series(idx: KIndex, degree_bound: int | None = None) -> QPoly:
         return ZERO
     if degree_bound is None:
         degree_bound = default_degree_bound(lam, gamma)
-    return series_decomposition(gamma, eta, degree_bound).get(lam, ZERO)
+    lam_rho = frozenset(map(add, lam, rho(len(lam))))
+    return series_decomposition(gamma, eta, degree_bound, lam_rho).get(lam, ZERO)
 
 
 # ---------------------------------------------------------------------------

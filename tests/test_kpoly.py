@@ -41,6 +41,7 @@ from qlr.shapes import (
     box_complement,
     compositions,
     conjugate,
+    dominates,
     is_weakly_decreasing,
     pad,
     partitions,
@@ -738,6 +739,55 @@ def test_series_prunes_dead_states():
     kept = series_monomials((1, 1, 1, 1), (2, 2), 4)
     assert 0 < len(kept) < len(full)
     assert all(min(lam) >= 0 for lam in series_decomposition((1, 1, 1, 1), (2, 2), 4))
+    # x^(1^6) against eta=(2,2,2): keeping finished values inside
+    # range(|gamma| + n), not just >= 0, cuts 679 kept states to 581 at the
+    # full bound; lambda's own values cut the 577 at its bound 8 to 10
+    gamma, eta, lam = (1,) * 6, (2, 2, 2), (2, 2, 1, 1, 0, 0)
+    assert len(series_monomials(gamma, eta, 15)) == 581
+    assert len(series_monomials(gamma, eta, 8)) == 577
+    assert len(series_monomials(gamma, eta, 8, frozenset(vec_add(lam, rho(6))))) == 10
+
+
+def test_targeted_series_keeps_only_monomials_that_can_reach_lambda():
+    # with values = lambda + rho the expansion keeps a subset of the
+    # reference's monomials, each with the reference coefficient and with
+    # distinct finished values in lambda + rho; every dropped one straightens
+    # to zero or to another weight, so lambda's coefficient does not change
+    for gamma, eta, lams in index_family(4, 4):
+        n = len(gamma)
+        top = default_degree_bound((sum(gamma),) + (0,) * (n - 1), gamma)
+        for bound in range(-1, top + 1):
+            reference = series_monomials_reference(gamma, eta, bound)
+            decomposition = series_decomposition(gamma, eta, bound)
+            for lam in lams:
+                values = frozenset(vec_add(lam, rho(n)))
+                kept = series_monomials(gamma, eta, bound, values)
+                for alpha, coeffs in kept.items():
+                    assert QPoly(coeffs) == reference[alpha], (gamma, eta, bound, lam, alpha)
+                    finished = vec_add(alpha, rho(n))[:n - eta[-1]]
+                    assert len(set(finished)) == len(finished) and values.issuperset(finished)
+                for alpha in reference.keys() - kept.keys():
+                    res = bott_straighten(alpha)
+                    assert res is None or res[1] != lam, (gamma, eta, bound, lam, alpha)
+                idx = KIndex(lam, gamma, eta)
+                assert k_by_series(idx, bound) == decomposition.get(lam, ZERO), (idx, bound)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_targeted_series_matches_the_recurrence_on_random_indices(seed):
+    # past the exhaustive ranges: dominant indices at n = 7-8; gamma is not
+    # one row and lambda strictly dominates it, so that many coefficients
+    # are nonzero and few are just 1
+    rng = random.Random(seed)
+    for _ in range(15):
+        n = rng.randint(7, 8)
+        weight = rng.randint(5, 8)
+        gamma = pad(rng.choice(partitions(weight, max_len=n)[1:]), n)
+        eta = rng.choice(compositions(n))
+        lam = rng.choice([pad(p, n) for p in partitions(weight, max_len=n)
+                          if pad(p, n) != gamma and dominates(pad(p, n), gamma)])
+        expected = k_by_recurrence(lam, rect_sequence(eta, gamma))
+        assert k_by_series(KIndex(lam, gamma, eta)) == expected, (lam, gamma, eta)
 
 
 @pytest.mark.parametrize("seed", range(2))

@@ -14,18 +14,18 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import chain, zip_longest
 
-from .shapes import RectSequence, is_partition, trim
+from .shapes import RectSequence, block_starts, is_partition, trim
 from .tableaux import EMPTY, Tableau, _insert, enumerate_cst, h_slice, v_slice
 
 
 @cache
 def yamanouchi_block(rseq: RectSequence, i: int) -> Tableau:
     """The block tableau Y_i: row j holds the j-th smallest letter of A_i."""
-    start, _ = rseq.intervals[i]
+    first = block_starts(rseq.eta)[i] + 1
     shape = trim(rseq.rects[i])
     if not is_partition(shape):
         raise ValueError(f"block {i} of {rseq} is not a partition")
-    return Tableau._of(tuple((start + j,) * x for j, x in enumerate(shape)))
+    return Tableau._of(tuple((first + j,) * x for j, x in enumerate(shape)))
 
 
 def _strip(rows, block, m: int):
@@ -111,10 +111,11 @@ def enumerate_catabolizable(shape, rseq: RectSequence) -> tuple[Tableau, ...]:
         m, inner = rseq.eta[0], y1.outer
         if any(a > b for a, b in zip_longest(inner, shape, fillvalue=0)):
             return ()
-        candidates = sorted(
-            (Tableau._of(tuple(y + r for y, r in zip_longest(y1.rows, s.rows, fillvalue=())))
-             for s in enumerate_cst(shape, inner, (0,) * m + rseq.gamma[m:])),
-            key=Tableau.word,
+        # enumerate_cst lists the fillings of shape/Y_1 by word, and Y_1's rows
+        # add the same letters at the same places of every word: no re-sort
+        candidates = (
+            Tableau._of(tuple(y + r for y, r in zip_longest(y1.rows, s.rows, fillvalue=())))
+            for s in enumerate_cst(shape, inner, (0,) * m + rseq.gamma[m:])
         )
     return tuple(t for t in candidates if is_catabolizable(t, rseq))
 

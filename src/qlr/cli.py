@@ -35,7 +35,10 @@ def _vec(text):
     text = text.strip()
     if not text or text == "-":
         return ()
-    return tuple(int(x) for x in text.replace(",", " ").split())
+    fields = text.split(",")
+    if not all(f.strip() for f in fields):
+        raise ValueError(f"empty field in {text!r}")
+    return tuple(map(int, fields))
 
 
 def _emit(obj, out):

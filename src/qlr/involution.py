@@ -93,27 +93,21 @@ class InvolutionContext:
         n, m = self.n, self.m
         words = column_rsk_inverse(triple.t, triple.u)
         words += [()] * (n - len(words))
-        v = [None] * n
-        for j in range(1, n - m + 1):
-            v[m + j - 1] = words[j - 1]
-        for i in range(1, m + 1):
-            v[i - 1] = (i,) * self.gamma[i - 1] + words[n - m + i - 1]
-        p, q = column_rsk(v)
+        # the first m words carry the heads i^gamma_i, the rest follow
+        heads = [(i,) * g + w for i, (g, w) in enumerate(zip(self.gamma, words[n - m:]), 1)]
+        p, q = column_rsk(heads + words[:n - m])
         return triple.w, p, q
 
     def contract(self, w, p: Tableau, q: Tableau) -> SignedTriple:
         """Invert :meth:`expand`; raises when (w, p, q) is not in the image."""
-        n, m = self.n, self.m
-        v = column_rsk_inverse(p, q, labels=list(range(1, n + 1)))
-        words = [None] * n
-        for i in range(1, m + 1):
-            head, tail = v[i - 1][: self.gamma[i - 1]], v[i - 1][self.gamma[i - 1]:]
-            if head != (i,) * self.gamma[i - 1]:
-                raise ValueError(f"word {v[i-1]} does not start with {i}^gamma_{i}")
-            words[n - m + i - 1] = tail
-        for j in range(1, n - m + 1):
-            words[j - 1] = v[m + j - 1]
-        t, u = column_rsk(words)
+        m = self.m
+        v = column_rsk_inverse(p, q, labels=list(range(1, self.n + 1)))
+        tails = []
+        for i, (g, word) in enumerate(zip(self.gamma, v[:m]), 1):
+            if word[:g] != (i,) * g:
+                raise ValueError(f"word {word} does not start with {i}^gamma_{i}")
+            tails.append(word[g:])
+        t, u = column_rsk(v[m:] + tails)
         return SignedTriple(w, t, u)
 
     # -- the cancelling step -------------------------------------------------

@@ -36,6 +36,7 @@ from .crystal import is_mu_lattice
 from .shapes import (
     RectSequence,
     Vec,
+    block_starts,
     dominates,
     from_rects,
     is_partition,
@@ -282,10 +283,10 @@ class _KostantStates(dict):
     """
 
     def __init__(self, eta):
-        starts = list(itertools.accumulate(eta, initial=0))
+        starts = block_starts(eta)
         self.n, self.last = starts[-1], starts[-2]
         # the first position of the block after each position's own
-        self.first = [b for a, b in zip(starts, starts[1:]) for _ in range(a, b)]
+        self.first = [b for a, b in itertools.pairwise(starts) for _ in range(a, b)]
 
     def __missing__(self, state):
         values, needs = state
@@ -468,7 +469,7 @@ def series_monomials(gamma, eta, bound: int, values=None) -> dict[Vec, dict[int,
         values = range(sum(gamma) + n)
     lo, hi = min(values, default=0), max(values, default=-1)  # empty at n = 0 (no roots)
     states: dict[Vec, dict[int, int]] = {gamma: {0: 1}} if bound >= 0 else {}
-    for (i, j) in sorted(roots_of(eta)):
+    for (i, j) in roots_of(eta):
         in_last = j > n - eta[-1]
         new: dict[Vec, dict[int, int]] = {}
         for v, coeffs in states.items():

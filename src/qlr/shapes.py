@@ -161,29 +161,19 @@ def straighten(alpha):
 # the block data attached to a pair (eta, gamma)
 
 
-def block_bounds(eta) -> tuple[tuple[int, int], ...]:
-    """1-based closed intervals A_i = [eta_1+..+eta_{i-1}+1, eta_1+..+eta_i]."""
-    out = []
-    start = 1
-    for e in eta:
-        out.append((start, start + e - 1))
-        start += e
-    return tuple(out)
+def block_starts(eta) -> Vec:
+    """The 0-based start of each block A_1, .., A_t of 1..n, followed by n."""
+    return tuple(itertools.accumulate(eta, initial=0))
 
 
-def roots_of(eta) -> frozenset:
-    """Matrix positions (i, j) strictly above the block diagonal of ``eta``."""
-    n = sum(eta)
-    blocks = block_bounds(eta)
-    block_index = {}
-    for k, (a, b) in enumerate(blocks):
-        for i in range(a, b + 1):
-            block_index[i] = k
-    return frozenset(
+def roots_of(eta) -> tuple[tuple[int, int], ...]:
+    """Matrix positions (i, j) strictly above the block diagonal of ``eta``, sorted."""
+    starts = block_starts(eta)
+    return tuple(
         (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if block_index[i] < block_index[j]
+        for a, b in itertools.pairwise(starts)
+        for i in range(a + 1, b + 1)
+        for j in range(b + 1, starts[-1] + 1)
     )
 
 
@@ -213,10 +203,6 @@ class RectSequence:
     @property
     def t(self) -> int:
         return len(self.eta)
-
-    @property
-    def intervals(self):
-        return block_bounds(self.eta)
 
     @property
     def rects(self) -> tuple[Vec, ...]:
@@ -269,7 +255,7 @@ def normalize_index(lam, gamma, eta):
         return None
 
     sign, straight = 1, []
-    for piece in [lam] + [gamma[a - 1:b] for a, b in block_bounds(eta)]:
+    for piece in [lam] + [gamma[a:b] for a, b in itertools.pairwise(block_starts(eta))]:
         res = straighten(piece)
         if res is None:
             return None

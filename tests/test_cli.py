@@ -25,6 +25,11 @@ def test_compute_single_engine(capsys):
     assert lines[0]["status"] == "exact"
 
 
+def test_compute_accepts_spaces_around_fields(capsys):
+    spaced = run(capsys, "compute", "--lam", " 1, 1", "--gamma", "0 ,2 ", "--eta", "1,1")
+    assert spaced == run(capsys, "compute", "--lam", "1,1", "--gamma", "0,2", "--eta", "1,1")
+
+
 def test_compute_normalizes_the_index_once_besides_the_engine(capsys, monkeypatch):
     # one normalization yields the cache key and the sign; compute() makes the other
     calls = []
@@ -246,6 +251,9 @@ def test_truncated_series_is_labelled_and_not_cached(tmp_path, capsys):
     ("--lam", "2,1", "--gamma", "1,1,1", "--eta", "1,1,1"),
     ("--lam", "2,1", "--rects", "[[1,1],[1"),
     ("--lam", "1,0", "--gamma", "1,0", "--eta", "3,-1"),
+    # an empty field: two commas in a row, or a leading or trailing comma
+    ("--lam", "1,,1", "--gamma", "0,2", "--eta", "1,1"),
+    ("--lam", "1,1", "--gamma", "0,2,", "--eta", "1,1"),
 ])
 def test_compute_rejects_bad_input_with_a_json_error(capsys, argv):
     code, lines = run(capsys, "compute", *argv)
@@ -271,6 +279,9 @@ def test_compute_rejects_bad_input_with_a_json_error(capsys, argv):
     ("scan", "--kind", "positivity", "--max-n", "1", "--out", "{tmp}/no/log"),
     ("dot", "--alpha", "1,1", "--out", "{tmp}"),
     ("check", "--name", "stembridge", "--n", "1", "--out", "{tmp}"),
+    # an empty field
+    ("dot", "--alpha", "2,,1"),
+    ("dot", "--alpha", ",2,1"),
 ])
 def test_every_command_rejects_bad_input_with_a_json_error(tmp_path, capsys, argv):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]

@@ -37,7 +37,7 @@ from qlr.kpoly import (
 )
 from qlr.shapes import (
     all_permutations,
-    block_bounds,
+    block_starts,
     box_complement,
     compositions,
     conjugate,
@@ -218,7 +218,7 @@ def _reference_count(eta, i, state) -> QPoly:
     out = state[0]
     if out < 0:
         return ZERO
-    block_end = next(b for a, b in block_bounds(eta) if a <= i <= b)
+    block_end = next(b for b in block_starts(eta) if b >= i)
     targets = n - block_end
     if not targets:
         return ZERO if out else _reference_count(eta, i + 1, state[1:])
@@ -297,7 +297,7 @@ def _random_flow_demand(rng: random.Random, eta):
     time."""
     n = sum(eta)
     d = [0] * n
-    roots = sorted(roots_of(eta))
+    roots = roots_of(eta)
     for _ in range(rng.randint(1, 6) if roots else 0):
         i, j = rng.choice(roots)
         amount = rng.randint(1, 2)
@@ -683,7 +683,7 @@ def series_monomials_reference(gamma, eta, bound):
     """The series expansion with one QPoly per monomial, clipped at ``bound``
     after every root (nothing for a negative bound)."""
     states = {tuple(gamma): ONE} if bound >= 0 else {}
-    for (i, j) in sorted(roots_of(eta)):
+    for (i, j) in roots_of(eta):
         new = {}
         for v, poly in states.items():
             for k in range(bound - min(poly.coeffs) + 1):

@@ -4,6 +4,7 @@ import pytest
 
 from qlr.shapes import (
     all_permutations,
+    block_starts,
     box_complement,
     compositions,
     conjugate,
@@ -126,12 +127,19 @@ def test_permutation_algebra():
 
 
 def test_roots_of_examples():
-    assert roots_of((4,)) == frozenset()
+    assert roots_of((4,)) == ()
+    assert roots_of(()) == ()
     n = 4
-    assert roots_of((1,) * n) == frozenset(
+    assert roots_of((1,) * n) == tuple(
         (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
     )
-    assert roots_of((2, 1)) == frozenset({(1, 3), (2, 3)})
+    assert roots_of((2, 1)) == ((1, 3), (2, 3))
+    for n in range(1, 7):
+        for eta in compositions(n):
+            block = [k for k, e in enumerate(eta) for _ in range(e)]
+            assert roots_of(eta) == tuple(sorted(
+                (i + 1, j + 1) for i in range(n) for j in range(n) if block[i] < block[j]
+            ))
 
 
 def test_roots_count_invariant():
@@ -148,7 +156,7 @@ def test_roots_count_invariant():
 def test_rect_sequence_examples():
     rs = rect_sequence((2, 2, 1), (3, 2, 2, 1, 1))
     assert rs.rects == ((3, 2), (2, 1), (1,))
-    assert rs.intervals == ((1, 2), (3, 4), (5, 5))
+    assert block_starts(rs.eta) == (0, 2, 4, 5)
     kostka_case = rect_sequence((1, 1, 1), (3, 1, 1))
     assert kostka_case.rects == ((3,), (1,), (1,))
     assert rect_sequence((3,), (2, 1, 0)).rects == ((2, 1, 0),)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -145,6 +146,26 @@ def test_crosscheck_builds_the_reorderings_once_per_group(monkeypatch):
     calls.clear()
     crosscheck_family(3, 3, include_dualities=False)
     assert calls == []
+
+
+def test_crosscheck_builds_one_index_per_index_and_one_rect_sequence_per_group(monkeypatch):
+    # a timing harness marks ops by rebinding these two names in qlr.verify
+    indices, groups = [], []
+    make_index, make_rects = verify.KIndex, verify.rect_sequence
+    monkeypatch.setattr(verify, "KIndex",
+                        lambda lam, gamma, eta: indices.append(lam) or make_index(lam, gamma, eta))
+    monkeypatch.setattr(verify, "rect_sequence",
+                        lambda eta, gamma: groups.append(eta) or make_rects(eta, gamma))
+    for max_n, max_weight, sample, sizes in ((3, 3, None, (84, 44)), (4, 4, (7, 5), (11, 5))):
+        indices.clear()
+        groups.clear()
+        expected = list(index_family(max_n, max_weight))
+        if sample:
+            expected = random.Random(sample[0]).sample(expected, sample[1])
+        crosscheck_family(max_n, max_weight, sample=sample)
+        assert (len(indices), len(groups)) == sizes
+        assert indices == [lam for _, _, lams in expected for lam in lams]
+        assert groups == [eta for _, eta, _ in expected]
 
 
 def test_ev_duality_runs_column_rsk_once_per_word_sequence(monkeypatch):

@@ -45,7 +45,6 @@ from .shapes import (
     pad,
     partitions_containing,
     perm_sign,
-    rect_sequence,
     rho,
     roots_of,
     straighten,
@@ -175,20 +174,27 @@ class KIndex:
         if any(e <= 0 for e in self.eta):
             raise ValueError(f"eta parts must be positive: {self.eta}")
 
+    @classmethod
+    def _of(cls, lam: Vec, gamma: Vec, eta: Vec) -> "KIndex":
+        """Trusted constructor: tuples of one length n, and eta's positive parts sum to n."""
+        idx = object.__new__(cls)
+        object.__setattr__(idx, "lam", lam)
+        object.__setattr__(idx, "gamma", gamma)
+        object.__setattr__(idx, "eta", eta)
+        return idx
+
     @property
     def n(self) -> int:
         return len(self.gamma)
 
     def rects(self) -> RectSequence:
-        return rect_sequence(self.eta, self.gamma)
+        return RectSequence._of(self.eta, self.gamma)
 
     def normalized(self):
         """(sign, normalized index) or None when the polynomial is zero."""
-        res = normalize_index(self.lam, self.gamma, self.eta)
-        if res is None:
+        if (res := normalize_index(self.lam, self.gamma, self.eta)) is None:
             return None
-        sign, lam, gamma = res
-        return sign, KIndex(lam, gamma, self.eta)
+        return res[0], KIndex._of(res[1], res[2], self.eta)
 
 
 def index_from_rects(lam, rects) -> KIndex:
@@ -383,13 +389,14 @@ def _kept_cosets(lam_rho, r1):
     one is too.  Each choice passes i - k unchosen positions.
     """
     n, m = len(lam_rho), len(r1)
-    floors = vec_add(rho(n), r1)
+    rho_n, rho_rest = rho(n), rho(n - m)
+    floors = vec_add(rho_n, r1)
 
     def walk(k, start, chosen, crossings):
         if k == m:
             rest = (x for i, x in enumerate(lam_rho) if i not in chosen)
-            alpha = vec_sub((lam_rho[i] for i in chosen), rho(n))
-            yield (-1 if crossings % 2 else 1), alpha, vec_sub(rest, rho(n - m))
+            alpha = vec_sub((lam_rho[i] for i in chosen), rho_n)
+            yield (-1 if crossings % 2 else 1), alpha, vec_sub(rest, rho_rest)
             return
         for i in range(start, n):
             if lam_rho[i] < floors[k]:
@@ -405,12 +412,12 @@ def _k_rec(lam: Vec, rseq: RectSequence) -> QPoly:
         return ONE if trim(lam) == trim(rseq.gamma) else ZERO
     r1 = rseq.rects[0]
     m, n = len(r1), rseq.n
-    tail = rseq.tail()
+    tail, r1_trim, r1_size = rseq.tail(), trim(r1), sum(r1)
     total: dict[int, int] = {}
     for sign, alpha, beta in _kept_cosets(vec_add(lam, rho(n)), r1):
-        deg = sum(alpha) - sum(r1)
+        deg = sum(alpha) - r1_size
         for sigma in partitions_containing(beta, deg + sum(beta), n - m):
-            c = lr_coefficient(sigma, trim(beta), trim(alpha), trim(r1))
+            c = lr_coefficient(sigma, trim(beta), trim(alpha), r1_trim)
             if c:
                 for e, x in _k_rec(pad(sigma, n - m), tail).coeffs.items():
                     total[deg + e] = total.get(deg + e, 0) + sign * c * x
@@ -422,7 +429,7 @@ def k_by_recurrence(lam, rseq: RectSequence) -> QPoly:
     lam = pad(lam, rseq.n)
     if not is_partition(lam):
         raise ValueError(f"lambda must be a partition, got {lam}")
-    if not rseq.all_partitions():
+    if not all(map(is_partition, rseq.rects)):
         raise ValueError(f"every block of {rseq} must be a partition")
     if sum(lam) != sum(rseq.gamma):
         return ZERO
@@ -626,7 +633,7 @@ def dual_index(idx: KIndex) -> KIndex:
     def star(v):
         return tuple(-x for x in reversed(v))
 
-    return KIndex(star(idx.lam), star(idx.gamma), tuple(reversed(idx.eta)))
+    return KIndex._of(star(idx.lam), star(idx.gamma), tuple(reversed(idx.eta)))
 
 
 def dominant_reorderings(rseq: RectSequence):

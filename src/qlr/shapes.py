@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
+from operator import add, eq, sub
 
 Vec = tuple[int, ...]
 
@@ -149,12 +150,13 @@ def reduced_word(w: Vec) -> Vec:
 def straighten(alpha):
     """Bott straightening of a weight: None when alpha + rho has a repeat,
     else (sign, dominant weight) with alpha + rho sorted and shifted back."""
-    n = len(alpha)
-    v = vec_add(alpha, rho(n))
-    if len(set(v)) < n:
+    down = range(len(alpha) - 1, -1, -1)  # rho
+    v = list(map(add, alpha, down))
+    s = sorted(v, reverse=True)
+    if any(map(eq, s, s[1:])):
         return None
     # the sign of sorting v into decreasing order
-    return perm_sign([-x for x in v]), vec_sub(tuple(sorted(v, reverse=True)), rho(n))
+    return perm_sign([-x for x in v]), tuple(map(sub, s, down))
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +198,14 @@ class RectSequence:
         if any(e <= 0 for e in self.eta):
             raise ValueError(f"eta parts must be positive: {self.eta}")
 
+    @classmethod
+    def _of(cls, eta: Vec, gamma: Vec) -> "RectSequence":
+        """Trusted constructor: tuples, with eta's positive parts tiling gamma."""
+        rs = object.__new__(cls)
+        object.__setattr__(rs, "eta", eta)
+        object.__setattr__(rs, "gamma", gamma)
+        return rs
+
     @property
     def n(self) -> int:
         return len(self.gamma)
@@ -206,8 +216,7 @@ class RectSequence:
 
     @property
     def rects(self) -> tuple[Vec, ...]:
-        out = []
-        start = 0
+        out, start = [], 0
         for e in self.eta:
             out.append(self.gamma[start:start + e])
             start += e
@@ -215,14 +224,10 @@ class RectSequence:
 
     def tail(self) -> "RectSequence":
         """The sequence with the first block removed (alphabet relabelled)."""
-        m = self.eta[0]
-        return RectSequence(self.eta[1:], self.gamma[m:])
+        return RectSequence._of(self.eta[1:], self.gamma[self.eta[0]:])
 
     def is_dominant(self) -> bool:
         return is_weakly_decreasing(self.gamma)
-
-    def all_partitions(self) -> bool:
-        return all(is_partition(r) for r in self.rects)
 
 
 def rect_sequence(eta, gamma) -> RectSequence:
@@ -233,9 +238,7 @@ def rect_sequence(eta, gamma) -> RectSequence:
 def from_rects(rects) -> RectSequence:
     """Build a RectSequence from an explicit list of block weights."""
     rects = [tuple(r) if r else (0,) for r in rects]
-    eta = tuple(len(r) for r in rects)
-    gamma = tuple(itertools.chain.from_iterable(rects))
-    return RectSequence(eta, gamma)
+    return RectSequence._of(tuple(map(len, rects)), tuple(itertools.chain.from_iterable(rects)))
 
 
 def normalize_index(lam, gamma, eta):
@@ -264,9 +267,7 @@ def normalize_index(lam, gamma, eta):
     lam2, gamma2 = straight[0], tuple(itertools.chain.from_iterable(straight[1:]))
 
     shift = -min(min(lam2, default=0), min(gamma2, default=0), 0)
-    lam3 = tuple(x + shift for x in lam2)
-    gamma3 = tuple(x + shift for x in gamma2)
-    return sign, lam3, gamma3
+    return sign, tuple(x + shift for x in lam2), tuple(x + shift for x in gamma2)
 
 
 def box_complement(lam, rseq: RectSequence, size=None):

@@ -29,8 +29,8 @@ from .kpoly import (
     PROVEN,
     QPoly,
     ZERO,
+    _k_rec,
     charge_engine_status,
-    compute,
     default_degree_bound,
     dominant_reorderings,
     dual_index,
@@ -165,10 +165,11 @@ def crosscheck_family(
                        if include_dualities else ())
         return decomposition, product, charge_engine_status(rseq) == PROVEN, reorderings
 
+    # every index here and derived here passes k_by_recurrence's checks
     def check(rep, idx, rseq, prepared):
         decomposition, product, proven, reorderings = prepared
         lam = idx.lam
-        p_rec = k_by_recurrence(lam, rseq)
+        p_rec = _k_rec(lam, rseq)
         p_kos = k_by_kostant(idx)
         p_ser = decomposition.get(lam, ZERO)
         rep.checks += 1
@@ -192,17 +193,18 @@ def crosscheck_family(
             rep.found(check="q=1", index=idx, poly=p_rec, lr=lr)
         if include_dualities:
             rep.checks += 1
-            p_dual, _ = compute(dual_index(idx), "recurrence")
+            norm = dual_index(idx).normalized()
+            p_dual = ZERO if norm is None else _k_rec(norm[1].lam, norm[1].rects()) * norm[0]
             if p_dual != p_rec:
                 rep.found(check="dual", index=idx, poly=p_rec, dual=p_dual)
             lam_c, rs_c = box_complement(lam, rseq)
             rep.checks += 1
-            p_box = k_by_recurrence(lam_c, rs_c)
+            p_box = _k_rec(lam_c, rs_c)
             if p_box != p_rec:
                 rep.found(check="box", index=idx, poly=p_rec, complement=p_box)
             for other in reorderings:
                 rep.checks += 1
-                p_sym = k_by_recurrence(pad(lam, other.n), other)
+                p_sym = _k_rec(lam, other)
                 if p_sym != p_rec:
                     rep.found(
                         check="symmetry",

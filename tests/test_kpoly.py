@@ -42,7 +42,9 @@ from qlr.shapes import (
     compositions,
     conjugate,
     dominates,
+    from_rects,
     is_weakly_decreasing,
+    normalize_index,
     pad,
     partitions,
     partitions_upto,
@@ -521,6 +523,60 @@ def test_index_rejects_nonpositive_eta_parts():
     for eta in ((3, -1), (2, 0), (0, 2)):
         with pytest.raises(ValueError, match="eta parts must be positive"):
             KIndex((1, 0), (1, 0), eta)
+
+
+@pytest.mark.parametrize("lam, eta, gamma, message", [
+    ((1, 2), (1, 1), (2, 1), "lambda must be a partition"),
+    ((3, 1, -1), (3,), (2, 1, 0), "lambda must be a partition"),
+    ((2, 1), (2,), (1, 2), "every block .* must be a partition"),
+    ((2, 1, 0), (1, 2), (2, 0, 1), "every block .* must be a partition"),
+    ((1, 0), (2,), (2, -1), "every block .* must be a partition"),
+])
+def test_recurrence_rejects_a_non_partition_lambda_or_block(lam, eta, gamma, message):
+    with pytest.raises(ValueError, match=message):
+        k_by_recurrence(lam, rect_sequence(eta, gamma))
+
+
+def assert_trusted_is_validated(trusted, public):
+    """A trusted build equals and hashes as the validated one, and holds
+    tuples of ints, as the recurrence and catabolizability memo keys need."""
+    assert trusted == public and hash(trusted) == hash(public)
+    for value in vars(trusted).values():
+        assert type(value) is tuple and all(type(x) is int for x in value), trusted
+
+
+def test_trusted_builds_equal_the_validated_ones():
+    def star(v):
+        return tuple(-x for x in reversed(v))
+
+    seen = 0
+    for gamma, eta, lams in index_family(4, 4):
+        rs = rect_sequence(eta, gamma)
+        assert_trusted_is_validated(rs.tail(), rect_sequence(eta[1:], gamma[eta[0]:]))
+        assert_trusted_is_validated(from_rects(rs.rects), rs)
+        for other in dominant_reorderings(rs):
+            assert_trusted_is_validated(other, rect_sequence(other.eta, other.gamma))
+        for lam in lams:
+            idx = KIndex(lam, gamma, eta)
+            assert_trusted_is_validated(idx.rects(), rs)
+            sign, nidx = idx.normalized()
+            assert (sign, nidx.lam, nidx.gamma) == normalize_index(lam, gamma, eta)
+            assert_trusted_is_validated(nidx, KIndex(nidx.lam, nidx.gamma, eta))
+            dual = dual_index(idx)
+            assert_trusted_is_validated(dual, KIndex(star(lam), star(gamma), eta[::-1]))
+            norm = dual.normalized()
+            res = normalize_index(star(lam), star(gamma), eta[::-1])
+            assert (norm is None) == (res is None)
+            if norm is not None:
+                assert norm[0] == res[0]
+                assert_trusted_is_validated(norm[1], KIndex(res[1], res[2], eta[::-1]))
+            size = max(gamma + lam)
+            lam_c, rs_c = box_complement(lam, rs)
+            assert lam_c == tuple(size - x for x in reversed(lam))
+            assert_trusted_is_validated(
+                rs_c, rect_sequence(eta[::-1], tuple(size - x for x in reversed(gamma))))
+            seen += 1
+    assert seen == 487
 
 
 def test_single_block_is_kronecker():

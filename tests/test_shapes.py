@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from qlr.shapes import (
+    RectSequence,
     all_permutations,
     block_starts,
     box_complement,
@@ -19,8 +21,12 @@ from qlr.shapes import (
     perm_sign,
     rect_sequence,
     reduced_word,
+    rho,
     roots_of,
+    straighten,
     trim,
+    vec_add,
+    vec_sub,
 )
 
 
@@ -162,6 +168,20 @@ def test_rect_sequence_examples():
     assert rect_sequence((3,), (2, 1, 0)).rects == ((2, 1, 0),)
 
 
+@pytest.mark.parametrize("eta, gamma, message", [
+    ((2,), (1,), "does not tile"),
+    ((1, 1), (1, 1, 1), "does not tile"),
+    ((), (1,), "does not tile"),
+    ((2, 0), (1, 1), "must be positive"),
+    ((3, -1), (1, 1), "must be positive"),
+])
+def test_rect_sequence_rejects_an_eta_that_does_not_tile_gamma(eta, gamma, message):
+    with pytest.raises(ValueError, match=message):
+        rect_sequence(eta, gamma)
+    with pytest.raises(ValueError, match=message):
+        RectSequence(eta, gamma)
+
+
 def test_normalize_index_examples():
     # one-element blocks are always dominant
     assert normalize_index((1, 1), (0, 2), (1, 1)) == (1, (1, 1), (0, 2))
@@ -217,3 +237,27 @@ def test_partition_helpers():
     with pytest.raises(ValueError, match="cannot pad"):
         pad((2, 1), 1)
     assert from_rects([(3, 2), (2, 1), (1,)]).eta == (2, 2, 1)
+
+
+def straighten_reference(alpha):
+    """The former ``straighten``: vec_add, rho, set and vec_sub on every call."""
+    n = len(alpha)
+    v = vec_add(alpha, rho(n))
+    if len(set(v)) < n:
+        return None
+    return perm_sign([-x for x in v]), vec_sub(tuple(sorted(v, reverse=True)), rho(n))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_straighten_matches_the_reference_on_random_weights(seed):
+    rng = random.Random(seed)
+    weights = [()] + [
+        tuple(rng.randint(-6, 6) for _ in range(rng.randint(1, 8))) for _ in range(3000)
+    ]
+    kept = 0
+    for alpha in weights:
+        result = straighten(alpha)
+        assert result == straighten_reference(alpha), alpha
+        kept += result is not None
+    # both outcomes occur often
+    assert 300 < kept < len(weights) - 300

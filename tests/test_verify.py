@@ -4,8 +4,8 @@ import random
 import pytest
 
 from qlr import verify
-from qlr.kpoly import QPoly, cocharge_kostka, k_by_recurrence
-from qlr.shapes import pad, partitions, rect_sequence
+from qlr.kpoly import KIndex, QPoly, cocharge_kostka, k_by_recurrence
+from qlr.shapes import RectSequence, pad, partitions, rect_sequence
 from qlr.tableaux import Tableau
 from qlr.verify import (
     CHECKS,
@@ -166,6 +166,21 @@ def test_crosscheck_builds_one_index_per_index_and_one_rect_sequence_per_group(m
         assert (len(indices), len(groups)) == sizes
         assert indices == [lam for _, _, lams in expected for lam in lams]
         assert groups == [eta for _, eta, _ in expected]
+
+
+def test_crosscheck_validates_only_the_indices_and_groups_it_enumerates(monkeypatch):
+    # the dual, the box complement, the reorderings and the recurrence's
+    # tails are valid by construction, so they are built trusted
+    built = {KIndex: 0, RectSequence: 0}
+    for cls in built:
+        def counted(self, cls=cls, original=cls.__post_init__):
+            built[cls] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    rep = crosscheck_family(3, 3)
+    assert (rep.ok, rep.checks) == (True, 428)
+    assert (built[KIndex], built[RectSequence]) == (84, 44)
 
 
 def test_ev_duality_runs_column_rsk_once_per_word_sequence(monkeypatch):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
-from operator import add, eq, sub
+from operator import add, eq, ge, sub
 
 Vec = tuple[int, ...]
 
@@ -46,7 +46,7 @@ def pad(p, n: int) -> Vec:
 
 
 def is_weakly_decreasing(p) -> bool:
-    return all(a >= b for a, b in zip(p, p[1:]))
+    return all(map(ge, p, p[1:]))
 
 
 def is_partition(p) -> bool:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cache
+from itertools import chain
+from operator import le, lt
 
 from .shapes import Vec, is_weakly_decreasing, partitions, trim
 
@@ -58,6 +60,8 @@ class Tableau:
 
     @property
     def outer(self) -> Vec:
+        if not self.inner:
+            return tuple(map(len, self.rows))
         return tuple(self.inner_at(i) + len(r) for i, r in enumerate(self.rows))
 
     def inner_at(self, i: int) -> int:
@@ -65,7 +69,7 @@ class Tableau:
 
     @property
     def size(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return sum(map(len, self.rows))
 
     def __bool__(self):
         return self.size > 0
@@ -87,13 +91,18 @@ class Tableau:
 
     def word(self) -> Word:
         """Row-reading word: rows bottom to top, each left to right."""
-        return tuple(x for r in reversed(self.rows) for x in r)
+        return tuple(chain.from_iterable(reversed(self.rows)))
 
     def content(self) -> Vec:
         return content(self.word())
 
     def is_column_strict(self) -> bool:
         """Rows weakly increase; columns strictly increase where rows overlap."""
+        if not self.inner:
+            rows = self.rows
+            return all(all(map(le, r, r[1:])) for r in rows) and all(
+                all(map(lt, above, r)) for above, r in zip(rows, rows[1:])
+            )
         above, a0 = (), 0
         for i, r in enumerate(self.rows):
             b = self.inner_at(i)
@@ -163,7 +172,7 @@ def content(w) -> Vec:
 
 
 def is_weakly_increasing_word(w) -> bool:
-    return all(a <= b for a, b in zip(w, w[1:]))
+    return all(map(le, w, w[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +218,11 @@ def _uninsert(lines, cell, find):
 
 def _transpose(lines):
     """Rows to columns (or back) of a partition-shaped buffer, as new lists."""
-    return [
-        [line[j] for line in lines if len(line) > j]
-        for j in range(len(lines[0]) if lines else 0)
-    ]
+    out = [[] for _ in range(len(lines[0]) if lines else 0)]
+    for line in lines:
+        for col, x in zip(out, line):
+            col.append(x)
+    return out
 
 
 def schensted_p(w) -> Tableau:
@@ -265,18 +275,21 @@ def column_rsk_inverse(p: Tableau, q: Tableau, labels=None):
         raise ValueError("P and Q must be straight tableaux of equal shape")
     if not (p.is_column_strict() and q.is_column_strict()):
         raise ValueError("P and Q must be column strict")
-    if labels is None:
-        labels = list(range(1, (max(q.word()) if q.size else 0) + 1))
-    cols = _transpose(p.rows)
+    # each label's (column, row) cells, top row first and each row right to
+    # left: a horizontal strip then comes in strictly decreasing columns
     strips: dict[int, list] = {}
-    for cell in q.cells():
-        strips.setdefault(q.entry(cell), []).append(cell)
+    for i, r in enumerate(q.rows):
+        for j in range(len(r) - 1, -1, -1):
+            strips.setdefault(r[j], []).append((j, i))
+    if labels is None:
+        labels = range(1, max(strips, default=0) + 1)
+    cols = _transpose(p.rows)
     words = []
     for lab in reversed(labels):
-        cells = sorted(strips.pop(lab, ()), key=lambda c: -c[1])
-        if len({c[1] for c in cells}) != len(cells):
+        cells = strips.pop(lab, ())
+        if any(j <= k for (j, _), (k, _) in zip(cells, cells[1:])):
             raise ValueError(f"cells of label {lab} are not a horizontal strip")
-        words.append(tuple(_uninsert(cols, (j, i), bisect_right) for i, j in cells))
+        words.append(tuple(_uninsert(cols, cell, bisect_right) for cell in cells))
     if strips or cols:
         raise ValueError("recording labels do not exhaust Q")
     words.reverse()

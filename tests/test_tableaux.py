@@ -1,4 +1,5 @@
 import itertools
+import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 
@@ -77,6 +78,13 @@ def test_reading_word_and_content():
     assert content((4, 3, 2, 3, 4, 1, 1, 2, 5, 5)) == (2, 2, 2, 2, 2)
 
 
+def grid_of(t):
+    """The filled cells of t as a {(row, column): entry} grid."""
+    return {
+        (i, t.inner_at(i) + j): x for i, r in enumerate(t.rows) for j, x in enumerate(r)
+    }
+
+
 def is_column_strict_by_grid(t):
     """A grid of the filled cells: rows weakly increase, and each filled cell
     exceeds the filled cell above it."""
@@ -110,6 +118,15 @@ def test_is_column_strict_matches_the_grid_reference():
                         verdict = t.is_column_strict()
                         assert verdict == is_column_strict_by_grid(t), t
                         verdicts[verdict] += 1
+                        grid = grid_of(t)
+                        assert t.size == len(grid)
+                        assert t.word() == tuple(
+                            grid[cell] for cell in sorted(grid, key=lambda c: (-c[0], c[1]))
+                        )
+                        assert t.outer == outer == tuple(
+                            max((c + 1 for i2, c in grid if i2 == i), default=t.inner_at(i))
+                            for i in range(len(t.rows))
+                        )
     assert verdicts[True] and verdicts[False]
 
 
@@ -250,11 +267,54 @@ def test_column_rsk_roundtrip():
         assert back == [tuple(w) for w in words]
 
 
+def test_column_rsk_inverse_inverts_every_pair():
+    # every pair of straight CSTs of one shape, size <= 5, letters <= 3: as
+    # many as the 3x3 matrices over N with entries summing to <= 5
+    pairs = 0
+    for size in range(6):
+        for shape in partitions(size, max_len=3):
+            tableaux = [
+                t
+                for cnt in itertools.product(range(size + 1), repeat=3)
+                if sum(cnt) == size
+                for t in straight_cst(shape, cnt)
+            ]
+            for p, q in itertools.product(tableaux, repeat=2):
+                assert column_rsk(column_rsk_inverse(p, q)) == (p, q)
+                pairs += 1
+    assert pairs == 2002
+
+
+def test_column_rsk_roundtrip_on_seeded_long_sequences():
+    # past the exhaustive ranges: 4-8 words, letters <= 8, length <= 20
+    rng = random.Random(20)
+    for _ in range(200):
+        k, total = rng.randint(4, 8), rng.randint(0, 20)
+        cuts = [0, *sorted(rng.randint(0, total) for _ in range(k - 1)), total]
+        words = [
+            tuple(sorted(rng.randint(1, 8) for _ in range(b - a)))
+            for a, b in zip(cuts, cuts[1:])
+        ]
+        p, q = column_rsk(words)
+        assert (p, q) == column_rsk_by_rows(words)
+        labels = list(range(1, k + 1))
+        assert column_rsk_inverse(p, q, labels=labels) == words
+        assert column_rsk(column_rsk_inverse(p, q, labels=labels)) == (p, q)
+
+
 def test_column_rsk_inverse_rejects_malformed_pairs():
-    with pytest.raises(ValueError):
-        column_rsk_inverse(tab([1, 2]), tab([1], [2]))
-    with pytest.raises(ValueError):
-        column_rsk_inverse(tab([1], [1]), tab([1], [2]))
+    p, q = column_rsk([(1,), (2,)])
+    for pair, labels in (
+        ((tab([1, 2]), tab([1], [2])), None),  # unequal shapes
+        ((Tableau([[1]], [1]), tab([1, 2])), None),  # skew P
+        ((tab([1, 2]), Tableau([[1]], [1])), None),  # skew Q
+        ((tab([1], [1]), tab([1], [2])), None),  # P not column strict
+        ((tab([1], [2]), tab([1], [1])), None),  # Q not column strict
+        ((p, q), [1]),  # label 2 of Q is never read
+        ((p, q), [2, 1]),  # label 1 is not a removable strip while 2 is in
+    ):
+        with pytest.raises(ValueError):
+            column_rsk_inverse(*pair, labels=labels)
 
 
 def test_evacuation_examples():

@@ -35,7 +35,6 @@ from .tableaux import (
     v_slice,
 )
 from .crystal import (
-    is_lattice,
     is_mu_lattice,
     lattice_involution,
     lowering,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .shapes import matching_perm, pad, reduced_word, trim
+from .shapes import matching_perm, reduced_word
 from .tableaux import Tableau, Word, content
 
 
@@ -25,55 +25,61 @@ class RPairing:
     unpaired_high: tuple[int, ...]       # unpaired r+1's, left to right
 
 
-def r_pairing(w, r: int) -> RPairing:
-    """Stack-match the letters r (right parens) and r+1 (left parens)."""
+def _match(w, r: int, paired=None) -> tuple[list[int], list[int]]:
+    """Positions of the unpaired r's and r+1's; the pairs go to ``paired``."""
     if r < 1:
         raise ValueError("r must be a positive letter")
-    stack: list[int] = []
-    paired: list[tuple[int, int]] = []
-    low: list[int] = []
+    s = r + 1
+    low, high = [], []
     for pos, x in enumerate(w):
-        if x == r + 1:
-            stack.append(pos)
+        if x == s:
+            high.append(pos)
         elif x == r:
-            if stack:
-                paired.append((stack.pop(), pos))
-            else:
+            if not high:
                 low.append(pos)
-    return RPairing(r, tuple(paired), tuple(low), tuple(stack))
+            elif paired is None:
+                high.pop()
+            else:
+                paired.append((high.pop(), pos))
+    return low, high
 
 
-def _rewrite(w: Word, pairing: RPairing, a: int) -> Word:
-    """Write the unpaired subword of ``w`` as r^a (r+1)^(p+q-a)."""
-    out = list(w)
-    for k, pos in enumerate(pairing.unpaired_low + pairing.unpaired_high):
-        out[pos] = pairing.r if k < a else pairing.r + 1
-    return tuple(out)
+def r_pairing(w, r: int) -> RPairing:
+    """Stack-match the letters r (right parens) and r+1 (left parens)."""
+    paired: list[tuple[int, int]] = []
+    low, high = _match(w, r, paired)
+    return RPairing(r, tuple(paired), tuple(low), tuple(high))
+
+
+def _reflect(out: list, r: int) -> None:
+    """Reflect ``out`` in place, writing only the |p - q| cells that change."""
+    low, high = _match(out, r)
+    p, q = len(low), len(high)
+    for pos in low[q:] if p > q else high[:q - p]:
+        out[pos] = r + (p > q)
 
 
 def reflection(w, r: int) -> Word:
     """The involution swapping the numbers of r's and (r+1)'s."""
-    w = tuple(w)
-    pr = r_pairing(w, r)
-    return _rewrite(w, pr, len(pr.unpaired_high))
+    out = list(w)
+    _reflect(out, r)
+    return tuple(out)
 
 
 def raising(w, r: int):
     """Turn the leftmost unpaired r+1 into an r; None when impossible."""
-    w = tuple(w)
-    pr = r_pairing(w, r)
-    if not pr.unpaired_high:
-        return None
-    return _rewrite(w, pr, len(pr.unpaired_low) + 1)
+    out = list(w)
+    if high := _match(out, r)[1]:
+        out[high[0]] = r
+    return tuple(out) if high else None
 
 
 def lowering(w, r: int):
     """Turn the rightmost unpaired r into an r+1; None when impossible."""
-    w = tuple(w)
-    pr = r_pairing(w, r)
-    if not pr.unpaired_low:
-        return None
-    return _rewrite(w, pr, len(pr.unpaired_low) - 1)
+    out = list(w)
+    if low := _match(out, r)[0]:
+        out[low[-1]] = r + 1
+    return tuple(out) if low else None
 
 
 def plactic_act(w_perm, u) -> Word:
@@ -82,10 +88,10 @@ def plactic_act(w_perm, u) -> Word:
     Well defined because the reflections satisfy the Moore-Coxeter relations;
     the bubble-sort decomposition used here is one convenient choice.
     """
-    u = tuple(u)
+    out = list(u)
     for r in reversed(reduced_word(tuple(w_perm))):
-        u = reflection(u, r)
-    return u
+        _reflect(out, r)
+    return tuple(out)
 
 
 def sort_to_partition_content(u) -> Word:
@@ -118,39 +124,34 @@ def is_mu_lattice(w, mu) -> bool:
     return lattice_violation(w, mu) is None
 
 
-def is_lattice(w) -> bool:
-    return is_mu_lattice(w, ())
+def _rightmost_failure(w: Word, mu) -> tuple[int, int] | None:
+    """(position, r) of the rightmost letter r+1 where mu-latticeness fails."""
+    counts = dict(enumerate(mu, 1))  # mu plus the content of the suffix read
+    for pos in range(len(w) - 1, -1, -1):
+        x = w[pos]
+        counts[x] = counts.get(x, 0) + 1
+        if x > 1 and counts[x] > counts.get(x - 1, 0):
+            return pos, x - 1
+    return None
 
 
 def lattice_violation(w, mu=()) -> int | None:
     """Letter r such that the rightmost lattice failure of ``w`` is at r+1."""
-    mu = trim(mu)
-    counts: dict[int, int] = {}
-    for x in reversed(tuple(w)):
-        counts[x] = counts.get(x, 0) + 1
-        if x == 1:
-            continue
-        cx = counts[x] + (mu[x - 1] if x - 1 < len(mu) else 0)
-        cp = counts.get(x - 1, 0) + (mu[x - 2] if x - 2 < len(mu) else 0)
-        if cx > cp:
-            return x - 1
-    return None
+    found = _rightmost_failure(tuple(w), mu)
+    return None if found is None else found[1]
 
 
 def lattice_involution(w, mu=()) -> Word:
     """The pairing on non-mu-lattice words: s_r e_r^{mu_r - mu_{r+1} + 1}.
 
-    Here r+1 is the rightmost letter where mu-latticeness fails.  Applying
-    the map twice gives the original word back.
-    """
+    Here mu is a partition, r+1 the rightmost letter where mu-latticeness
+    fails.  Applying the map twice gives the original word back."""
     w = tuple(w)
-    r = lattice_violation(w, mu)
-    if r is None:
+    if (found := _rightmost_failure(w, mu)) is None:
         raise ValueError(f"{w} is already lattice for mu={mu}")
-    mu = pad(mu, max(r + 1, len(mu)))
-    k = mu[r - 1] - mu[r] + 1
-    # k raisings leave r^(p+k) (r+1)^(q-k) unpaired; the reflection swaps them
-    pr = r_pairing(w, r)
-    if len(pr.unpaired_high) < k:
-        raise RuntimeError("raising ran out of unpaired letters")
-    return _rewrite(w, pr, len(pr.unpaired_high) - k)
+    pos, r = found
+    # w[pos:] is the first suffix with k = mu_r - mu_{r+1} + 1 more (r+1)'s than r's,
+    # and a word has as many unpaired (r+1)'s as a suffix's largest such excess: the
+    # k raisings never run out.  The suffix opens with an unpaired r+1, so its unpaired
+    # letters are k (r+1)'s; r^(q-k) (r+1)^(p+k) keeps them and reflects the prefix.
+    return reflection(w[:pos], r) + w[pos:]

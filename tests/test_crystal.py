@@ -1,9 +1,9 @@
+import functools
 import itertools
 
 import pytest
 
 from qlr.crystal import (
-    is_lattice,
     is_mu_lattice,
     lattice_involution,
     lattice_violation,
@@ -15,7 +15,7 @@ from qlr.crystal import (
     refill,
     sort_to_partition_content,
 )
-from qlr.shapes import all_permutations
+from qlr.shapes import all_permutations, reduced_word
 from qlr.tableaux import column_rsk, content, schensted_p, tab
 
 # the worked 25-letter example word
@@ -25,6 +25,10 @@ U25 = (1, 2, 4, 3, 1, 2, 2, 3, 3, 4, 2, 3, 3, 4, 3, 3, 1, 3, 1, 2, 3, 4, 2, 2, 3
 def all_words(alphabet, max_len):
     for ln in range(max_len + 1):
         yield from itertools.product(range(1, alphabet + 1), repeat=ln)
+
+
+def is_lattice(w):
+    return is_mu_lattice(w, ())
 
 
 def perm_apply(w, v):
@@ -211,6 +215,69 @@ def test_lattice_involution_is_involution():
             cu = (content(u) + (0,) * 4)[:4]
             cs = (content(reflection(u, r)) + (0,) * 4)[:4]
             assert cs[r - 1] == cu[r] and cs[r] == cu[r - 1]
+
+
+def test_lattice_failure_leaves_enough_unpaired_letters():
+    # at the rightmost failure r+1 there are k = mu_r - mu_{r+1} + 1 unpaired
+    # (r+1)'s to raise, so lattice_involution needs no guard for running out
+    cases = 0
+    for u in all_words(4, 7):
+        highs = [None] + [len(r_pairing(u, r).unpaired_high) for r in (1, 2, 3)]
+        for mu in [(), (1,), (2, 1), (1, 1, 1), (3, 1), (2, 2)]:
+            r = lattice_violation(u, mu)
+            if r is not None:
+                mu_p = mu + (0,) * 4
+                assert highs[r] >= mu_p[r - 1] - mu_p[r] + 1
+                cases += 1
+    assert cases == 120_060
+
+
+# Reference operators: r_pairing, then a rewrite of every unpaired letter into
+# a new tuple, one tuple per reflection.
+
+
+def ref_rewrite(w, pr, a):
+    """Write the unpaired subword of ``w`` as r^a (r+1)^(p+q-a)."""
+    out = list(w)
+    for k, pos in enumerate(pr.unpaired_low + pr.unpaired_high):
+        out[pos] = pr.r if k < a else pr.r + 1
+    return tuple(out)
+
+
+@functools.cache
+def ref_operators(w, r):
+    """Reflection, raising and lowering of ``w`` from one r_pairing."""
+    pr = r_pairing(w, r)
+    p, q = len(pr.unpaired_low), len(pr.unpaired_high)
+    return (
+        ref_rewrite(w, pr, q),
+        ref_rewrite(w, pr, p + 1) if q else None,
+        ref_rewrite(w, pr, p - 1) if p else None,
+    )
+
+
+def ref_lattice_involution(w, mu):
+    """s_r e_r^k at the rightmost failure r+1, k = mu_r - mu_{r+1} + 1."""
+    r = lattice_violation(w, mu)
+    mu_p = mu + (0,) * 4
+    pr = r_pairing(w, r)
+    return ref_rewrite(w, pr, len(pr.unpaired_high) - (mu_p[r - 1] - mu_p[r] + 1))
+
+
+def test_operators_match_the_reference_rewrite():
+    actions = [(w, reduced_word(w)[::-1]) for w in all_permutations(4)]
+    # the reflection sequences share prefixes: act by each prefix once
+    prefixes = sorted({rs[:k] for _, rs in actions for k in range(1, len(rs) + 1)}, key=len)
+    for u in all_words(4, 6):
+        for r in (1, 2, 3):
+            assert (reflection(u, r), raising(u, r), lowering(u, r)) == ref_operators(u, r)
+        for mu in [(), (2, 1)]:
+            if lattice_violation(u, mu) is not None:
+                assert lattice_involution(u, mu) == ref_lattice_involution(u, mu)
+        images = {(): u}
+        for rs in prefixes:
+            images[rs] = ref_operators(images[rs[:-1]], rs[-1])[0]
+        assert [plactic_act(w, u) for w, _ in actions] == [images[rs] for _, rs in actions]
 
 
 def test_overlap_counts_r_pairs_in_recording_tableau():

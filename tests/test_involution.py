@@ -2,7 +2,7 @@ import pytest
 
 from qlr.catabolism import is_catabolizable
 from qlr.charge import charge_tableau
-from qlr.crystal import is_lattice
+from qlr.crystal import is_mu_lattice
 from qlr.involution import InvolutionContext, SignedTriple, verify_involution
 from qlr.kpoly import QPoly, k_by_recurrence
 from qlr.shapes import all_permutations, compositions, pad, partitions, rect_sequence
@@ -17,6 +17,10 @@ from qlr.tableaux import (
 )
 
 q = QPoly.term
+
+
+def is_lattice(w):
+    return is_mu_lattice(w, ())
 
 
 def triples_reference(ctx: InvolutionContext, catabolizable_only: bool = True):

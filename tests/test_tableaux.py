@@ -304,16 +304,20 @@ def test_column_rsk_roundtrip_on_seeded_long_sequences():
 
 def test_column_rsk_inverse_rejects_malformed_pairs():
     p, q = column_rsk([(1,), (2,)])
-    for pair, labels in (
-        ((tab([1, 2]), tab([1], [2])), None),  # unequal shapes
-        ((Tableau([[1]], [1]), tab([1, 2])), None),  # skew P
-        ((tab([1, 2]), Tableau([[1]], [1])), None),  # skew Q
-        ((tab([1], [1]), tab([1], [2])), None),  # P not column strict
-        ((tab([1], [2]), tab([1], [1])), None),  # Q not column strict
-        ((p, q), [1]),  # label 2 of Q is never read
-        ((p, q), [2, 1]),  # label 1 is not a removable strip while 2 is in
+    shapes, strict = "straight tableaux of equal shape", "must be column strict"
+    for pair, labels, message in (
+        ((tab([1, 2]), tab([1], [2])), None, shapes),  # unequal shapes
+        ((Tableau([[1]], [1]), tab([1, 2])), None, shapes),  # skew P
+        ((tab([1, 2]), Tableau([[1]], [1])), None, shapes),  # skew Q
+        ((tab([1], [1]), tab([1], [2])), None, strict),  # P not column strict
+        ((tab([1], [2]), tab([1], [1])), None, strict),  # Q not column strict
+        # label 1 sits at (0, 0), which is not removable while label 2 is in
+        ((p, q), [1], r"\(0, 0\) is not a removable cell"),
+        ((p, q), [2, 1], r"\(0, 0\) is not a removable cell"),
+        # label 1 is never read, so its cell and P's first letter are left over
+        ((p, q), [2], "recording labels do not exhaust Q"),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             column_rsk_inverse(*pair, labels=labels)
 
 

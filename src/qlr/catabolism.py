@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import chain, zip_longest
 
-from .shapes import RectSequence, block_starts, is_partition, trim
+from .shapes import RectSequence, block_starts, is_partition, partitions_containing, trim
 from .tableaux import EMPTY, Tableau, _insert, enumerate_cst, h_slice, v_slice
 
 
@@ -96,28 +96,50 @@ def _catabolizable(rows, rseq: RectSequence) -> bool:
     return after is not None and _catabolizable(after, rseq.tail())
 
 
+@cache
+def _segments(rseq: RectSequence):
+    """(content, size, test) per segment of blocks after Y_1: a segment ends at each
+    block of more than one row, whose prefix is tested, and at the last block, whose
+    size is False.  A one-row block's letters form Y_j once the blocks before it catabolize."""
+    gamma, starts, t = rseq.gamma, block_starts(rseq.eta), rseq.t
+    out, lo = [], starts[1]
+    for j, hi in enumerate(starts[2:], 1):
+        if (multi := any(gamma[starts[j] + 1:hi])) or j == t - 1:
+            test = multi and RectSequence._of(rseq.eta[:j + 1], gamma[:hi])
+            out.append(((0,) * lo + gamma[lo:hi], j < t - 1 and sum(gamma[:hi]), test))
+            lo = hi
+    return tuple(out)
+
+
 def enumerate_catabolizable(shape, rseq: RectSequence) -> tuple[Tableau, ...]:
     """All catabolizable tableaux of the given straight shape, by word.
 
-    A catabolizable tableau restricts to Y_1 on the first block's letters, so
-    only CSTs with Y_1 already in place are built and tested.
+    They grow from Y_1 a segment of blocks at a time, and a prefix is dropped once
+    it fails against the blocks so far: catabolism strips the smallest letters
+    left, and H commutes with restricting to the letters <= k.
     """
     shape = trim(shape)
     if sum(shape) != sum(rseq.gamma):
         return ()
-    candidates = [EMPTY]  # with no blocks, only the empty shape passes the size test
-    if rseq.t:
-        y1 = yamanouchi_block(rseq, 0)
-        m, inner = rseq.eta[0], y1.outer
-        if any(a > b for a, b in zip_longest(inner, shape, fillvalue=0)):
-            return ()
-        # enumerate_cst lists the fillings of shape/Y_1 by word, and Y_1's rows
-        # add the same letters at the same places of every word: no re-sort
-        candidates = (
-            Tableau._of(tuple(y + r for y, r in zip_longest(y1.rows, s.rows, fillvalue=())))
-            for s in enumerate_cst(shape, inner, (0,) * m + rseq.gamma[m:])
-        )
-    return tuple(t for t in candidates if is_catabolizable(t, rseq))
+    if not rseq.t:
+        return (EMPTY,)  # the size test left only the empty shape
+    y1 = yamanouchi_block(rseq, 0)
+    if any(a > b for a, b in zip_longest(y1.outer, shape, fillvalue=0)):
+        return ()
+    groups, segments = {y1.outer: [y1.rows]}, _segments(rseq)  # the prefixes, by shape
+    for cnt, size, test in segments:
+        grown: dict = {}
+        for inner, prefixes in groups.items():
+            for nu in partitions_containing(inner, size, len(shape), shape) if size else (shape,):
+                for s in enumerate_cst(nu, inner, cnt):
+                    for rows in prefixes:
+                        new = tuple(r + x for r, x in zip_longest(rows, s.rows, fillvalue=()))
+                        if not test or _catabolizable(new, test):
+                            grown.setdefault(nu, []).append(new)
+        groups = grown
+    found = [Tableau._of(rows) for prefixes in groups.values() for rows in prefixes]
+    # one segment is enumerate_cst's word order, with Y_1's letters at the same places
+    return tuple(sorted(found, key=Tableau.word) if len(segments) > 1 else found)
 
 
 # ---------------------------------------------------------------------------

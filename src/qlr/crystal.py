@@ -149,7 +149,10 @@ def lattice_involution(w, mu=()) -> Word:
     w = tuple(w)
     if (found := _rightmost_failure(w, mu)) is None:
         raise ValueError(f"{w} is already lattice for mu={mu}")
-    pos, r = found
+    return _involute_at(w, *found)
+
+
+def _involute_at(w: Word, pos: int, r: int) -> Word:
     # w[pos:] is the first suffix with k = mu_r - mu_{r+1} + 1 more (r+1)'s than r's,
     # and a word has as many unpaired (r+1)'s as a suffix's largest such excess: the
     # k raisings never run out.  The suffix opens with an unpaired r+1, so its unpaired

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .catabolism import enumerate_catabolizable
 from .charge import charge_tableau
-from .crystal import lattice_involution, lattice_violation, refill
+from .crystal import _involute_at, _rightmost_failure, refill
 from .kpoly import QPoly, k_by_recurrence
 from .shapes import (
     RectSequence,
@@ -120,11 +120,11 @@ class InvolutionContext:
         which is the lattice involution with mu = ().
         """
         qw = q.word()
-        r = lattice_violation(qw)
-        if r is None:
+        if (found := _rightmost_failure(qw, ())) is None:
             return None
+        r = found[1]
         w2 = w[:r - 1] + (w[r], w[r - 1]) + w[r + 1:]  # w s_r
-        return w2, p, refill(q, lattice_involution(qw))
+        return w2, p, refill(q, _involute_at(qw, *found))
 
     def theta(self, triple: SignedTriple):
         """The involution on triples; None marks a fixed point."""

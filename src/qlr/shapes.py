@@ -328,11 +328,12 @@ def compositions(n: int):
     return tuple(out)
 
 
-def partitions_containing(beta, size: int, max_len: int):
-    """Partitions of ``size`` with at most ``max_len`` parts containing ``beta``."""
+def partitions_containing(beta, size: int, max_len: int, within=None):
+    """Partitions of ``size`` in <= ``max_len`` parts, between ``beta`` and ``within`` if given."""
     beta = trim(beta)
     if len(beta) > max_len or sum(beta) > size:
         return
+    caps = (size,) * max_len if within is None else pad(within[:max_len], max_len)
 
     def gen(i, remaining, prev):
         if i == max_len:
@@ -342,7 +343,7 @@ def partitions_containing(beta, size: int, max_len: int):
         low = beta[i] if i < len(beta) else 0
         if low > prev or remaining < low:
             return
-        for x in range(min(prev, remaining), low - 1, -1):
+        for x in range(min(prev, remaining, caps[i]), low - 1, -1):
             # the lower bound keeps beta inside, the upper keeps it a partition
             if remaining - x > (max_len - i - 1) * x:
                 continue

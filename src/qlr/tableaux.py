@@ -275,8 +275,9 @@ def column_rsk_inverse(p: Tableau, q: Tableau, labels=None):
         raise ValueError("P and Q must be straight tableaux of equal shape")
     if not (p.is_column_strict() and q.is_column_strict()):
         raise ValueError("P and Q must be column strict")
-    # each label's (column, row) cells, top row first and each row right to
-    # left: a horizontal strip then comes in strictly decreasing columns
+    # each label's (column, row) cells, top row first and each row right to left,
+    # come in strictly decreasing columns: were label l at (i, j) and (i' > i, j' >= j),
+    # row i would reach column j' (straight shapes), and l = Q[i][j] <= Q[i][j'] < Q[i'][j'] = l
     strips: dict[int, list] = {}
     for i, r in enumerate(q.rows):
         for j in range(len(r) - 1, -1, -1):
@@ -287,8 +288,6 @@ def column_rsk_inverse(p: Tableau, q: Tableau, labels=None):
     words = []
     for lab in reversed(labels):
         cells = strips.pop(lab, ())
-        if any(j <= k for (j, _), (k, _) in zip(cells, cells[1:])):
-            raise ValueError(f"cells of label {lab} are not a horizontal strip")
         words.append(tuple(_uninsert(cols, cell, bisect_right) for cell in cells))
     if strips or cols:
         raise ValueError("recording labels do not exhaust Q")

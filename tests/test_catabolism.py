@@ -22,7 +22,7 @@ from qlr.catabolism import (
 from qlr.charge import charge_tableau, cocharge_tableau
 from qlr.cyclage import cyclage_covers
 from qlr.involution import InvolutionContext
-from qlr.kpoly import QPoly, k_by_charge
+from qlr.kpoly import QPoly, k_by_charge, k_by_recurrence
 from qlr.shapes import compositions, dominates, pad, partitions, rect_sequence, trim
 from qlr.tableaux import (
     EMPTY,
@@ -138,6 +138,39 @@ def test_generator_matches_the_all_cst_reference():
                 assert is_catabolizable(t, rseq) == expected
                 assert (catabolism_trace(t, rseq) is not None) == expected
     assert kept
+
+
+def test_block_prefixes_of_catabolizable_tableaux_catabolize():
+    # the restriction lemma the generator prunes by, at n <= 5, weight <= 6:
+    # T|<=A_1..A_j of a catabolizable T is catabolizable against the first j
+    # blocks, and a prefix ending in a one-row block passes whenever the
+    # prefix before it passes (checked on every CST, catabolizable or not)
+    kept = one_row = 0
+    for gamma, eta, lams in index_family(5, 6):
+        starts = list(itertools.accumulate(eta, initial=0))
+        prefix_rseqs = [rect_sequence(eta[:j], gamma[:starts[j]]) for j in range(len(eta) + 1)]
+        for lam in lams:
+            for t in straight_cst(trim(lam), gamma):
+                passes = [
+                    is_catabolizable_by_tableaux(restrict(t, 1, starts[j]), prefix_rseqs[j])
+                    for j in range(len(eta) + 1)
+                ]
+                if passes[-1]:
+                    assert all(passes), (t, eta)
+                    kept += 1
+                for j in range(1, len(eta) + 1):
+                    if passes[j - 1] and len(trim(gamma[starts[j - 1]:starts[j]])) <= 1:
+                        assert passes[j], (t, eta, j)
+                        one_row += 1
+    assert kept and one_row
+
+
+def test_charge_engine_at_n_10():
+    # lam=(6,5,4,3,2,0^5), gamma=(2^10), eta=(2^5): 1,064 catabolizable tableaux
+    lam, rseq = (6, 5, 4, 3, 2, 0, 0, 0, 0, 0), rect_sequence((2,) * 5, (2,) * 10)
+    found = k_by_charge(lam, rseq).poly
+    assert found == k_by_recurrence(lam, rseq)
+    assert found.at_one() == 1064
 
 
 def test_cat_step_matches_the_tableau_reference():

@@ -232,6 +232,7 @@ def test_partition_helpers():
     assert partitions(4, max_len=2) == ((4,), (3, 1), (2, 2))
     assert len(compositions(4)) == 8
     assert sorted(partitions_containing((2, 1), 4, 3)) == [(2, 1, 1), (2, 2), (3, 1)]
+    assert sorted(partitions_containing((2, 1), 4, 3, (3, 1, 1))) == [(2, 1, 1), (3, 1)]
     assert trim((2, 1, 0, 0)) == (2, 1)
     assert pad((2, 1), 4) == (2, 1, 0, 0)
     with pytest.raises(ValueError, match="cannot pad"):

@@ -267,21 +267,40 @@ def test_column_rsk_roundtrip():
         assert back == [tuple(w) for w in words]
 
 
-def test_column_rsk_inverse_inverts_every_pair():
-    # every pair of straight CSTs of one shape, size <= 5, letters <= 3: as
-    # many as the 3x3 matrices over N with entries summing to <= 5
-    pairs = 0
+def small_straight_cst_by_shape():
+    """The straight CSTs of each shape of size <= 5 with letters <= 3: as many
+    pairs of one shape as the 3x3 matrices over N with entries summing to <= 5."""
     for size in range(6):
         for shape in partitions(size, max_len=3):
-            tableaux = [
+            yield [
                 t
                 for cnt in itertools.product(range(size + 1), repeat=3)
                 if sum(cnt) == size
                 for t in straight_cst(shape, cnt)
             ]
-            for p, q in itertools.product(tableaux, repeat=2):
-                assert column_rsk(column_rsk_inverse(p, q)) == (p, q)
-                pairs += 1
+
+
+def test_column_rsk_inverse_inverts_every_pair():
+    pairs = 0
+    for tableaux in small_straight_cst_by_shape():
+        for p, q in itertools.product(tableaux, repeat=2):
+            assert column_rsk(column_rsk_inverse(p, q)) == (p, q)
+            pairs += 1
+    assert pairs == 2002
+
+
+def test_column_rsk_inverse_reads_each_label_in_decreasing_columns():
+    # the claim column_rsk_inverse relies on in place of a horizontal-strip check: in a
+    # column-strict straight Q, read top row first and each row right to left,
+    # each label's cells come in strictly decreasing columns; checked on the Q
+    # of every pair of straight CSTs of one shape, size <= 5, letters <= 3
+    pairs = 0
+    for tableaux in small_straight_cst_by_shape():
+        for q in tableaux:
+            for label in (1, 2, 3):
+                cols = [j for r in q.rows for j in reversed(range(len(r))) if r[j] == label]
+                assert all(a > b for a, b in zip(cols, cols[1:])), (q, label)
+        pairs += len(tableaux) ** 2
     assert pairs == 2002
 
 

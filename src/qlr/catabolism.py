@@ -98,15 +98,15 @@ def _catabolizable(rows, rseq: RectSequence) -> bool:
 
 @cache
 def _segments(rseq: RectSequence):
-    """(content, size, test) per segment of blocks after Y_1: a segment ends at each
-    block of more than one row, whose prefix is tested, and at the last block, whose
-    size is False.  A one-row block's letters form Y_j once the blocks before it catabolize."""
+    """(content, size, test) per segment of blocks after Y_1, size counting all letters up
+    to its end: a segment ends at each block of more than one row (its prefix is tested)
+    and at the last.  A one-row block's letters form Y_j once the blocks before catabolize."""
     gamma, starts, t = rseq.gamma, block_starts(rseq.eta), rseq.t
     out, lo = [], starts[1]
     for j, hi in enumerate(starts[2:], 1):
         if (multi := any(gamma[starts[j] + 1:hi])) or j == t - 1:
             test = multi and RectSequence._of(rseq.eta[:j + 1], gamma[:hi])
-            out.append(((0,) * lo + gamma[lo:hi], j < t - 1 and sum(gamma[:hi]), test))
+            out.append(((0,) * lo + gamma[lo:hi], sum(gamma[:hi]), test))
             lo = hi
     return tuple(out)
 
@@ -130,7 +130,7 @@ def enumerate_catabolizable(shape, rseq: RectSequence) -> tuple[Tableau, ...]:
     for cnt, size, test in segments:
         grown: dict = {}
         for inner, prefixes in groups.items():
-            for nu in partitions_containing(inner, size, len(shape), shape) if size else (shape,):
+            for nu in partitions_containing(inner, size, len(shape), shape):
                 for s in enumerate_cst(nu, inner, cnt):
                     for rows in prefixes:
                         new = tuple(r + x for r, x in zip_longest(rows, s.rows, fillvalue=()))

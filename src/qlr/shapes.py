@@ -292,22 +292,12 @@ def box_complement(lam, rseq: RectSequence, size=None):
 # enumeration helpers
 
 
-@cache
 def partitions(n: int, max_len: int | None = None, max_part: int | None = None):
     """All partitions of ``n`` (trimmed form), optionally bounded."""
-    if max_part is None:
-        max_part = n
     if max_len is None:
         max_len = n
-    if n == 0:
-        return ((),)
-    if max_len == 0 or max_part == 0:
-        return ()
-    out = []
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions(n - first, max_len - 1, first):
-            out.append((first,) + rest)
-    return tuple(out)
+    within = None if max_part is None else (max_part,) * max_len
+    return partitions_containing((), n, max_len, within)
 
 
 def partitions_upto(n: int, max_len: int | None = None):
@@ -328,27 +318,30 @@ def compositions(n: int):
     return tuple(out)
 
 
-def partitions_containing(beta, size: int, max_len: int, within=None):
-    """Partitions of ``size`` in <= ``max_len`` parts, between ``beta`` and ``within`` if given."""
+@cache
+def partitions_containing(beta, size: int, max_len: int, within=None) -> tuple[Vec, ...]:
+    """Partitions of ``size`` in <= ``max_len`` parts between ``beta`` and
+    ``within`` (if given), trimmed, in decreasing lexicographic order."""
     beta = trim(beta)
-    if len(beta) > max_len or sum(beta) > size:
-        return
+    if len(beta) > max_len:
+        return ()
+    lows = pad(beta, max_len)
     caps = (size,) * max_len if within is None else pad(within[:max_len], max_len)
+    out, parts = [], []
 
-    def gen(i, remaining, prev):
+    def walk(i, remaining, prev):
+        if not remaining and i >= len(beta):
+            out.append(tuple(parts))
+            return
         if i == max_len:
-            if remaining == 0:
-                yield ()
             return
-        low = beta[i] if i < len(beta) else 0
-        if low > prev or remaining < low:
-            return
-        for x in range(min(prev, remaining, caps[i]), low - 1, -1):
-            # the lower bound keeps beta inside, the upper keeps it a partition
+        # the lower bound keeps beta inside, the upper keeps it a partition
+        for x in range(min(prev, remaining, caps[i]), lows[i] - 1, -1):
             if remaining - x > (max_len - i - 1) * x:
-                continue
-            for rest in gen(i + 1, remaining - x, x):
-                yield (x,) + rest
+                break  # the later parts cannot hold the rest, nor for any smaller x
+            parts.append(x)
+            walk(i + 1, remaining - x, x)
+            parts.pop()
 
-    for p in gen(0, size, size):
-        yield trim(p)
+    walk(0, size, size)
+    return tuple(out)

@@ -259,10 +259,10 @@ def column_rsk(words):
             if i == len(q_rows):
                 q_rows.append([])
             q_rows[i].append(lab)
-    p, q = (Tableau._of(tuple(map(tuple, lines))) for lines in (_transpose(cols), q_rows))
-    if not q.is_column_strict():
-        raise ValueError("words do not yield a column-strict recording tableau")
-    return p, q
+    # Q is column strict: a word's letters arrive weakly decreasing, so by the column
+    # bumping lemma (Fulton, Young Tableaux, 1997) each new cell lies strictly right of
+    # and weakly above the one before, and no label meets a column twice
+    return tuple(Tableau._of(tuple(map(tuple, lines))) for lines in (_transpose(cols), q_rows))
 
 
 def column_rsk_inverse(p: Tableau, q: Tableau, labels=None):

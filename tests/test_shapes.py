@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import pytest
@@ -238,6 +239,56 @@ def test_partition_helpers():
     with pytest.raises(ValueError, match="cannot pad"):
         pad((2, 1), 1)
     assert from_rects([(3, 2), (2, 1), (1,)]).eta == (2, 2, 1)
+
+
+def partitions_reference(n, max_len=None, max_part=None):
+    """The former ``partitions``: its own recursion on the first part."""
+    if max_part is None:
+        max_part = n
+    if max_len is None:
+        max_len = n
+    if n == 0:
+        return [()]
+    if max_len == 0 or max_part == 0:
+        return []
+    return [
+        (first,) + rest
+        for first in range(min(n, max_part), 0, -1)
+        for rest in partitions_reference(n - first, max_len - 1, first)
+    ]
+
+
+def contains(outer, inner):
+    return len(inner) <= len(outer) and all(map(operator.ge, outer, inner))
+
+
+def test_partitions_match_the_recursive_reference_in_order():
+    cases = 0
+    for n in range(11):
+        for max_len in (None, *range(n + 2)):
+            for max_part in (None, *range(n + 2)):
+                expected = tuple(partitions_reference(n, max_len, max_part))
+                assert partitions(n, max_len, max_part) == expected, (n, max_len, max_part)
+                cases += 1
+    assert cases == 814
+
+
+def test_partitions_containing_filters_the_reference_in_order():
+    # every beta inside (3, 2, 1); the walker stops each loop at the first part too
+    # small for the later parts to hold the rest, which must not lose a partition
+    betas = [b for s in range(7) for b in partitions_reference(s) if contains((3, 2, 1), b)]
+    withins = (None, (3, 2, 1), (4, 2, 2, 1), (5, 3), (2, 2, 2, 2), (8,))
+    found = 0
+    for args in itertools.product(betas, range(9), range(5), withins):
+        beta, size, max_len, within = args
+        expected = tuple(
+            p for p in partitions_reference(size, max_len)
+            if contains(p, beta) and (within is None or contains(within, p))
+        )
+        assert partitions_containing(*args) == expected, args
+        found += len(expected)
+    assert len(betas) == 14
+    assert found == 2309
 
 
 def straighten_reference(alpha):

@@ -29,7 +29,7 @@ from qlr.tableaux import (
     v_slice,
     yamanouchi_tableau,
 )
-from qlr.verify import _word_sequences
+from qlr.verify import _column_rsk_table, _word_sequences
 
 
 def knuth_neighbors(w):
@@ -258,6 +258,14 @@ def test_column_rsk_matches_the_row_buffer_reference():
     assert len(seqs) == 6013
     for words in seqs:
         assert column_rsk(words) == column_rsk_by_rows(words)
+
+
+def test_column_rsk_records_a_column_strict_q():
+    # column_rsk keeps no closing check on Q: the column bumping lemma makes Q column strict
+    table = _column_rsk_table(6, 3)
+    assert len(table) == 6013
+    for words, (_, q) in table.items():
+        assert q.is_column_strict(), words
 
 
 def test_column_rsk_roundtrip():

@@ -27,7 +27,6 @@ from .tableaux import (
     enumerate_cst,
     evacuation,
     h_slice,
-    knuth_equivalent,
     overlap,
     schensted_p,
     straight_cst,
@@ -70,7 +69,6 @@ from .kpoly import (
     k_by_kostant,
     k_by_recurrence,
     k_by_series,
-    kostka_foulkes,
     kostka_number,
     lr_coefficient,
     standard_cocharge_sum,

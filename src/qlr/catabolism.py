@@ -155,11 +155,6 @@ def leading_run(t: Tableau) -> int:
     return i
 
 
-def first_row_catabolism(t: Tableau) -> Tableau:
-    """Column-insert the first row of t into the rest of t."""
-    return h_slice(t, 1)
-
-
 def catabolism_type(t: Tableau):
     """The partition recording how fast iterated catabolism eats 1, 2, ....
 
@@ -172,11 +167,10 @@ def catabolism_type(t: Tableau):
     runs = [leading_run(t)]
     cur = t
     while runs[-1] < n:
-        cur = first_row_catabolism(cur)
-        nxt = leading_run(cur)
-        if nxt <= runs[-1]:
-            raise RuntimeError("first-row catabolism stalled on standard input")
-        runs.append(nxt)
+        # the run i grows: i + 1 leads row 2, so inserting row 1 and then the rest
+        # puts it right after 1..i in row 1, and no later letter bumps them
+        cur = h_slice(cur, 1)
+        runs.append(leading_run(cur))
     return tuple(a - b for a, b in zip(runs, [0] + runs[:-1]))
 
 

@@ -147,9 +147,6 @@ class InvolutionContext:
             )
         return ts
 
-    def tableau_in_catabolizable_side(self, t: Tableau) -> bool:
-        return t in self.catabolizable_ts(t.outer)
-
     def _nonnegative_u_perms(self):
         """The w whose U-content is nonnegative, in lexicographic order.
 
@@ -266,7 +263,7 @@ def verify_involution(lam, rseq: RectSequence) -> InvolutionReport:
             involution_ok = False
         if ctx.weight_exponent(other.w, other.t) != exponent:
             weight_ok = False
-        if not ctx.tableau_in_catabolizable_side(other.t):
+        if other.t not in ctx.catabolizable_ts(other.t.outer):
             escapes.append(triple)
 
     for x, y in images.items():

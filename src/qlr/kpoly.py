@@ -203,13 +203,7 @@ def index_from_rects(lam, rects) -> KIndex:
 
 
 # ---------------------------------------------------------------------------
-# Bott straightening and the counting oracles
-
-
-def bott_straighten(alpha):
-    """Straighten a monomial exponent of the series expansion: None on a
-    stuck repeat, else (sign, dominant weight); see ``shapes.straighten``."""
-    return straighten(alpha)
+# the counting oracles
 
 
 def kostka_number(shape, alpha) -> int:
@@ -503,7 +497,7 @@ def series_decomposition(gamma, eta, bound: int, values=None) -> dict[Vec, QPoly
     ``values``, at once, by monomial straightening."""
     out: dict[Vec, dict[int, int]] = {}
     for alpha, coeffs in series_monomials(gamma, eta, bound, values).items():
-        res = bott_straighten(alpha)
+        res = straighten(alpha)
         if res is None:
             continue
         sign, lam = res
@@ -564,11 +558,6 @@ def k_by_charge(lam, rseq: RectSequence) -> ChargeResult:
         raise ValueError(f"the block sequence must be dominant: {rseq.gamma}")
     total = _generating(charge_tableau, enumerate_catabolizable(trim(lam), rseq))
     return ChargeResult(total, charge_engine_status(rseq))
-
-
-def kostka_foulkes(lam, mu) -> QPoly:
-    """Charge generating function over CST(lam, mu)."""
-    return _generating(charge_tableau, straight_cst(trim(lam), tuple(mu)))
 
 
 def cocharge_kostka(lam, mu) -> QPoly:

@@ -292,12 +292,9 @@ def box_complement(lam, rseq: RectSequence, size=None):
 # enumeration helpers
 
 
-def partitions(n: int, max_len: int | None = None, max_part: int | None = None):
-    """All partitions of ``n`` (trimmed form), optionally bounded."""
-    if max_len is None:
-        max_len = n
-    within = None if max_part is None else (max_part,) * max_len
-    return partitions_containing((), n, max_len, within)
+def partitions(n: int, max_len: int | None = None):
+    """All partitions of ``n`` (trimmed form), optionally in at most ``max_len`` parts."""
+    return partitions_containing((), n, n if max_len is None else max_len)
 
 
 def partitions_upto(n: int, max_len: int | None = None):

@@ -233,10 +233,6 @@ def schensted_p(w) -> Tableau:
     return Tableau._of(tuple(map(tuple, rows)))
 
 
-def knuth_equivalent(u, v) -> bool:
-    return schensted_p(u) == schensted_p(v)
-
-
 # ---------------------------------------------------------------------------
 # column RSK for sequences of weakly increasing words
 
@@ -291,10 +287,12 @@ def column_rsk_inverse(p: Tableau, q: Tableau, labels=None):
         words.append(tuple(_uninsert(cols, cell, bisect_right) for cell in cells))
     if strips or cols:
         raise ValueError("recording labels do not exhaust Q")
+    # every word is weakly increasing, for any label order: a label's cells are
+    # uninserted in strictly decreasing columns, and re-inserting two letters it
+    # gave, the later one first, rebuilds their two cells; by the column bumping
+    # lemma the second cell lies strictly right of the first only when its letter
+    # is no larger, so the earlier letter is the smaller one
     words.reverse()
-    for w in words:
-        if not is_weakly_increasing_word(w):
-            raise ValueError("malformed pair: inverse gave a decreasing word")
     return words
 
 

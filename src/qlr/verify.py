@@ -36,7 +36,6 @@ from .kpoly import (
     dual_index,
     k_by_charge,
     k_by_kostant,
-    k_by_recurrence,
     lr_product,
     series_decomposition,
 )
@@ -240,14 +239,15 @@ def index_key(norm) -> str:
 
 
 # ---------------------------------------------------------------------------
-# conjecture scans
+# conjecture scans: a scan's lambda is a partition of gamma's size and its block
+# sequences are dominant, so each passes k_by_recurrence's checks and goes to _k_rec
 
 
 def scan_positivity(max_n: int, max_weight: int, *, sample=None) -> ScanReport:
     """Dominant gamma should give nonnegative coefficients."""
 
     def check(rep, idx, rseq, _):
-        poly = k_by_recurrence(idx.lam, rseq)
+        poly = _k_rec(idx.lam, rseq)
         rep.checks += 1
         if not poly.is_nonnegative():
             rep.found(check="positivity", index=idx, poly=poly)
@@ -259,7 +259,7 @@ def scan_catabolizable(max_n: int, max_weight: int, *, sample=None) -> ScanRepor
     """The charge engine should match the exact engines on dominant inputs."""
 
     def check(rep, idx, rseq, _):
-        exact = k_by_recurrence(idx.lam, rseq)
+        exact = _k_rec(idx.lam, rseq)
         conj = k_by_charge(idx.lam, rseq)
         rep.checks += 1
         if conj.poly != exact:
@@ -281,10 +281,10 @@ def _grows(kind: str):
     def check(rep, idx, rseq, variants):
         if not variants:
             return
-        base = k_by_recurrence(idx.lam, rseq)
+        base = _k_rec(idx.lam, rseq)
         for variant in variants:
             rep.checks += 1
-            other = k_by_recurrence(idx.lam, variant)
+            other = _k_rec(idx.lam, variant)
             if not base.leq(other):
                 rep.found(check=kind, index=idx, variant_eta=variant.eta,
                           poly=base, other=other)
@@ -522,7 +522,7 @@ def k_or_zero(lam, rseq) -> QPoly:
     lam = trim(lam)
     if len(lam) > rseq.n:
         return ZERO
-    return k_by_recurrence(pad(lam, rseq.n), rseq)
+    return _k_rec(pad(lam, rseq.n), rseq)  # callers pass lam of gamma's size, gamma dominant
 
 
 def check_stembridge(n: int) -> ScanReport:

@@ -152,6 +152,16 @@ def test_refill_rejects_words_that_do_not_fill_the_shape():
             refill(t, w)
 
 
+def test_operators_reject_a_letter_below_one():
+    with pytest.raises(ValueError, match="r must be a positive letter"):
+        reflection((1, 2), 0)
+
+
+def test_lattice_involution_rejects_a_lattice_word():
+    with pytest.raises(ValueError, match="already lattice"):
+        lattice_involution((2, 1, 1))
+
+
 def test_plactic_act_braid_independence():
     # two reduced words for the longest element of S3: (1,2,1) and (2,1,2)
     def act_by(word, u):

@@ -221,6 +221,7 @@ def test_catabolizable_side_is_membership_in_the_per_shape_sets():
                     tail = ctx.rseq.tail()
                     for t in all_cst_of_content(ctx.t_content):
                         expected = is_catabolizable(t.relabel(-ctx.m), tail)
-                        assert ctx.tableau_in_catabolizable_side(t) == expected, (ctx.rseq, t)
+                        got = t in ctx.catabolizable_ts(t.outer)
+                        assert got == expected, (ctx.rseq, t)
                         outcomes.add(expected)
     assert outcomes == {True, False}

@@ -14,7 +14,6 @@ from qlr.kpoly import (
     QPoly,
     ZERO,
     _kept_cosets,
-    bott_straighten,
     charge_engine_status,
     cocharge_kostka,
     compute,
@@ -26,7 +25,6 @@ from qlr.kpoly import (
     k_by_kostant,
     k_by_recurrence,
     k_by_series,
-    kostka_foulkes,
     kostka_number,
     lr_coefficient,
     lr_product,
@@ -52,6 +50,7 @@ from qlr.shapes import (
     rect_sequence,
     rho,
     roots_of,
+    straighten,
     vec_add,
     vec_sub,
 )
@@ -76,10 +75,10 @@ def test_qpoly_arithmetic():
 
 
 def test_bott_straighten():
-    assert bott_straighten((1, 1)) == (1, (1, 1))
-    assert bott_straighten((0, 1)) is None
-    assert bott_straighten((0, 2)) == (-1, (1, 1))
-    assert bott_straighten((2, 1, 0)) == (1, (2, 1, 0))
+    assert straighten((1, 1)) == (1, (1, 1))
+    assert straighten((0, 1)) is None
+    assert straighten((0, 2)) == (-1, (1, 1))
+    assert straighten((2, 1, 0)) == (1, (2, 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +647,10 @@ def test_kostka_foulkes_case():
     res = k_by_charge(lam, rs)
     assert res.status == PROVEN
     assert res.poly == q(1) + q(2)
-    assert res.poly == kostka_foulkes((2, 1), gamma)
+    assert res.poly == k_by_recurrence(lam, rs)
     assert k_by_kostant(KIndex(lam, gamma, (1, 1, 1))) == res.poly
-    assert kostka_foulkes((2, 1), (2, 1)) == ONE
+    rows = rect_sequence((1, 1), (2, 1))
+    assert k_by_charge((2, 1), rows).poly == k_by_recurrence((2, 1), rows) == ONE
 
 
 def test_cocharge_kostka():
@@ -757,7 +757,7 @@ def series_monomials_reference(gamma, eta, bound):
 def series_decomposition_reference(gamma, eta, bound):
     out = {}
     for alpha, poly in series_monomials_reference(gamma, eta, bound).items():
-        res = bott_straighten(alpha)
+        res = straighten(alpha)
         if res is not None:
             sign, lam = res
             out[lam] = out.get(lam, ZERO) + poly * sign
@@ -781,7 +781,7 @@ def test_series_matches_the_qpoly_reference_at_every_bound():
                 v = vec_add(alpha, rho(n))
                 assert len(set(v[:last])) == last and min(v) >= 0, (gamma, eta, alpha)
             for alpha in reference.keys() - monomials.keys():
-                res = bott_straighten(alpha)
+                res = straighten(alpha)
                 assert res is None or min(res[1]) < 0, (gamma, eta, bound, alpha)
             got = series_decomposition(gamma, eta, bound)
             expected = series_decomposition_reference(gamma, eta, bound)
@@ -823,7 +823,7 @@ def test_targeted_series_keeps_only_monomials_that_can_reach_lambda():
                     finished = vec_add(alpha, rho(n))[:n - eta[-1]]
                     assert len(set(finished)) == len(finished) and values.issuperset(finished)
                 for alpha in reference.keys() - kept.keys():
-                    res = bott_straighten(alpha)
+                    res = straighten(alpha)
                     assert res is None or res[1] != lam, (gamma, eta, bound, lam, alpha)
                 idx = KIndex(lam, gamma, eta)
                 assert k_by_series(idx, bound) == decomposition.get(lam, ZERO), (idx, bound)
@@ -860,6 +860,16 @@ def test_pruned_series_matches_kostant_on_random_groups(seed):
             lam = pad(lam, n)
             expected = k_by_kostant(KIndex(lam, gamma, eta))
             assert decomposition.get(lam, ZERO) == expected, (lam, gamma, eta)
+
+
+def test_exact_engines_give_zero_when_lambda_and_gamma_differ_in_size():
+    assert k_by_recurrence((2, 0), rect_sequence((1, 1), (1, 0))) == ZERO
+    assert k_by_series(KIndex((2, 0), (1, 0), (1, 1))) == ZERO
+
+
+def test_kostant_requires_a_dominant_lambda():
+    with pytest.raises(ValueError, match="lambda must be dominant"):
+        k_by_kostant(KIndex((0, 1), (1, 0), (1, 1)))
 
 
 def test_series_requires_a_partition_lambda():

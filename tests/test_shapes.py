@@ -169,6 +169,11 @@ def test_rect_sequence_examples():
     assert rect_sequence((3,), (2, 1, 0)).rects == ((2, 1, 0),)
 
 
+def test_normalize_index_rejects_mismatched_lengths():
+    with pytest.raises(ValueError, match="must agree on n"):
+        normalize_index((1, 0), (1, 0, 0), (1, 1))
+
+
 @pytest.mark.parametrize("eta, gamma, message", [
     ((2,), (1,), "does not tile"),
     ((1, 1), (1, 1, 1), "does not tile"),
@@ -268,7 +273,12 @@ def test_partitions_match_the_recursive_reference_in_order():
         for max_len in (None, *range(n + 2)):
             for max_part in (None, *range(n + 2)):
                 expected = tuple(partitions_reference(n, max_len, max_part))
-                assert partitions(n, max_len, max_part) == expected, (n, max_len, max_part)
+                if max_part is None:
+                    got = partitions(n, max_len)
+                else:
+                    length = n if max_len is None else max_len
+                    got = partitions_containing((), n, length, (max_part,) * length)
+                assert got == expected, (n, max_len, max_part)
                 cases += 1
     assert cases == 814
 

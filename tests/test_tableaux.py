@@ -19,8 +19,8 @@ from qlr.tableaux import (
     enumerate_cst,
     evacuation,
     h_slice,
+    is_weakly_increasing_word,
     jdt_slide,
-    knuth_equivalent,
     overlap,
     schensted_p,
     straight_cst,
@@ -187,9 +187,9 @@ def test_reverse_insertions_invert_insertions():
 
 
 def test_knuth_equivalent():
-    assert knuth_equivalent((1, 3, 2), (3, 1, 2))
-    assert not knuth_equivalent((1, 2), (2, 1))
-    assert knuth_equivalent((2, 1, 1), (2, 1, 1))
+    assert schensted_p((1, 3, 2)) == schensted_p((3, 1, 2))
+    assert schensted_p((1, 2)) != schensted_p((2, 1))
+    assert schensted_p((2, 1, 1)) == schensted_p((2, 1, 1))
 
 
 def test_column_rsk_single_word():
@@ -310,6 +310,27 @@ def test_column_rsk_inverse_reads_each_label_in_decreasing_columns():
                 assert all(a > b for a, b in zip(cols, cols[1:])), (q, label)
         pairs += len(tableaux) ** 2
     assert pairs == 2002
+
+
+def test_column_rsk_inverse_gives_weakly_increasing_words_for_any_label_order():
+    # the claim that replaced the decreasing-word check: whatever order the labels
+    # are uninserted in, every word comes out weakly increasing, and column RSK of
+    # the words gives back P, and Q with its labels in that order
+    kept = reordered = 0
+    for words in _word_sequences(4, 3):
+        p, q = column_rsk(words)
+        for order in itertools.permutations(range(1, len(words) + 1)):
+            try:
+                out = column_rsk_inverse(p, q, labels=order)
+            except ValueError:
+                continue
+            assert all(map(is_weakly_increasing_word, out)), (words, order)
+            p2, q2 = column_rsk(out)
+            assert p2 == p, (words, order)
+            assert tuple(tuple(order[x - 1] for x in r) for r in q2.rows) == q.rows, (words, order)
+            kept += 1
+            reordered += list(order) != sorted(order)
+    assert (kept, reordered) == (2466, 1506)
 
 
 def test_column_rsk_roundtrip_on_seeded_long_sequences():

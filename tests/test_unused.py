@@ -32,15 +32,15 @@ def checked_defs():
     }
 
 
+def unnamed(paths):
+    """The names ``checked_defs`` keeps that the files at ``paths`` name no
+    more often than they define them."""
+    words = Counter(word for p in paths for word in re.findall(r"\w+", p.read_text()))
+    return sorted(name for name, n in checked_defs().items() if words[name] <= n)
+
+
 def test_no_public_function_is_unused():
-    words = Counter(
-        word
-        for d in READERS
-        for p in d.glob("*.py")
-        for word in re.findall(r"\w+", p.read_text())
-    )
-    unused = sorted(name for name, n in checked_defs().items() if words[name] <= n)
-    assert unused == []
+    assert unnamed(p for d in READERS for p in d.glob("*.py")) == []
 
 
 def test_no_import_is_unused():

@@ -12,7 +12,6 @@ from .shapes import (
     conjugate,
     dominates,
     from_rects,
-    matching_perm,
     n_stat,
     normalize_index,
     partitions,

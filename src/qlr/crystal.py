@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .shapes import matching_perm, reduced_word
+from .shapes import pad, reduced_word
 from .tableaux import Tableau, Word, content
 
 
@@ -94,11 +94,25 @@ def plactic_act(w_perm, u) -> Word:
     return tuple(out)
 
 
+def _rearrange(w, target) -> Word:
+    """The word of content ``target`` in w's plactic orbit, each count moved
+    forward by adjacent reflections.  Any permutation taking w's content c to
+    ``target`` gives it: Stab(c) = u Stab(c+) u^-1 for c+ = u^-1 c sorted, whose
+    generators s_r (c+_r = c+_{r+1}, so p = q) fix u^-1 w; so Stab(c) fixes w."""
+    c = list(pad(content(w), len(target)))
+    if sorted(c) != sorted(target):
+        raise ValueError(f"{tuple(target)} is not a rearrangement of {tuple(c)}")
+    out = list(w)
+    for i, x in enumerate(target):
+        for r in range(c.index(x, i), i, -1):
+            _reflect(out, r)
+            c[r - 1], c[r] = c[r], c[r - 1]
+    return tuple(out)
+
+
 def sort_to_partition_content(u) -> Word:
     """Act by the shortest permutation that sorts the content into a partition."""
-    u = tuple(u)
-    alpha = content(u)
-    return plactic_act(matching_perm(alpha, sorted(alpha, reverse=True)), u)
+    return _rearrange(u, sorted(content(u), reverse=True))
 
 
 def refill(t: Tableau, w) -> Tableau:

@@ -20,8 +20,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 from .charge import cocharge_grade
-from .crystal import lowering, plactic_act, refill
-from .shapes import dominates, is_weakly_decreasing, matching_perm, pad, trim
+from .crystal import _rearrange, lowering, refill
+from .shapes import dominates, is_weakly_decreasing, pad, trim
 from .tableaux import (
     Tableau,
     _insert,
@@ -90,10 +90,10 @@ def content_embedding(alpha, beta, t: Tableau) -> Tableau:
 
     Requires sorted(alpha) to dominate sorted(beta); the map is independent
     of the particular chain of elementary moves used here.  Each move acts on
-    the reading word: with mu the sorted content, it stages the content as
-    (mu_i, mu_j, rest) by the plactic action and lowers at r = 1, taking the
-    first (i, j) in product order with mu_i >= mu_j + 2 whose result still
-    dominates beta.  A last plactic action reaches beta itself.
+    the reading word: with mu the sorted content and slack the partial sums of
+    mu - sorted(beta), it takes i the first index of positive slack and j the
+    first from i of zero slack, stages the content as (mu_i, mu_j, rest) by the
+    plactic action and lowers at r = 1.  A last plactic action reaches beta.
     """
     alpha, beta = tuple(alpha), tuple(beta)
     if trim(t.content()) != trim(alpha):
@@ -104,21 +104,18 @@ def content_embedding(alpha, beta, t: Tableau) -> Tableau:
         raise ValueError(f"{alpha} does not dominate {beta}")
     n = max(len(alpha), len(beta))
     cnt, beta = pad(alpha, n), pad(beta, n)
-    target = tuple(sorted(beta, reverse=True))
+    target = sorted(beta, reverse=True)
     w = t.word()
-    while (mu := tuple(sorted(cnt, reverse=True))) != target:
-        # mu strictly dominates target, so some move keeps the dominance
-        for i, j in itertools.product(range(n), repeat=2):
-            if i == j or mu[i] < mu[j] + 2:
-                continue
-            rest = sorted((mu[k] for k in range(n) if k not in (i, j)), reverse=True)
-            moved = (mu[i] - 1, mu[j] + 1, *rest)
-            if dominates(tuple(sorted(moved, reverse=True)), target):
-                break
+    while (mu := sorted(cnt, reverse=True)) != target:
+        # mu_i > target_i >= target_j > mu_j; slack >= 1 on [i, j) keeps the dominance
+        slack = list(itertools.accumulate(a - b for a, b in zip(mu, target)))
+        i = next(k for k, s in enumerate(slack) if s)
+        j = slack.index(0, i)
+        rest = mu[:i] + mu[i + 1:j] + mu[j + 1:]
         # the staged content has c_1 >= c_2 + 2: at least two 1's are unpaired
-        w = lowering(plactic_act(matching_perm(cnt, (mu[i], mu[j], *rest)), w), 1)
-        cnt = moved
-    return refill(t, plactic_act(matching_perm(cnt, beta), w))
+        w = lowering(_rearrange(w, (mu[i], mu[j], *rest)), 1)
+        cnt = (mu[i] - 1, mu[j] + 1, *rest)
+    return refill(t, _rearrange(w, beta))
 
 
 def cyclage_standardization(t: Tableau) -> Tableau:
@@ -161,13 +158,12 @@ def cyclage_poset(alpha) -> CyclagePoset:
     if sum(alpha) > MAX_POSET_SIZE:
         raise ValueError(f"poset size {sum(alpha)} exceeds {MAX_POSET_SIZE}")
     verts = all_cst_of_content(alpha)
-    # the sorting permutation is the identity when alpha is a partition
-    mu = tuple(sorted(alpha, reverse=True))
-    w, w_inv = matching_perm(mu, alpha), matching_perm(alpha, mu)
+    # the rearrangement is the identity when alpha is a partition
+    mu = sorted(alpha, reverse=True)
     edges = []
     for v in verts:
-        for e in cyclage_covers(refill(v, plactic_act(w_inv, v.word()))):
-            lower = refill(e.lower, plactic_act(w, e.lower.word()))
+        for e in cyclage_covers(refill(v, _rearrange(v.word(), mu))):
+            lower = refill(e.lower, _rearrange(e.lower.word(), alpha))
             edges.append(replace(e, upper=v, lower=lower))
     grades = tuple(cocharge_grade(v) for v in verts)
     return CyclagePoset(alpha, verts, tuple(edges), grades)

@@ -64,7 +64,7 @@ class InvolutionContext:
         self.m = rseq.eta[0]
         self.gamma = rseq.gamma
         self.lam = pad(lam, self.n)
-        self.r1 = rseq.rects[0]
+        self.r1 = self.gamma[:self.m]
         self.gamma_hat = self.gamma[self.m:]
         self.t_content = (0,) * self.m + self.gamma_hat
         self.lam_rho = vec_add(self.lam, rho(self.n))

@@ -404,7 +404,7 @@ def _kept_cosets(lam_rho, r1):
 def _k_rec(lam: Vec, rseq: RectSequence) -> QPoly:
     if rseq.t <= 1:
         return ONE if trim(lam) == trim(rseq.gamma) else ZERO
-    r1 = rseq.rects[0]
+    r1 = rseq.gamma[:rseq.eta[0]]
     m, n = len(r1), rseq.n
     tail, r1_trim, r1_size = rseq.tail(), trim(r1), sum(r1)
     total: dict[int, int] = {}

@@ -9,8 +9,7 @@ values are hashable and safe to share across threads.  Conventions:
 * a *composition* is a tuple of nonnegative integers;
 * a permutation ``w`` is stored in one-line notation as a tuple with
   ``w[i] == w(i+1)`` (0-based storage, 1-based values); it moves the entry at
-  position j of a weight to position w(j), and ``matching_perm`` gives the
-  shortest w that takes one weight to a rearrangement of it.
+  position j of a weight to position w(j).
 """
 
 from __future__ import annotations
@@ -107,20 +106,6 @@ def vec_sub(a, b) -> Vec:
 def perm_sign(w) -> int:
     """(-1) to the number of pairs of entries out of increasing order."""
     return -1 if sum(x > y for x, y in itertools.combinations(w, 2)) % 2 else 1
-
-
-def matching_perm(src, dst) -> Vec:
-    """The shortest w moving the entry at position j of ``src`` to position
-    w(j) of ``dst``: equal values keep their order.  Raises ValueError unless
-    ``dst`` is a rearrangement of ``src``."""
-    by_src = sorted(range(len(src)), key=src.__getitem__)
-    by_dst = sorted(range(len(dst)), key=dst.__getitem__)
-    if [src[j] for j in by_src] != [dst[i] for i in by_dst]:
-        raise ValueError(f"{dst} is not a rearrangement of {src}")
-    w = [0] * len(src)
-    for j, i in zip(by_src, by_dst):
-        w[j] = i + 1
-    return tuple(w)
 
 
 def all_permutations(n: int):

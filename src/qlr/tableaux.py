@@ -123,12 +123,6 @@ class Tableau:
     def relabel(self, offset: int) -> "Tableau":
         return Tableau._of(tuple(tuple(x + offset for x in r) for r in self.rows), self.inner)
 
-    def transpose(self) -> "Tableau":
-        """Transpose a straight-shape tableau."""
-        if self.inner:
-            raise ValueError("transpose is only defined for straight shapes")
-        return Tableau(_transpose(self.rows))
-
     def cells(self):
         """All (row, col) cell coordinates, 0-based."""
         for i, r in enumerate(self.rows):

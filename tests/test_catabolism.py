@@ -26,6 +26,7 @@ from qlr.shapes import compositions, dominates, pad, partitions, rect_sequence, 
 from qlr.tableaux import (
     EMPTY,
     Tableau,
+    _transpose,
     all_cst_of_content,
     h_slice,
     standard_tableaux,
@@ -337,6 +338,11 @@ def test_hook_block_sequences_reduce_to_content():
                 assert is_catabolizable(t, rs) == simple
 
 
+def transpose(t: Tableau) -> Tableau:
+    """The transpose of a straight-shape tableau."""
+    return Tableau(_transpose(t.rows))
+
+
 def test_transpose_bridges_column_blocks_and_column_catabolism():
     for n in range(1, 7):
         for mu in partitions(n):
@@ -344,9 +350,9 @@ def test_transpose_bridges_column_blocks_and_column_catabolism():
             for shape in partitions(n):
                 for t in standard_tableaux(shape):
                     assert is_catabolizable(t, rs) == is_mu_column_catabolizable(
-                        t.transpose(), mu
+                        transpose(t), mu
                     )
-                    assert charge_tableau(t) == cocharge_tableau(t.transpose())
+                    assert charge_tableau(t) == cocharge_tableau(transpose(t))
 
 
 def test_catabolizability_moves_along_restricted_covers():

@@ -1,10 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from qlr.catabolism import catabolism_type
 from qlr.charge import cocharge_grade, cocharge_tableau
-from qlr.crystal import lowering, plactic_act, refill
+from qlr.crystal import lowering, plactic_act, refill, sort_to_partition_content
 from qlr.cyclage import (
     CyclageEdge,
     cocyclage,
@@ -17,7 +18,6 @@ from qlr.shapes import (
     all_permutations,
     compositions,
     dominates,
-    matching_perm,
     pad,
     partitions,
 )
@@ -61,10 +61,15 @@ def transfer_step(t: Tableau) -> Tableau:
 
 
 def permute_content(t: Tableau, target) -> Tableau:
-    """Plactic action by a permutation taking t's content to ``target``."""
-    target = tuple(target)
+    """Plactic action by a permutation taking t's content to ``target``: the
+    one that keeps equal counts in order."""
     src = pad(t.content(), len(target))
-    w = matching_perm(src, target)
+    by_src = sorted(range(len(src)), key=src.__getitem__)
+    by_dst = sorted(range(len(target)), key=target.__getitem__)
+    w = [0] * len(src)
+    for j, i in zip(by_src, by_dst):
+        w[j] = i + 1
+    assert perm_apply(w, src) == tuple(target)
     return refill(t, plactic_act(w, t.word()))
 
 
@@ -213,6 +218,46 @@ def test_embedding_matches_tableau_by_tableau_chain():
                     assert content_embedding(alpha, beta, t) == chain_embedding(
                         alpha, beta, t
                     ), (alpha, beta, t)
+
+
+def test_slack_move_keeps_dominance():
+    # content_embedding's move on mu strictly dominating nu: i the first index
+    # of positive slack, j the first from i of zero slack
+    for size in range(1, 11):
+        for mu, nu in itertools.permutations(partitions(size), 2):
+            if not dominates(mu, nu):
+                continue
+            mu, nu = pad(mu, size), pad(nu, size)
+            slack = list(itertools.accumulate(a - b for a, b in zip(mu, nu)))
+            i = next(k for k, s in enumerate(slack) if s > 0)
+            j = slack.index(0, i)
+            assert mu[i] >= mu[j] + 2, (mu, nu)
+            moved = list(mu)
+            moved[i] -= 1
+            moved[j] += 1
+            assert dominates(sorted(moved, reverse=True), nu), (mu, nu)
+
+
+def test_standardization_matches_the_chain_on_long_random_words():
+    rng = random.Random(25)
+    for _ in range(200):
+        letters = rng.randint(1, 6)
+        w = [rng.randint(1, letters) for _ in range(rng.randint(9, 14))]
+        t = schensted_p(sort_to_partition_content(w))
+        assert cyclage_standardization(t) == chain_embedding(
+            t.content(), (1,) * len(w), t
+        ), w
+
+
+def test_boundary_raises():
+    with pytest.raises(ValueError, match="cyclage expects straight tableaux"):
+        cyclage_covers(Tableau(((2,), (1,)), (1,)))
+    with pytest.raises(ValueError, match="cyclage covers need partition content"):
+        cyclage_covers(tab([1, 2, 2]))
+    with pytest.raises(ValueError, match=r"tableau content \(1, 1, 1\) is not \(2, 1\)"):
+        content_embedding((2, 1), (1, 1, 1), tab([1, 2, 3]))
+    with pytest.raises(ValueError, match="standardization expects partition content"):
+        cyclage_standardization(tab([1, 2, 2]))
 
 
 def test_permutation_step_choice_does_not_matter():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qlr.crystal import _rearrange, plactic_act
 from qlr.shapes import (
     RectSequence,
     all_permutations,
@@ -13,7 +14,6 @@ from qlr.shapes import (
     conjugate,
     dominates,
     from_rects,
-    matching_perm,
     n_stat,
     normalize_index,
     pad,
@@ -29,6 +29,7 @@ from qlr.shapes import (
     vec_add,
     vec_sub,
 )
+from qlr.tableaux import content
 
 
 def test_conjugate_examples():
@@ -86,34 +87,38 @@ def perm_mul(u, v):
     return tuple(u[v[i] - 1] for i in range(len(u)))
 
 
-def test_matching_perm_examples():
-    assert matching_perm((0, 2), (2, 0)) == (2, 1)
-    assert matching_perm((2, 2, 1), (2, 2, 1)) == (1, 2, 3)
-    assert matching_perm((3, 1, 1), (1, 3, 1)) == (2, 1, 3)
-    assert matching_perm((1, 3, 1), (3, 1, 1)) == (2, 1, 3)
-    assert matching_perm([], ()) == ()
+def test_rearrange_examples():
+    assert _rearrange((2, 2), (2, 0)) == (1, 1)
+    assert _rearrange((1, 2, 1, 3, 2), (2, 2, 1)) == (1, 2, 1, 3, 2)
+    assert _rearrange((1, 1, 1, 2, 3), (1, 3, 1)) == (1, 2, 2, 2, 3)
+    assert _rearrange((1, 2, 2, 2, 3), (3, 1, 1)) == (1, 1, 1, 2, 3)
+    assert _rearrange((3, 1, 3, 2), (2, 1, 1)) == (2, 1, 3, 1)
+    assert _rearrange((1, 2, 2), (1, 2, 0)) == (1, 2, 2)
+    assert _rearrange([], ()) == ()
 
 
-def test_matching_perm_is_shortest():
-    # every pair of rearrangements a, b: w moves a to b with the fewest
-    # inversions, which is the one matching equal values in order
-    for n in range(1, 5):
-        for a in itertools.product(range(3), repeat=n):
-            for b in set(itertools.permutations(a)):
-                w = matching_perm(a, b)
-                assert perm_apply(w, a) == b
-                best = min(
-                    inversions(v)
-                    for v in all_permutations(n)
-                    if perm_apply(v, a) == b
-                )
-                assert inversions(w) == best, (a, b, w)
+def test_rearrange_equals_every_matching_permutation():
+    # every v in S_4 taking w's padded content to the target acts on w as the
+    # rearrangement does, since the content's stabilizer fixes w
+    perms = list(all_permutations(4))
+    for n in range(7):
+        for w in itertools.product(range(1, 5), repeat=n):
+            c = pad(content(w), 4)
+            images = {}
+            for v in perms:
+                target = perm_apply(v, c)
+                if target not in images:
+                    images[target] = _rearrange(w, target)
+                assert plactic_act(v, w) == images[target], (w, v)
 
 
-def test_matching_perm_rejects_a_non_rearrangement():
-    for src, dst in [((1, 2), (2, 2)), ((1, 2), (1, 2, 0)), ((0, 1), (1,))]:
-        with pytest.raises(ValueError):
-            matching_perm(src, dst)
+def test_rearrange_rejects_a_non_rearrangement():
+    for w, target in [((1, 2, 2), (2, 2)), ((1, 2), (1, 1, 1)), ((1, 2, 2), (2, 1, 1))]:
+        with pytest.raises(ValueError, match="is not a rearrangement of"):
+            _rearrange(w, target)
+    # a letter past the target's length
+    with pytest.raises(ValueError, match="cannot pad"):
+        _rearrange((2,), (1,))
 
 
 def test_permutation_algebra():
@@ -123,7 +128,8 @@ def test_permutation_algebra():
         return tuple(s)
 
     for w in all_permutations(4):
-        assert perm_mul(w, matching_perm((1, 2, 3, 4), w)) == (1, 2, 3, 4)
+        inverse = tuple(sorted(range(1, 5), key=lambda i: w[i - 1]))
+        assert perm_mul(w, inverse) == (1, 2, 3, 4)
         word = reduced_word(w)
         assert len(word) == inversions(w)
         rebuilt = (1, 2, 3, 4)
@@ -241,6 +247,7 @@ def test_partition_helpers():
     assert sorted(partitions_containing((2, 1), 4, 3, (3, 1, 1))) == [(2, 1, 1), (3, 1)]
     assert trim((2, 1, 0, 0)) == (2, 1)
     assert pad((2, 1), 4) == (2, 1, 0, 0)
+    assert pad((2, 1, 0, 0), 3) == (2, 1, 0)
     with pytest.raises(ValueError, match="cannot pad"):
         pad((2, 1), 1)
     assert from_rects([(3, 2), (2, 1), (1,)]).eta == (2, 2, 1)

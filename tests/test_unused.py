@@ -4,7 +4,6 @@ is used in it."""
 
 import ast
 import re
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -14,29 +13,40 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def checked_defs():
-    """Count the module-level functions and class methods per name, keeping
+    """The names of the module-level functions and class methods, keeping
     the public names and the private module-level helpers (not dunders)."""
-    defs = Counter()
+    defs = set()
     helpers = set()
     for path in SOURCE.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
             body = node.body if isinstance(node, ast.ClassDef) else [node]
-            for item in body:
-                if isinstance(item, FUNCTIONS):
-                    defs[item.name] += 1
+            defs.update(item.name for item in body if isinstance(item, FUNCTIONS))
             if isinstance(node, FUNCTIONS) and not node.name.startswith("__"):
                 helpers.add(node.name)
-    return {
-        name: n for name, n in defs.items()
-        if not name.startswith("_") or name in helpers
-    }
+    return {name for name in defs if not name.startswith("_") or name in helpers}
+
+
+def identifiers(path):
+    """The identifiers a .py file uses (names, attributes, imported names),
+    or every word of any other file."""
+    text = path.read_text()
+    if path.suffix != ".py":
+        return re.findall(r"\w+", text)
+    out = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name):
+            out.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.append(node.attr)
+        elif isinstance(node, ast.alias):
+            out.append(node.name.split(".")[-1])
+    return out
 
 
 def unnamed(paths):
-    """The names ``checked_defs`` keeps that the files at ``paths`` name no
-    more often than they define them."""
-    words = Counter(word for p in paths for word in re.findall(r"\w+", p.read_text()))
-    return sorted(name for name, n in checked_defs().items() if words[name] <= n)
+    """The names ``checked_defs`` keeps that no file at ``paths`` uses."""
+    used = {name for p in paths for name in identifiers(p)}
+    return sorted(name for name in checked_defs() if name not in used)
 
 
 def test_no_public_function_is_unused():

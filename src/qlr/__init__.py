@@ -44,7 +44,7 @@ from .crystal import (
 from .charge import charge, charge_tableau, cocharge, cocharge_tableau
 from .catabolism import (
     catabolism_type,
-    cat_block,
+    catabolizable_by_shape,
     enumerate_catabolizable,
     is_catabolizable,
     is_mu_catabolizable,

@@ -52,17 +52,6 @@ def _cat_step(rows, block, m: int, cut: int, shift: int):
     return tuple(map(tuple, out))
 
 
-def cat_block(t: Tableau, rseq: RectSequence):
-    """First-block catabolism: strip Y_1 and slice below the block's rows.
-
-    Returns None when t is skew or does not restrict to Y_1 on the first
-    alphabet block.  The result keeps its letters in the original alphabet.
-    """
-    m = rseq.eta[0]
-    rows = None if t.inner else _cat_step(t.rows, yamanouchi_block(rseq, 0).rows, m, m, 0)
-    return None if rows is None else Tableau._of(rows)
-
-
 @dataclass(frozen=True)
 class CatTrace:
     """Replayable record of a catabolism run: (before, block, after) steps."""
@@ -74,11 +63,14 @@ def catabolism_trace(t: Tableau, rseq: RectSequence):
     """Full catabolism run of t against the block sequence, or None."""
     steps, cur, blocks = [], t, rseq
     while blocks.t:
-        after = cat_block(cur, blocks)
-        if after is None:
+        # strip Y_1 and slice below its rows, keeping the original alphabet
+        m, y1 = blocks.eta[0], yamanouchi_block(blocks, 0)
+        rows = None if cur.inner else _cat_step(cur.rows, y1.rows, m, m, 0)
+        if rows is None:
             return None
-        steps.append((cur, yamanouchi_block(blocks, 0), after))
-        cur, blocks = after.relabel(-blocks.eta[0]), blocks.tail()
+        after = Tableau._of(rows)
+        steps.append((cur, y1, after))
+        cur, blocks = after.relabel(-m), blocks.tail()
     return None if cur else CatTrace(tuple(steps))
 
 
@@ -111,35 +103,44 @@ def _segments(rseq: RectSequence):
     return tuple(out)
 
 
-def enumerate_catabolizable(shape, rseq: RectSequence) -> tuple[Tableau, ...]:
-    """All catabolizable tableaux of the given straight shape, by word.
+def catabolizable_by_shape(rseq: RectSequence, within=None) -> dict:
+    """The catabolizable tableaux of every straight shape, as {shape: tableaux by
+    word} in decreasing lexicographic order; with ``within``, every shape grown
+    past Y_1 lies inside it.
 
     They grow from Y_1 a segment of blocks at a time, and a prefix is dropped once
     it fails against the blocks so far: catabolism strips the smallest letters
     left, and H commutes with restricting to the letters <= k.
     """
-    shape = trim(shape)
-    if sum(shape) != sum(rseq.gamma):
-        return ()
     if not rseq.t:
-        return (EMPTY,)  # the size test left only the empty shape
+        return {(): (EMPTY,)}
     y1 = yamanouchi_block(rseq, 0)
-    if any(a > b for a, b in zip_longest(y1.outer, shape, fillvalue=0)):
-        return ()
+    max_len = rseq.n if within is None else len(within)
     groups, segments = {y1.outer: [y1.rows]}, _segments(rseq)  # the prefixes, by shape
     for cnt, size, test in segments:
         grown: dict = {}
         for inner, prefixes in groups.items():
-            for nu in partitions_containing(inner, size, len(shape), shape):
+            for nu in partitions_containing(inner, size, max_len, within):
                 for s in enumerate_cst(nu, inner, cnt):
                     for rows in prefixes:
                         new = tuple(r + x for r, x in zip_longest(rows, s.rows, fillvalue=()))
                         if not test or _catabolizable(new, test):
                             grown.setdefault(nu, []).append(new)
         groups = grown
-    found = [Tableau._of(rows) for prefixes in groups.values() for rows in prefixes]
-    # one segment is enumerate_cst's word order, with Y_1's letters at the same places
-    return tuple(sorted(found, key=Tableau.word) if len(segments) > 1 else found)
+    out = {}
+    for nu, prefixes in sorted(groups.items(), reverse=True):
+        found = map(Tableau._of, prefixes)
+        # one segment is enumerate_cst's word order, with Y_1's letters at the same places
+        out[nu] = tuple(sorted(found, key=Tableau.word) if len(segments) > 1 else found)
+    return out
+
+
+def enumerate_catabolizable(shape, rseq: RectSequence) -> tuple[Tableau, ...]:
+    """All catabolizable tableaux of the given straight shape, by word."""
+    # no size or Y_1-containment test: every key has |gamma| boxes and holds Y_1,
+    # and each shape grown past Y_1 lies inside the bound, so no other shape is a key
+    shape = trim(shape)
+    return catabolizable_by_shape(rseq, shape).get(shape, ())
 
 
 # ---------------------------------------------------------------------------

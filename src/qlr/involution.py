@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .catabolism import enumerate_catabolizable
+from .catabolism import catabolizable_by_shape, enumerate_catabolizable
 from .charge import charge_tableau
 from .crystal import _involute_at, _rightmost_failure, refill
 from .kpoly import QPoly, k_by_recurrence
@@ -30,7 +30,6 @@ from .shapes import (
     RectSequence,
     Vec,
     pad,
-    partitions,
     perm_sign,
     rho,
     trim,
@@ -65,10 +64,10 @@ class InvolutionContext:
         self.gamma = rseq.gamma
         self.lam = pad(lam, self.n)
         self.r1 = self.gamma[:self.m]
-        self.gamma_hat = self.gamma[self.m:]
-        self.t_content = (0,) * self.m + self.gamma_hat
         self.lam_rho = vec_add(self.lam, rho(self.n))
-        self._catabolizable_ts: dict[Vec, dict[Tableau, None]] = {}
+        # the T on the catabolizable side as ordered sets, by shape in partitions order
+        self.ts_by_shape = {shape: dict.fromkeys(t.relabel(self.m) for t in ts)
+                            for shape, ts in catabolizable_by_shape(rseq.tail()).items()}
 
     def xi(self, w) -> Vec:
         return vec_sub([self.lam_rho[x - 1] for x in w], rho(self.n))
@@ -136,17 +135,6 @@ class InvolutionContext:
 
     # -- enumeration ---------------------------------------------------------
 
-    def catabolizable_ts(self, shape) -> dict[Tableau, None]:
-        """The T of this shape and content ``t_content`` on the catabolizable
-        side, as an ordered set in enumeration order; built once per shape."""
-        ts = self._catabolizable_ts.get(shape)
-        if ts is None:
-            ts = self._catabolizable_ts[shape] = dict.fromkeys(
-                t.relabel(self.m)
-                for t in enumerate_catabolizable(shape, self.rseq.tail())
-            )
-        return ts
-
     def _nonnegative_u_perms(self):
         """The w whose U-content is nonnegative, in lexicographic order.
 
@@ -180,18 +168,11 @@ class InvolutionContext:
         yield from place(0)
 
     def triples(self):
-        """All triples of the index with T on the catabolizable side.
-
-        Only the w with a nonnegative U-content are visited, and each shape's
-        set of catabolizable T is built once, on first use.
-        """
-        shapes = partitions(sum(self.gamma_hat), max_len=self.n)
+        """All triples of the index with T on the catabolizable side; only the
+        w with a nonnegative U-content are visited."""
         for w in self._nonnegative_u_perms():
             cu = self.u_content(w)
-            for shape in shapes:
-                ts = self.catabolizable_ts(shape)
-                if not ts:
-                    continue
+            for shape, ts in self.ts_by_shape.items():
                 us = straight_cst(shape, cu)
                 for t in ts:
                     for u in us:
@@ -263,7 +244,7 @@ def verify_involution(lam, rseq: RectSequence) -> InvolutionReport:
             involution_ok = False
         if ctx.weight_exponent(other.w, other.t) != exponent:
             weight_ok = False
-        if other.t not in ctx.catabolizable_ts(other.t.outer):
+        if other.t not in ctx.ts_by_shape.get(other.t.outer, ()):
             escapes.append(triple)
 
     for x, y in images.items():

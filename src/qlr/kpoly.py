@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from operator import add, ge, le
 
-from .catabolism import catabolism_type, enumerate_catabolizable
+from .catabolism import catabolism_type, catabolizable_by_shape
 from .charge import charge_tableau, cocharge_tableau
 from .crystal import is_mu_lattice
 from .shapes import (
@@ -552,12 +552,18 @@ def _generating(stat, tableaux) -> QPoly:
     return QPoly(Counter(map(stat, tableaux)))
 
 
+def _charge_polys(rseq: RectSequence, within=None) -> dict[Vec, QPoly]:
+    """Engine D on every shape (those inside ``within``, if given) at once."""
+    return {shape: _generating(charge_tableau, ts)
+            for shape, ts in catabolizable_by_shape(rseq, within).items()}
+
+
 def k_by_charge(lam, rseq: RectSequence) -> ChargeResult:
     """Engine D: the charge generating function over catabolizable tableaux."""
     if not rseq.is_dominant():
         raise ValueError(f"the block sequence must be dominant: {rseq.gamma}")
-    total = _generating(charge_tableau, enumerate_catabolizable(trim(lam), rseq))
-    return ChargeResult(total, charge_engine_status(rseq))
+    lam = trim(lam)
+    return ChargeResult(_charge_polys(rseq, lam).get(lam, ZERO), charge_engine_status(rseq))
 
 
 def cocharge_kostka(lam, mu) -> QPoly:

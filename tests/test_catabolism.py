@@ -6,8 +6,8 @@ import pytest
 
 from qlr.catabolism import (
     _cat_step,
-    cat_block,
     catabolism_trace,
+    catabolizable_by_shape,
     catabolism_type,
     column_catabolism,
     enumerate_catabolizable,
@@ -45,16 +45,27 @@ def test_yamanouchi_blocks():
     assert yamanouchi_block(RSEQ, 2) == tab([5])
 
 
-def test_cat_block_example():
+def first_block_step(t, rseq):
+    """The first step of a catabolism run: strip Y_1 and slice below its rows,
+    in the original alphabet; None when the letters 1..m do not fill Y_1."""
+    m = rseq.eta[0]
+    rows = _cat_step(t.rows, yamanouchi_block(rseq, 0).rows, m, m, 0)
+    return None if rows is None else Tableau._of(rows)
+
+
+def test_first_block_step_example():
     s = tab([1, 1, 1, 3, 5], [2, 2, 4], [3])
-    assert cat_block(s, RSEQ) == tab([3, 3], [4, 5])
+    assert first_block_step(s, RSEQ) == tab([3, 3], [4, 5])
+    assert catabolism_trace(s, RSEQ).steps[0][2] == tab([3, 3], [4, 5])
     # a tableau that is its own first block catabolizes to nothing
     y1 = yamanouchi_block(RSEQ, 0)
     one_block = rect_sequence((2,), (3, 2))
-    assert cat_block(y1, one_block) == EMPTY
+    assert first_block_step(y1, one_block) == EMPTY
+    assert catabolism_trace(y1, one_block).steps == ((y1, y1, EMPTY),)
     # restriction mismatch gives None
     bad = tab([1, 1, 2, 3, 5], [2, 2, 4], [3])
-    assert cat_block(bad, RSEQ) is None
+    assert first_block_step(bad, RSEQ) is None
+    assert catabolism_trace(bad, RSEQ) is None
 
 
 def test_catabolizable_fixture():
@@ -80,7 +91,7 @@ def test_catabolizable_trivia():
     # a skew tableau is never catabolizable, even when its rows are Y_1's
     skew = Tableau(y1.rows, (1,))
     assert not is_catabolizable(skew, rect_sequence((2,), (3, 2)))
-    assert cat_block(skew, rect_sequence((2,), (3, 2))) is None
+    assert catabolism_trace(skew, rect_sequence((2,), (3, 2))) is None
     assert row_catabolism(Tableau([[1, 2]], (1,)), 2) is None
 
 
@@ -188,7 +199,7 @@ def test_cat_step_matches_the_tableau_reference():
                 continue
             for t in all_cst_of_content(trim(cnt)):
                 after = cat_block_by_tableaux(t, rseq)
-                assert cat_block(t, rseq) == after, (t, rseq)
+                assert first_block_step(t, rseq) == after, (t, rseq)
                 lowered = None if after is None else after.relabel(-m).rows
                 y1 = yamanouchi_block(rseq, 0).rows
                 assert _cat_step(t.rows, y1, m, m, m) == lowered, (t, rseq)
@@ -196,17 +207,34 @@ def test_cat_step_matches_the_tableau_reference():
     assert outcomes[True] and outcomes[False]
 
 
-def test_catabolizable_ts_match_the_all_cst_filter():
+def test_involution_ts_by_shape_match_the_all_cst_filter():
     for gamma, eta, _ in index_family(5, 6):
         ctx = InvolutionContext((), rect_sequence(eta, gamma))
         tail = ctx.rseq.tail()
-        for shape in partitions(sum(ctx.gamma_hat), max_len=ctx.n):
+        t_content = (0,) * ctx.m + gamma[ctx.m:]
+        nonempty = []
+        for shape in partitions(sum(gamma[ctx.m:]), max_len=ctx.n):
             expected = [
                 t
-                for t in straight_cst(shape, ctx.t_content)
+                for t in straight_cst(shape, t_content)
                 if is_catabolizable_by_tableaux(t.relabel(-ctx.m), tail)
             ]
-            assert list(ctx.catabolizable_ts(shape)) == expected, (ctx.rseq, shape)
+            assert list(ctx.ts_by_shape.get(shape, ())) == expected, (ctx.rseq, shape)
+            nonempty += [shape] * bool(expected)
+        # only the shapes that have a T, in the order partitions yields them
+        assert list(ctx.ts_by_shape) == nonempty, ctx.rseq
+
+
+def test_one_enumeration_per_group_matches_the_per_shape_lookups():
+    # every group of n <= 5, weight <= 5: the same nonempty shapes in
+    # decreasing lexicographic order, each with the same tableaux in order
+    for gamma, eta, _ in index_family(5, 5):
+        rseq = rect_sequence(eta, gamma)
+        expected = {}
+        for shape in partitions(sum(gamma), max_len=len(gamma)):
+            if found := enumerate_catabolizable(shape, rseq):
+                expected[shape] = found
+        assert list(catabolizable_by_shape(rseq).items()) == list(expected.items()), rseq
 
 
 def _random_charge_index(rng: random.Random):

@@ -3,6 +3,7 @@ import pytest
 from qlr.catabolism import is_catabolizable
 from qlr.charge import charge_tableau
 from qlr.crystal import is_mu_lattice
+from qlr import involution
 from qlr.involution import InvolutionContext, SignedTriple, verify_involution
 from qlr.kpoly import QPoly, k_by_recurrence
 from qlr.shapes import all_permutations, compositions, pad, partitions, rect_sequence
@@ -25,7 +26,7 @@ def is_lattice(w):
 
 def triples_reference(ctx: InvolutionContext, catabolizable_only: bool = True):
     """The triples over all n! permutations, rebuilding each T-list per w."""
-    size, tail = sum(ctx.gamma_hat), ctx.rseq.tail()
+    size, tail, cnt = sum(ctx.gamma[ctx.m:]), ctx.rseq.tail(), t_content(ctx)
     for w in all_permutations(ctx.n):
         cu = ctx.u_content(w)
         if cu is None:
@@ -33,7 +34,7 @@ def triples_reference(ctx: InvolutionContext, catabolizable_only: bool = True):
         for shape in partitions(size, max_len=ctx.n):
             ts = [
                 t
-                for t in straight_cst(shape, ctx.t_content)
+                for t in straight_cst(shape, cnt)
                 if not catabolizable_only or is_catabolizable(t.relabel(-ctx.m), tail)
             ]
             if not ts:
@@ -42,6 +43,11 @@ def triples_reference(ctx: InvolutionContext, catabolizable_only: bool = True):
             for t in ts:
                 for u in us:
                     yield SignedTriple(w, t, u)
+
+
+def t_content(ctx: InvolutionContext):
+    """The content of every T of the index: the letters above the first block."""
+    return (0,) * ctx.m + ctx.gamma[ctx.m:]
 
 
 def _small_contexts(same_size: bool):
@@ -76,7 +82,7 @@ def test_fixture_weight_data():
     ctx = InvolutionContext(LAM8, RSEQ8)
     assert ctx.xi(W8) == (3, 5, 8, 1, 6, 1, 0, 0)
     assert ctx.u_content(W8) == (8, 1, 6, 1, 0, 0, 0, 2)
-    assert T8.content() == ctx.t_content
+    assert T8.content() == t_content(ctx)
 
 
 def test_fixture_word_recovery():
@@ -219,9 +225,34 @@ def test_catabolizable_side_is_membership_in_the_per_shape_sets():
                 for gam in partitions(s, max_len=n):
                     ctx = InvolutionContext((), rect_sequence(eta, pad(gam, n)))
                     tail = ctx.rseq.tail()
-                    for t in all_cst_of_content(ctx.t_content):
+                    for t in all_cst_of_content(t_content(ctx)):
                         expected = is_catabolizable(t.relabel(-ctx.m), tail)
-                        got = t in ctx.catabolizable_ts(t.outer)
+                        got = t in ctx.ts_by_shape.get(t.outer, ())
                         assert got == expected, (ctx.rseq, t)
                         outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+def test_a_t_dropped_from_the_catabolizable_side_escapes(monkeypatch):
+    # lambda=(2,2), eta=gamma=(1,1,1,1): with the tail's first T of shape (3,)
+    # left out, one triple's image escapes, and the map is applied to that
+    # image directly to check that it comes back
+    def dropped(rseq, within=None):
+        by_shape = original(rseq, within)
+        by_shape[(3,)] = by_shape[(3,)][1:]
+        return by_shape
+
+    def theta(ctx, triple):
+        applied.append(triple)
+        return original_theta(ctx, triple)
+
+    original, original_theta, applied = involution.catabolizable_by_shape, InvolutionContext.theta, []
+    monkeypatch.setattr(involution, "catabolizable_by_shape", dropped)
+    monkeypatch.setattr(InvolutionContext, "theta", theta)
+    rep = verify_involution((2, 2), rect_sequence((1, 1, 1, 1), (1, 1, 1, 1)))
+    assert len(rep.escapes) == 1 and not rep.ok
+    assert rep.involution_ok  # theta still inverts the escaped image
+    ctx = InvolutionContext((2, 2), rect_sequence((1, 1, 1, 1), (1, 1, 1, 1)))
+    escaped = ctx.contract(*ctx.step(*ctx.expand(rep.escapes[0])))
+    assert applied == [escaped] and escaped.t.outer == (3,)
+    assert escaped.t not in ctx.ts_by_shape[(3,)]

@@ -4,7 +4,16 @@ import random
 import pytest
 
 from qlr import verify
-from qlr.kpoly import KIndex, QPoly, cocharge_kostka, k_by_recurrence
+from qlr.kpoly import (
+    CONJECTURAL,
+    PROVEN,
+    ZERO,
+    KIndex,
+    QPoly,
+    charge_engine_status,
+    cocharge_kostka,
+    k_by_recurrence,
+)
 from qlr.shapes import RectSequence, pad, partitions, rect_sequence
 from qlr.tableaux import Tableau
 from qlr.verify import (
@@ -235,3 +244,51 @@ def test_word_sequences_match_the_filtered_product(total, alphabet):
 def test_sampled_scans_record_their_sample():
     assert scan_positivity(4, 5, sample=(7, 10)).descriptor["sample"] == [7, 10]
     assert scan_positivity(2, 2).descriptor["sample"] is None
+
+
+def _charge_fault(monkeypatch):
+    """Make every group's charge polynomials in qlr.verify lose the largest
+    shape's; returns the list that collects the (lam, gamma, eta) so lost."""
+    lost = []
+
+    def faulty(rseq, within=None):
+        polys = charge_polys(rseq, within)
+        shape = next(iter(polys))
+        lost.append((pad(shape, rseq.n), rseq.gamma, rseq.eta))
+        del polys[shape]
+        return polys
+
+    charge_polys = verify._charge_polys
+    monkeypatch.setattr(verify, "_charge_polys", faulty)
+    return lost
+
+
+def _keys(rep):
+    return [(ce["index"].lam, ce["index"].gamma, ce["index"].eta) for ce in rep.counterexamples]
+
+
+def test_crosscheck_reports_each_index_the_group_charge_gets_wrong(monkeypatch):
+    # the charge check runs on the proven groups only, one enumeration each
+    lost = _charge_fault(monkeypatch)
+    rep = crosscheck_family(4, 3, include_dualities=False)
+    assert {ce["check"] for ce in rep.counterexamples} == {"charge"}
+    assert _keys(rep) == lost
+    assert all(charge_engine_status(rect_sequence(eta, gamma)) == PROVEN
+               for _, gamma, eta in lost)
+    assert all(ce["charge"] == ZERO != ce["exact"] for ce in rep.counterexamples)
+
+
+def test_catabolizable_scan_reports_each_index_with_its_group_status(monkeypatch):
+    lost, statuses = _charge_fault(monkeypatch), []
+    monkeypatch.setattr(verify, "charge_engine_status",
+                        lambda rseq: statuses.append(rseq) or charge_engine_status(rseq))
+    rep = scan_catabolizable(4, 3)
+    assert {ce["check"] for ce in rep.counterexamples} == {"catabolizable"}
+    assert _keys(rep) == lost
+    labels = [ce["status"] for ce in rep.counterexamples]
+    assert labels == [charge_engine_status(rect_sequence(eta, gamma)) for _, gamma, eta in lost]
+    assert set(labels) == {PROVEN, CONJECTURAL}
+    # one enumeration and one status per group, and each index still checked once
+    groups = list(index_family(4, 3))
+    assert len(lost) == len(statuses) == len(groups)
+    assert rep.checks == sum(len(lams) for *_, lams in groups)

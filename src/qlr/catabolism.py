@@ -10,7 +10,6 @@ partition extracted by iterating the first-row catabolism operator.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, zip_longest
 
@@ -25,7 +24,7 @@ def yamanouchi_block(rseq: RectSequence, i: int) -> Tableau:
     shape = trim(rseq.rects[i])
     if not is_partition(shape):
         raise ValueError(f"block {i} of {rseq} is not a partition")
-    return Tableau._of(tuple((first + j,) * x for j, x in enumerate(shape)))
+    return Tableau._make((tuple((first + j,) * x for j, x in enumerate(shape)), ()))
 
 
 def _strip(rows, block, m: int):
@@ -52,15 +51,9 @@ def _cat_step(rows, block, m: int, cut: int, shift: int):
     return tuple(map(tuple, out))
 
 
-@dataclass(frozen=True)
-class CatTrace:
-    """Replayable record of a catabolism run: (before, block, after) steps."""
-
-    steps: tuple[tuple[Tableau, Tableau, Tableau], ...]
-
-
 def catabolism_trace(t: Tableau, rseq: RectSequence):
-    """Full catabolism run of t against the block sequence, or None."""
+    """Full catabolism run of t against the block sequence, as its replayable
+    (before, block, after) steps, or None."""
     steps, cur, blocks = [], t, rseq
     while blocks.t:
         # strip Y_1 and slice below its rows, keeping the original alphabet
@@ -68,10 +61,10 @@ def catabolism_trace(t: Tableau, rseq: RectSequence):
         rows = None if cur.inner else _cat_step(cur.rows, y1.rows, m, m, 0)
         if rows is None:
             return None
-        after = Tableau._of(rows)
+        after = Tableau._make((rows, ()))
         steps.append((cur, y1, after))
         cur, blocks = after.relabel(-m), blocks.tail()
-    return None if cur else CatTrace(tuple(steps))
+    return None if cur else tuple(steps)
 
 
 def is_catabolizable(t: Tableau, rseq: RectSequence) -> bool:
@@ -97,7 +90,7 @@ def _segments(rseq: RectSequence):
     out, lo = [], starts[1]
     for j, hi in enumerate(starts[2:], 1):
         if (multi := any(gamma[starts[j] + 1:hi])) or j == t - 1:
-            test = multi and RectSequence._of(rseq.eta[:j + 1], gamma[:hi])
+            test = multi and RectSequence._make((rseq.eta[:j + 1], gamma[:hi]))
             out.append(((0,) * lo + gamma[lo:hi], sum(gamma[:hi]), test))
             lo = hi
     return tuple(out)
@@ -129,7 +122,7 @@ def catabolizable_by_shape(rseq: RectSequence, within=None) -> dict:
         groups = grown
     out = {}
     for nu, prefixes in sorted(groups.items(), reverse=True):
-        found = map(Tableau._of, prefixes)
+        found = [Tableau._make((rows, ())) for rows in prefixes]
         # one segment is enumerate_cst's word order, with Y_1's letters at the same places
         out[nu] = tuple(sorted(found, key=Tableau.word) if len(segments) > 1 else found)
     return out
@@ -178,7 +171,7 @@ def catabolism_type(t: Tableau):
 def row_catabolism(t: Tableau, m: int):
     """H_1 of (t minus the one-row tableau on 1..m), or None."""
     rows = None if t.inner else _cat_step(t.rows, (tuple(range(1, m + 1)),), m, 1, 0)
-    return None if rows is None else Tableau._of(rows)
+    return None if rows is None else Tableau._make((rows, ()))
 
 
 def column_catabolism(t: Tableau, m: int):

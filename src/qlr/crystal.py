@@ -9,14 +9,13 @@ lowering -> r^{p-1} (r+1)^{q+1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .shapes import pad, reduced_word
 from .tableaux import Tableau, Word, content
 
 
-@dataclass(frozen=True)
-class RPairing:
+class RPairing(NamedTuple):
     """Parenthesis matching data for one letter r (positions are 0-based)."""
 
     r: int
@@ -123,7 +122,7 @@ def refill(t: Tableau, w) -> Tableau:
     for r in t.rows:
         rows.append(w[pos - len(r):pos])
         pos -= len(r)
-    out = Tableau._of(tuple(rows), t.inner)
+    out = Tableau._make((tuple(rows), t.inner))
     if pos or not out.is_column_strict():
         raise ValueError("word does not fill the shape column-strictly")
     return out

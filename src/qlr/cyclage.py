@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .charge import cocharge_grade
 from .crystal import _rearrange, lowering, refill
@@ -31,8 +31,7 @@ from .tableaux import (
 )
 
 
-@dataclass(frozen=True)
-class CyclageEdge:
+class CyclageEdge(NamedTuple):
     """One covering pair, with the construction data (cells are 0-based)."""
 
     upper: Tableau
@@ -130,8 +129,7 @@ def cyclage_standardization(t: Tableau) -> Tableau:
 # whole posets
 
 
-@dataclass(frozen=True)
-class CyclagePoset:
+class CyclagePoset(NamedTuple):
     """The graded cover graph of all tableaux of one content."""
 
     alpha: tuple[int, ...]
@@ -164,6 +162,6 @@ def cyclage_poset(alpha) -> CyclagePoset:
     for v in verts:
         for e in cyclage_covers(refill(v, _rearrange(v.word(), mu))):
             lower = refill(e.lower, _rearrange(e.lower.word(), alpha))
-            edges.append(replace(e, upper=v, lower=lower))
+            edges.append(e._replace(upper=v, lower=lower))
     grades = tuple(cocharge_grade(v) for v in verts)
     return CyclagePoset(alpha, verts, tuple(edges), grades)

@@ -20,7 +20,8 @@ signed sum with the recurrence engine.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .catabolism import catabolizable_by_shape, enumerate_catabolizable
 from .charge import charge_tableau
@@ -45,8 +46,7 @@ from .tableaux import (
 )
 
 
-@dataclass(frozen=True)
-class SignedTriple:
+class SignedTriple(NamedTuple):
     w: Vec
     t: Tableau
     u: Tableau
@@ -65,9 +65,13 @@ class InvolutionContext:
         self.lam = pad(lam, self.n)
         self.r1 = self.gamma[:self.m]
         self.lam_rho = vec_add(self.lam, rho(self.n))
-        # the T on the catabolizable side as ordered sets, by shape in partitions order
-        self.ts_by_shape = {shape: dict.fromkeys(t.relabel(self.m) for t in ts)
-                            for shape, ts in catabolizable_by_shape(rseq.tail()).items()}
+
+    @cached_property
+    def ts_by_shape(self):
+        """The T on the catabolizable side as ordered sets, by shape in partitions
+        order; walked on first use, so an index with no triple never walks it."""
+        return {shape: dict.fromkeys(t.relabel(self.m) for t in ts)
+                for shape, ts in catabolizable_by_shape(self.rseq.tail()).items()}
 
     def xi(self, w) -> Vec:
         return vec_sub([self.lam_rho[x - 1] for x in w], rho(self.n))
@@ -179,8 +183,7 @@ class InvolutionContext:
                         yield SignedTriple(w, t, u)
 
 
-@dataclass(frozen=True)
-class InvolutionReport:
+class InvolutionReport(NamedTuple):
     lam: Vec
     eta: Vec
     gamma: Vec

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cache, lru_cache
 from operator import add, ge, le
+from typing import NamedTuple
 
 from .catabolism import catabolism_type, catabolizable_by_shape
 from .charge import charge_tableau, cocharge_tableau
@@ -157,30 +157,17 @@ ZERO = QPoly()
 ONE = QPoly({0: 1})
 
 
-@dataclass(frozen=True)
-class KIndex:
+class KIndex(namedtuple("KIndex", "lam gamma eta")):
     """An index triple (lambda, gamma, eta) with len(gamma) = sum(eta)."""
 
-    lam: Vec
-    gamma: Vec
-    eta: Vec
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(self.lam))
-        object.__setattr__(self, "gamma", tuple(self.gamma))
-        object.__setattr__(self, "eta", tuple(self.eta))
-        if sum(self.eta) != len(self.gamma) or len(self.lam) != len(self.gamma):
-            raise ValueError(f"inconsistent index {self}")
-        if any(e <= 0 for e in self.eta):
-            raise ValueError(f"eta parts must be positive: {self.eta}")
-
-    @classmethod
-    def _of(cls, lam: Vec, gamma: Vec, eta: Vec) -> "KIndex":
-        """Trusted constructor: tuples of one length n, and eta's positive parts sum to n."""
-        idx = object.__new__(cls)
-        object.__setattr__(idx, "lam", lam)
-        object.__setattr__(idx, "gamma", gamma)
-        object.__setattr__(idx, "eta", eta)
+    def __new__(cls, lam, gamma, eta):
+        idx = super().__new__(cls, tuple(lam), tuple(gamma), tuple(eta))
+        if sum(idx.eta) != len(idx.gamma) or len(idx.lam) != len(idx.gamma):
+            raise ValueError(f"inconsistent index {idx}")
+        if any(e <= 0 for e in idx.eta):
+            raise ValueError(f"eta parts must be positive: {idx.eta}")
         return idx
 
     @property
@@ -188,13 +175,13 @@ class KIndex:
         return len(self.gamma)
 
     def rects(self) -> RectSequence:
-        return RectSequence._of(self.eta, self.gamma)
+        return RectSequence._make((self.eta, self.gamma))
 
     def normalized(self):
         """(sign, normalized index) or None when the polynomial is zero."""
         if (res := normalize_index(self.lam, self.gamma, self.eta)) is None:
             return None
-        return res[0], KIndex._of(res[1], res[2], self.eta)
+        return res[0], KIndex._make((res[1], res[2], self.eta))
 
 
 def index_from_rects(lam, rects) -> KIndex:
@@ -541,8 +528,7 @@ def charge_engine_status(rseq: RectSequence) -> str:
     return CONJECTURAL
 
 
-@dataclass(frozen=True)
-class ChargeResult:
+class ChargeResult(NamedTuple):
     poly: QPoly
     status: str
 
@@ -628,7 +614,7 @@ def dual_index(idx: KIndex) -> KIndex:
     def star(v):
         return tuple(-x for x in reversed(v))
 
-    return KIndex._of(star(idx.lam), star(idx.gamma), tuple(reversed(idx.eta)))
+    return KIndex._make((star(idx.lam), star(idx.gamma), tuple(reversed(idx.eta))))
 
 
 def dominant_reorderings(rseq: RectSequence):

@@ -15,7 +15,7 @@ values are hashable and safe to share across threads.  Conventions:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from operator import add, eq, ge, sub
 
@@ -164,31 +164,21 @@ def roots_of(eta) -> tuple[tuple[int, int], ...]:
     )
 
 
-@dataclass(frozen=True)
-class RectSequence:
+class RectSequence(namedtuple("RectSequence", "eta gamma")):
     """A sequence of block weights: the slices of ``gamma`` over ``eta``'s blocks.
 
     ``rects[i]`` keeps exactly ``eta[i]`` parts (trailing zeros included) so
     that the block alphabets stay explicit.
     """
 
-    eta: Vec
-    gamma: Vec
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "eta", tuple(self.eta))
-        object.__setattr__(self, "gamma", tuple(self.gamma))
-        if sum(self.eta) != len(self.gamma):
-            raise ValueError(f"eta {self.eta} does not tile gamma {self.gamma}")
-        if any(e <= 0 for e in self.eta):
-            raise ValueError(f"eta parts must be positive: {self.eta}")
-
-    @classmethod
-    def _of(cls, eta: Vec, gamma: Vec) -> "RectSequence":
-        """Trusted constructor: tuples, with eta's positive parts tiling gamma."""
-        rs = object.__new__(cls)
-        object.__setattr__(rs, "eta", eta)
-        object.__setattr__(rs, "gamma", gamma)
+    def __new__(cls, eta, gamma):
+        rs = super().__new__(cls, tuple(eta), tuple(gamma))
+        if sum(rs.eta) != len(rs.gamma):
+            raise ValueError(f"eta {rs.eta} does not tile gamma {rs.gamma}")
+        if any(e <= 0 for e in rs.eta):
+            raise ValueError(f"eta parts must be positive: {rs.eta}")
         return rs
 
     @property
@@ -209,7 +199,7 @@ class RectSequence:
 
     def tail(self) -> "RectSequence":
         """The sequence with the first block removed (alphabet relabelled)."""
-        return RectSequence._of(self.eta[1:], self.gamma[self.eta[0]:])
+        return RectSequence._make((self.eta[1:], self.gamma[self.eta[0]:]))
 
     def is_dominant(self) -> bool:
         return is_weakly_decreasing(self.gamma)
@@ -223,7 +213,7 @@ def rect_sequence(eta, gamma) -> RectSequence:
 def from_rects(rects) -> RectSequence:
     """Build a RectSequence from an explicit list of block weights."""
     rects = [tuple(r) if r else (0,) for r in rects]
-    return RectSequence._of(tuple(map(len, rects)), tuple(itertools.chain.from_iterable(rects)))
+    return RectSequence._make((tuple(map(len, rects)), tuple(itertools.chain(*rects))))
 
 
 def normalize_index(lam, gamma, eta):

@@ -18,6 +18,7 @@ row by row, since the two tableaux share one shape.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from functools import cache
 from itertools import chain
 from operator import le, lt
@@ -27,12 +28,12 @@ from .shapes import Vec, is_weakly_decreasing, partitions, trim
 Word = tuple[int, ...]
 
 
-class Tableau:
-    """A (possibly skew) tableau: inner shape plus the filled cells per row."""
+class Tableau(namedtuple("Tableau", "rows inner")):
+    """A (possibly skew) tableau: the filled cells per row plus the inner shape."""
 
-    __slots__ = ("inner", "rows")
+    __slots__ = ()
 
-    def __init__(self, rows, inner=()):
+    def __new__(cls, rows, inner=()):
         rows = tuple(tuple(r) for r in rows)
         inner = trim(inner)
         # drop trailing rows that carry neither cells nor inner boxes
@@ -40,23 +41,11 @@ class Tableau:
             rows = rows[:-1]
         if len(inner) > len(rows):
             raise ValueError(f"inner shape {inner} taller than rows {rows}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "inner", inner)
-        outer = self.outer
+        t = super().__new__(cls, rows, inner)
+        outer = t.outer
         if not is_weakly_decreasing(outer) or not is_weakly_decreasing(inner):
             raise ValueError(f"not a skew shape: {outer}/{inner}")
-
-    @classmethod
-    def _of(cls, rows, inner=()) -> "Tableau":
-        """Trusted constructor: ``rows`` (tuples) and ``inner`` already are
-        what the public constructor would store for a valid tableau."""
-        t = object.__new__(cls)
-        object.__setattr__(t, "rows", rows)
-        object.__setattr__(t, "inner", inner)
         return t
-
-    def __setattr__(self, *a):
-        raise AttributeError("Tableau is immutable")
 
     @property
     def outer(self) -> Vec:
@@ -72,17 +61,8 @@ class Tableau:
         return sum(map(len, self.rows))
 
     def __bool__(self):
+        # a tableau is true when it has cells, not as a 2-tuple is
         return self.size > 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Tableau)
-            and self.rows == other.rows
-            and self.inner == other.inner
-        )
-
-    def __hash__(self):
-        return hash((self.inner, self.rows))
 
     def __repr__(self):
         if self.inner:
@@ -121,7 +101,7 @@ class Tableau:
         )
 
     def relabel(self, offset: int) -> "Tableau":
-        return Tableau._of(tuple(tuple(x + offset for x in r) for r in self.rows), self.inner)
+        return Tableau._make((tuple(tuple(x + offset for x in r) for r in self.rows), self.inner))
 
     def cells(self):
         """All (row, col) cell coordinates, 0-based."""
@@ -224,7 +204,7 @@ def schensted_p(w) -> Tableau:
     rows: list[list[int]] = []
     for x in w:
         _insert(rows, x, bisect_right)
-    return Tableau._of(tuple(map(tuple, rows)))
+    return Tableau._make((tuple(map(tuple, rows)), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +232,8 @@ def column_rsk(words):
     # Q is column strict: a word's letters arrive weakly decreasing, so by the column
     # bumping lemma (Fulton, Young Tableaux, 1997) each new cell lies strictly right of
     # and weakly above the one before, and no label meets a column twice
-    return tuple(Tableau._of(tuple(map(tuple, lines))) for lines in (_transpose(cols), q_rows))
+    return tuple(Tableau._make((tuple(map(tuple, lines)), ()))
+                 for lines in (_transpose(cols), q_rows))
 
 
 def column_rsk_inverse(p: Tableau, q: Tableau, labels=None):
@@ -314,7 +295,7 @@ def evacuation(t: Tableau, n: int) -> Tableau:
         for r, ln in enumerate(shapes[i]):
             old = prev[r] if r < len(prev) else 0
             rows[r].extend([i] * (ln - old))
-    return Tableau._of(tuple(map(tuple, rows)))
+    return Tableau._make((tuple(map(tuple, rows)), ()))
 
 
 def h_slice(t: Tableau, r: int) -> Tableau:
@@ -415,7 +396,7 @@ def enumerate_cst(outer, inner, cnt) -> tuple[Tableau, ...]:
 
     def fill(k):
         if k == len(cells):
-            found.append(Tableau._of(tuple(map(tuple, rows)), inner))
+            found.append(Tableau._make((tuple(map(tuple, rows)), inner)))
             return
         i, j = cells[k]
         lo = rows[i][j - 1] if j > 0 else 1

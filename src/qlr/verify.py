@@ -470,7 +470,7 @@ def check_white_fitting(total: int = 6, alphabet: int = 3) -> ScanReport:
                 lam = tuple(m + len(w) for m, w in zip(mu_p, words))
                 rep.checks += 1
                 assembles = (is_weakly_decreasing(lam)
-                             and Tableau._of(words, trim(mu)).is_column_strict())
+                             and Tableau._make((words, trim(mu))).is_column_strict())
                 predicted = is_weakly_decreasing(lam) and is_mu_lattice(q.word(), mu_p)
                 if assembles != predicted:
                     rep.found(check="fitting", words=words, mu=mu_p, lam=lam)

@@ -43,6 +43,8 @@ def test_yamanouchi_blocks():
     assert yamanouchi_block(RSEQ, 0) == tab([1, 1, 1], [2, 2])
     assert yamanouchi_block(RSEQ, 1) == tab([3, 3], [4])
     assert yamanouchi_block(RSEQ, 2) == tab([5])
+    with pytest.raises(ValueError, match="block 0 of .* is not a partition"):
+        yamanouchi_block(rect_sequence((2,), (1, 2)), 0)
 
 
 def first_block_step(t, rseq):
@@ -50,18 +52,18 @@ def first_block_step(t, rseq):
     in the original alphabet; None when the letters 1..m do not fill Y_1."""
     m = rseq.eta[0]
     rows = _cat_step(t.rows, yamanouchi_block(rseq, 0).rows, m, m, 0)
-    return None if rows is None else Tableau._of(rows)
+    return None if rows is None else Tableau._make((rows, ()))
 
 
 def test_first_block_step_example():
     s = tab([1, 1, 1, 3, 5], [2, 2, 4], [3])
     assert first_block_step(s, RSEQ) == tab([3, 3], [4, 5])
-    assert catabolism_trace(s, RSEQ).steps[0][2] == tab([3, 3], [4, 5])
+    assert catabolism_trace(s, RSEQ)[0][2] == tab([3, 3], [4, 5])
     # a tableau that is its own first block catabolizes to nothing
     y1 = yamanouchi_block(RSEQ, 0)
     one_block = rect_sequence((2,), (3, 2))
     assert first_block_step(y1, one_block) == EMPTY
-    assert catabolism_trace(y1, one_block).steps == ((y1, y1, EMPTY),)
+    assert catabolism_trace(y1, one_block) == ((y1, y1, EMPTY),)
     # restriction mismatch gives None
     bad = tab([1, 1, 2, 3, 5], [2, 2, 4], [3])
     assert first_block_step(bad, RSEQ) is None
@@ -271,8 +273,8 @@ def test_catabolizable_members_have_the_block_content():
 def test_trace_replays():
     s = tab([1, 1, 1, 3, 5], [2, 2, 4], [3])
     trace = catabolism_trace(s, RSEQ)
-    assert trace is not None and len(trace.steps) == 3
-    before, block, after = trace.steps[0]
+    assert trace is not None and len(trace) == 3
+    before, block, after = trace[0]
     assert before == s and block == yamanouchi_block(RSEQ, 0)
     assert after == tab([3, 3], [4, 5])
 
@@ -327,6 +329,12 @@ def test_mu_catabolizable_matches_type_dominance():
                 ct = catabolism_type(t)
                 for mu in partitions(n):
                     assert is_mu_catabolizable(t, mu) == dominates(ct, mu)
+
+
+def test_mu_catabolizability_needs_the_size_of_mu():
+    t = tab([1, 2, 3])
+    assert is_mu_catabolizable(t, (3,)) and is_mu_column_catabolizable(t, (3,))
+    assert not is_mu_catabolizable(t, (2,)) and not is_mu_column_catabolizable(t, (2, 2))
 
 
 def test_row_and_column_catabolizability_agree():

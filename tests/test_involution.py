@@ -5,7 +5,7 @@ from qlr.charge import charge_tableau
 from qlr.crystal import is_mu_lattice
 from qlr import involution
 from qlr.involution import InvolutionContext, SignedTriple, verify_involution
-from qlr.kpoly import QPoly, k_by_recurrence
+from qlr.kpoly import KIndex, QPoly, k_by_recurrence
 from qlr.shapes import all_permutations, compositions, pad, partitions, rect_sequence
 from qlr.tableaux import (
     Tableau,
@@ -214,6 +214,29 @@ def test_walk_visits_exactly_the_nonnegative_u_contents():
 def test_triples_match_the_all_permutations_reference():
     for ctx in _small_contexts(same_size=True):
         assert list(ctx.triples()) == list(triples_reference(ctx)), (ctx.lam, ctx.rseq)
+
+
+def test_an_index_without_triples_never_walks_the_tail(monkeypatch):
+    # lambda + rho = (2, 1) has no entry >= rho_1 + gamma_1 = 3: no w has a U
+    walked = []
+    monkeypatch.setattr(involution, "catabolizable_by_shape", walked.append)
+    rep = verify_involution((1, 1), rect_sequence((1, 1), (2, 0)))
+    assert rep.ok and (rep.triple_count, walked) == (0, [])
+
+
+@pytest.mark.parametrize("value", [
+    tab([1, 1], [2]),
+    Tableau([[2]], (1,)),
+    rect_sequence((1, 1), (2, 0)),
+    KIndex((1, 1), (2, 0), (1, 1)),
+    SignedTriple((1, 2), tab([2]), tab([1])),
+])
+def test_value_types_hold_no_dict_and_reject_field_assignment(value):
+    # memo keys stay plain tuples: no per-instance dict, no field to rebind
+    assert not hasattr(value, "__dict__")
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, ())
 
 
 def test_catabolizable_side_is_membership_in_the_per_shape_sets():

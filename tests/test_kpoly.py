@@ -74,6 +74,13 @@ def test_qpoly_arithmetic():
     assert q(0).leq(q(0) + q(1)) and not (q(0) + q(1)).leq(q(0))
 
 
+def test_qpoly_equals_ints_hashes_by_value_and_is_read_only():
+    assert 3 * q(0) == 3 and ZERO == 0 and q(1) != 1
+    assert len({q(1) + 2, QPoly({1: 1, 2: 0, 0: 2}), q(1)}) == 2
+    with pytest.raises(AttributeError, match="immutable"):
+        ONE.coeffs = {}
+
+
 def test_bott_straighten():
     assert straighten((1, 1)) == (1, (1, 1))
     assert straighten((0, 1)) is None
@@ -540,7 +547,7 @@ def assert_trusted_is_validated(trusted, public):
     """A trusted build equals and hashes as the validated one, and holds
     tuples of ints, as the recurrence and catabolizability memo keys need."""
     assert trusted == public and hash(trusted) == hash(public)
-    for value in vars(trusted).values():
+    for value in trusted:
         assert type(value) is tuple and all(type(x) is int for x in value), trusted
 
 

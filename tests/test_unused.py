@@ -1,6 +1,6 @@
 """Every public function and method of qlr, and every private module-level
 helper, is named somewhere besides its def; every name a qlr module imports
-is used in it."""
+is used in it; records are namedtuples, bar the one mutable dataclass."""
 
 import ast
 import re
@@ -70,3 +70,14 @@ def test_no_import_is_unused():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_only_the_mutable_scan_report_is_a_dataclass():
+    decorated = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+    ]
+    assert decorated == ["verify.ScanReport"]

@@ -24,7 +24,7 @@ from functools import cache
 from pathlib import Path
 
 from .cyclage import cyclage_poset
-from .kpoly import ENGINES, KIndex, QPoly, compute, index_from_rects
+from .kpoly import ENGINES, KIndex, QPoly, _compute_normalized, index_from_rects
 from .verify import CHECKS, SCANS, crosscheck_family, index_key
 
 # records written before the cache held normalized polynomials have no version
@@ -120,10 +120,10 @@ def cmd_compute(args) -> int:
         }
         cached = cache.get((key, engine)) if cache is not None else None
         if cached is not None:
-            poly, status = cached[0] * sign, f"cached:{cached[1]}"
+            poly, status = cached[0], f"cached:{cached[1]}"
         else:
             try:
-                poly, status = compute(idx, engine, degree_bound=args.degree_bound)
+                poly, status = _compute_normalized(norm, engine, args.degree_bound)
             except ValueError as exc:
                 if run_all and engine == "charge":
                     record.update(status="inapplicable", reason=str(exc))
@@ -135,8 +135,9 @@ def cmd_compute(args) -> int:
             if args.cache and status != "truncated":
                 with open(args.cache, "a") as fh:
                     fh.write(json.dumps({"key": key, "engine": engine, "version": CACHE_VERSION,
-                                         "poly": (poly * sign).to_json(),
+                                         "poly": poly.to_json(),
                                          "status": status}) + "\n")
+        poly *= sign
         record.update(poly=poly.to_json(), display=repr(poly), status=status)
         _emit(record, args.out)
     return 1 if failures else 0

@@ -117,9 +117,6 @@ class QPoly:
     def coefficient(self, e: int) -> int:
         return self.coeffs.get(e, 0)
 
-    def degree(self):
-        return max(self.coeffs) if self.coeffs else None
-
     def leq(self, other: "QPoly") -> bool:
         """Coefficientwise comparison."""
         exps = set(self.coeffs) | set(other.coeffs)
@@ -335,8 +332,9 @@ class _KostantStates(dict):
         return self.setdefault(state, tuple(acc))
 
 
-# one dict of states per (gamma + rho, eta), kept while that stays the same
-@lru_cache(maxsize=1)
+# one dict of states per (gamma + rho, eta); two are kept, since the
+# crosscheck alternates an index's with its box complement's
+@lru_cache(maxsize=2)
 def _kostant_states(gamma_rho, eta) -> _KostantStates:
     return _KostantStates(eta)
 
@@ -592,29 +590,27 @@ def compute(idx: KIndex, engine: str = "recurrence", degree_bound=None):
     """Normalize the index and run one engine; returns (QPoly, status), the
     status ``truncated`` for a series run below the attainable degree."""
     norm = idx.normalized()
+    poly, status = _compute_normalized(norm, engine, degree_bound)
+    return (poly * norm[0] if norm else poly), status
+
+
+def _compute_normalized(norm, engine: str, degree_bound):
+    """``compute`` on the normalization ``idx.normalized()`` of an index:
+    the (QPoly, status) of the normalized index, before the sign."""
     if norm is None:
         return ZERO, "exact"
-    sign, nidx = norm
+    nidx = norm[1]
     if engine == "kostant":
-        return k_by_kostant(nidx) * sign, "exact"
+        return k_by_kostant(nidx), "exact"
     if engine == "series":
         truncated = (degree_bound is not None
                      and degree_bound < default_degree_bound(nidx.lam, nidx.gamma))
-        return k_by_series(nidx, degree_bound) * sign, "truncated" if truncated else "exact"
+        return k_by_series(nidx, degree_bound), "truncated" if truncated else "exact"
     if engine == "recurrence":
-        return k_by_recurrence(nidx.lam, nidx.rects()) * sign, "exact"
+        return k_by_recurrence(nidx.lam, nidx.rects()), "exact"
     if engine == "charge":
-        res = k_by_charge(nidx.lam, nidx.rects())
-        return res.poly * sign, res.status
+        return k_by_charge(nidx.lam, nidx.rects())
     raise ValueError(f"unknown engine {engine!r} (expected one of {ENGINES})")
-
-
-def dual_index(idx: KIndex) -> KIndex:
-    """Contragredient dual: negate-reverse both weights, reverse the blocks."""
-    def star(v):
-        return tuple(-x for x in reversed(v))
-
-    return KIndex._make((star(idx.lam), star(idx.gamma), tuple(reversed(idx.eta))))
 
 
 def dominant_reorderings(rseq: RectSequence):

@@ -245,19 +245,15 @@ def normalize_index(lam, gamma, eta):
     return sign, tuple(x + shift for x in lam2), tuple(x + shift for x in gamma2)
 
 
-def box_complement(lam, rseq: RectSequence, size=None):
-    """Complement ``lam`` and every block inside width-``size`` boxes.
+def box_complement(lam, rseq: RectSequence):
+    """Complement ``lam`` and every block inside boxes of the least width.
 
-    ``lam`` is complemented in the n x size box and rotated; block i in its
-    eta_i x size box; the block order is reversed.  ``size=None`` picks the
-    minimal legal width.
+    That width is the largest entry of ``lam`` and ``gamma``; ``lam`` is
+    complemented in the n x width box and rotated; block i in its
+    eta_i x width box; the block order is reversed.
     """
     lam = pad(lam, rseq.n)
-    biggest = max((max(lam, default=0), max(rseq.gamma, default=0)))
-    if size is None:
-        size = biggest
-    if size < biggest:
-        raise ValueError(f"box width {size} too small for {lam} / {rseq.gamma}")
+    size = max((max(lam, default=0), max(rseq.gamma, default=0)))
     lam_c = tuple(size - x for x in reversed(lam))
     new_rects = [tuple(size - x for x in reversed(r)) for r in reversed(rseq.rects)]
     return lam_c, from_rects(new_rects)

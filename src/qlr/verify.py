@@ -34,7 +34,6 @@ from .kpoly import (
     charge_engine_status,
     default_degree_bound,
     dominant_reorderings,
-    dual_index,
     k_by_kostant,
     lr_product,
     series_decomposition,
@@ -154,7 +153,10 @@ def crosscheck_family(
     against the recomputed ones, so a corrupted cache surfaces as a
     counterexample.  The q=1 oracle ``lr_product`` and the recurrence share
     ``lr_coefficient``, but the Kostant and series engines do not, so a fault
-    there still surfaces in the ``engines`` check.
+    there still surfaces in the ``engines`` check.  The ``dual`` and ``box``
+    checks read the box complement of the index, which is also the
+    normalization of its contragredient dual: the recurrence reads it for
+    ``dual``, the Kostant engine for ``box``.
     """
 
     def prepare(rseq):
@@ -195,14 +197,15 @@ def crosscheck_family(
         if p_rec.at_one() != lr:
             rep.found(check="q=1", index=idx, poly=p_rec, lr=lr)
         if include_dualities:
-            rep.checks += 1
-            norm = dual_index(idx).normalized()
-            p_dual = ZERO if norm is None else _k_rec(norm[1].lam, norm[1].rects()) * norm[0]
-            if p_dual != p_rec:
-                rep.found(check="dual", index=idx, poly=p_rec, dual=p_dual)
+            # the dual of a dominant index normalizes, with sign +1, to its box complement
             lam_c, rs_c = box_complement(lam, rseq)
             rep.checks += 1
-            p_box = _k_rec(lam_c, rs_c)
+            p_dual = _k_rec(lam_c, rs_c)
+            if p_dual != p_rec:
+                rep.found(check="dual", index=idx, poly=p_rec, dual=p_dual)
+            rep.checks += 1
+            # built trusted from idx: the name KIndex here may be rebound to mark each index
+            p_box = k_by_kostant(idx._replace(lam=lam_c, gamma=rs_c.gamma, eta=rs_c.eta))
             if p_box != p_rec:
                 rep.found(check="box", index=idx, poly=p_rec, complement=p_box)
             for other in reorderings:
@@ -217,7 +220,7 @@ def crosscheck_family(
                         other=p_sym,
                     )
         if cache is not None:
-            key = index_key(idx.normalized())
+            key = index_key((1, idx))  # a crosscheck index is its own normalization
             for engine, value in (("recurrence", p_rec), ("kostant", p_kos)):
                 cached = cache.get((key, engine))
                 if cached is not None:

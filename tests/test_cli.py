@@ -31,16 +31,19 @@ def test_compute_accepts_spaces_around_fields(capsys):
 
 
 def test_compute_normalizes_the_index_once_besides_the_engine(capsys, monkeypatch):
-    # one normalization yields the cache key and the sign; compute() makes the other
+    # one normalization yields the cache key, the sign and the index the engines run on
     calls = []
     normalize = qlr.kpoly.normalize_index
     monkeypatch.setattr(qlr.kpoly, "normalize_index",
                         lambda *args: calls.append(args) or normalize(*args))
-    code, _ = run(
-        capsys, "compute", "--lam", "1,1", "--gamma", "0,2", "--eta", "1,1",
-        "--engine", "kostant",
-    )
-    assert code == 0 and len(calls) == 2
+    for engine in ("kostant", "all"):
+        calls.clear()
+        code, lines = run(
+            capsys, "compute", "--lam", "1,1", "--gamma", "0,2", "--eta", "1,1",
+            "--engine", engine,
+        )
+        assert code == 0 and len(calls) == 1
+        assert lines[0]["poly"] == {"coeffs": {"0": -1, "1": 1}}
 
 
 def test_compute_all_engines_fixture(capsys):
@@ -254,6 +257,9 @@ def test_truncated_series_is_labelled_and_not_cached(tmp_path, capsys):
     # an empty field: two commas in a row, or a leading or trailing comma
     ("--lam", "1,,1", "--gamma", "0,2", "--eta", "1,1"),
     ("--lam", "1,1", "--gamma", "0,2,", "--eta", "1,1"),
+    # blocks that are not lists, and no --lam
+    ("--lam", "1", "--rects", "[1]"),
+    ("--gamma", "1,1", "--eta", "1,1"),
 ])
 def test_compute_rejects_bad_input_with_a_json_error(capsys, argv):
     code, lines = run(capsys, "compute", *argv)
@@ -352,6 +358,9 @@ def test_dot_output(tmp_path, capsys):
     assert "12 (0)" in text and "21 (1)" in text
     single = poset_dot((3,))
     assert single.count("label") == 1 and "->" not in single
+    # with no --out the text goes to stdout
+    assert main(["dot", "--alpha", "1,1"]) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_check_command(capsys):

@@ -223,14 +223,12 @@ def test_normalize_index_idempotent():
 
 def test_box_complement():
     rs = rect_sequence((2,), (2, 1))
-    lam_c, rs_c = box_complement((2, 1), rs, 2)
+    lam_c, rs_c = box_complement((2, 1), rs)
     assert lam_c == (1, 0)
     assert rs_c.rects == ((1, 0),)
     full = rect_sequence((3,), (2, 2, 2))
-    lam_full, _ = box_complement((2, 2, 2), full, 2)
+    lam_full, _ = box_complement((2, 2, 2), full)
     assert lam_full == (0, 0, 0)
-    with pytest.raises(ValueError):
-        box_complement((3, 1), rect_sequence((2,), (3, 1)), 2)
 
 
 def test_n_stat():

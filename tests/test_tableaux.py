@@ -76,6 +76,18 @@ def test_reading_word_and_content():
     assert repr(EMPTY) == "Tableau([])"
     assert content(()) == ()
     assert content((4, 3, 2, 3, 4, 1, 1, 2, 5, 5)) == (2, 2, 2, 2, 2)
+    with pytest.raises(ValueError, match="letters must be positive"):
+        content((2, 0, 1))
+
+
+@pytest.mark.parametrize("rows, inner, message", [
+    ([[1]], (1, 1), "taller than rows"),
+    ([[1], [1, 2]], (), "not a skew shape"),
+    ([[1], [2]], (0, 1), "not a skew shape"),
+])
+def test_tableau_rejects_a_shape_that_is_not_skew(rows, inner, message):
+    with pytest.raises(ValueError, match=message):
+        Tableau(rows, inner)
 
 
 def grid_of(t):
@@ -372,6 +384,10 @@ def test_column_rsk_inverse_rejects_malformed_pairs():
 def test_evacuation_examples():
     assert evacuation(tab([1, 2], [3]), 3) == tab([1, 3], [2])
     assert evacuation(tab([1, 1, 2]), 2) == tab([1, 2, 2])
+    with pytest.raises(ValueError, match="expects a straight tableau"):
+        evacuation(Tableau([[1], [1]], (1,)), 1)
+    with pytest.raises(ValueError, match="exceed the alphabet"):
+        evacuation(tab([1, 3]), 2)
 
 
 def test_evacuation_involution():
@@ -512,6 +528,12 @@ def test_enumerate_cst_examples():
     for t in enumerate_cst((3, 2), (1,), (2, 1, 1)):
         assert t.is_column_strict()
         assert t.content() == (2, 1, 1)
+
+
+def test_enumerate_cst_rejects_a_shape_that_is_not_skew():
+    for outer, inner in (((1,), (2,)), ((1,), (1, 1))):
+        with pytest.raises(ValueError, match="not a skew shape"):
+            enumerate_cst(outer, inner, (1,))
 
 
 def test_enumerate_cst_rejects_negative_content():

@@ -28,10 +28,13 @@ def checked_defs():
 
 def identifiers(path):
     """The identifiers a .py file uses (names, attributes, imported names),
-    or every word of any other file."""
+    or the whole identifiers inside the backtick code spans of any other
+    file: a token joined to a "-" or to a word character does not count, so
+    ``--degree-bound`` names no ``degree``."""
     text = path.read_text()
     if path.suffix != ".py":
-        return re.findall(r"\w+", text)
+        return [word for span in re.findall(r"`+([^`]+)`+", text)
+                for word in re.findall(r"(?<![\w-])\w+(?![\w-])", span)]
     out = []
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, ast.Name):

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from qlr import verify
+from qlr import kpoly, verify
 from qlr.kpoly import (
     CONJECTURAL,
+    ONE,
     PROVEN,
     ZERO,
     KIndex,
@@ -178,8 +179,9 @@ def test_crosscheck_builds_one_index_per_index_and_one_rect_sequence_per_group(m
 
 
 def test_crosscheck_validates_only_the_indices_and_groups_it_enumerates(monkeypatch):
-    # the dual, the box complement, the reorderings and the recurrence's
-    # tails are valid by construction, so they are built trusted
+    # the box complement (as a block sequence, and as an index for the
+    # Kostant engine), the reorderings and the recurrence's tails are valid
+    # by construction, so they are built trusted
     built = {KIndex: 0, RectSequence: 0}
     for cls in built:
         def counted(cls, *args, original=cls.__new__):
@@ -190,6 +192,63 @@ def test_crosscheck_validates_only_the_indices_and_groups_it_enumerates(monkeypa
     rep = crosscheck_family(3, 3)
     assert (rep.ok, rep.checks) == (True, 428)
     assert (built[KIndex], built[RectSequence]) == (84, 44)
+
+
+def test_crosscheck_normalizes_no_index(monkeypatch):
+    # its indices are normalized already, and the dual's normalization is
+    # the box complement
+    calls = []
+    normalize = kpoly.normalize_index
+    monkeypatch.setattr(kpoly, "normalize_index",
+                        lambda *args: calls.append(args) or normalize(*args))
+    rep = crosscheck_family(3, 3)
+    assert (rep.ok, rep.checks, len(calls)) == (True, 428, 0)
+    # the cache check keys each index as compute would: "[1]|[1]|[1]" is K((1), (1), (1))
+    rep = crosscheck_family(3, 3, cache={("[1]|[1]|[1]", "recurrence"): (ONE, "exact")})
+    assert (rep.ok, rep.checks, len(calls)) == (True, 429, 0)
+
+
+def _fault_on_the_complement(monkeypatch, engine, matches):
+    """Make ``engine`` in qlr.verify return one more than it should on the
+    first call after each ``box_complement`` whose arguments ``matches`` the
+    complement; every other call is left alone."""
+    pending = []
+
+    def complement(lam, rseq):
+        pending[:] = [box(lam, rseq)]
+        return pending[0]
+
+    def faulty(*args):
+        hit = pending and matches(args, *pending[0])
+        if hit:
+            pending.clear()
+        return original(*args) + (1 if hit else 0)
+
+    box, original = verify.box_complement, getattr(verify, engine)
+    monkeypatch.setattr(verify, "box_complement", complement)
+    monkeypatch.setattr(verify, engine, faulty)
+
+
+def test_crosscheck_dual_check_reads_the_recurrence_on_the_complement(monkeypatch):
+    _fault_on_the_complement(monkeypatch, "_k_rec", lambda args, lam_c, rs_c: args == (lam_c, rs_c))
+    rep = crosscheck_family(3, 3)
+    assert rep.checks == 428
+    assert {ce["check"] for ce in rep.counterexamples} == {"dual"}
+    assert len(rep.counterexamples) == 84
+    assert all(ce["dual"] == ce["poly"] + 1 for ce in rep.counterexamples)
+
+
+def test_crosscheck_box_check_reads_kostant_on_the_complement(monkeypatch):
+    def matches(args, lam_c, rs_c):
+        (idx,) = args
+        return (idx.lam, idx.gamma, idx.eta) == (lam_c, rs_c.gamma, rs_c.eta)
+
+    _fault_on_the_complement(monkeypatch, "k_by_kostant", matches)
+    rep = crosscheck_family(3, 3)
+    assert rep.checks == 428
+    assert {ce["check"] for ce in rep.counterexamples} == {"box"}
+    assert len(rep.counterexamples) == 84
+    assert all(ce["complement"] == ce["poly"] + 1 for ce in rep.counterexamples)
 
 
 def test_ev_duality_runs_column_rsk_once_per_word_sequence(monkeypatch):

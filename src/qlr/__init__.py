@@ -13,7 +13,6 @@ from .shapes import (
     dominates,
     from_rects,
     n_stat,
-    normalize_index,
     partitions,
     rect_sequence,
     roots_of,

@@ -107,8 +107,8 @@ def cmd_compute(args) -> int:
     run_all = args.engine == "all"
     engines = ENGINES if run_all else (args.engine,)
     norm = idx.normalized()
-    key = index_key(norm)
-    sign = norm[0] if norm else 1
+    sign, nidx = norm or (1, None)
+    key = index_key(nidx)
     cache = load_cache(args.cache, {(key, e) for e in engines}) if args.cache else None
     failures = 0
     for engine in engines:

@@ -93,12 +93,13 @@ def plactic_act(w_perm, u) -> Word:
     return tuple(out)
 
 
-def _rearrange(w, target) -> Word:
-    """The word of content ``target`` in w's plactic orbit, each count moved
-    forward by adjacent reflections.  Any permutation taking w's content c to
-    ``target`` gives it: Stab(c) = u Stab(c+) u^-1 for c+ = u^-1 c sorted, whose
-    generators s_r (c+_r = c+_{r+1}, so p = q) fix u^-1 w; so Stab(c) fixes w."""
-    c = list(pad(content(w), len(target)))
+def _rearrange(w, c, target) -> Word:
+    """The word of content ``target`` in the plactic orbit of w, whose content
+    is ``c``, each count moved forward by adjacent reflections.  Any permutation
+    taking c to ``target`` gives it: Stab(c) = u Stab(c+) u^-1 for c+ = u^-1 c
+    sorted, whose generators s_r (c+_r = c+_{r+1}, so p = q) fix u^-1 w; so
+    Stab(c) fixes w."""
+    c = list(pad(c, len(target)))
     if sorted(c) != sorted(target):
         raise ValueError(f"{tuple(target)} is not a rearrangement of {tuple(c)}")
     out = list(w)
@@ -111,7 +112,8 @@ def _rearrange(w, target) -> Word:
 
 def sort_to_partition_content(u) -> Word:
     """Act by the shortest permutation that sorts the content into a partition."""
-    return _rearrange(u, sorted(content(u), reverse=True))
+    c = content(u)
+    return _rearrange(u, c, sorted(c, reverse=True))
 
 
 def refill(t: Tableau, w) -> Tableau:

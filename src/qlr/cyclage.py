@@ -112,9 +112,9 @@ def content_embedding(alpha, beta, t: Tableau) -> Tableau:
         j = slack.index(0, i)
         rest = mu[:i] + mu[i + 1:j] + mu[j + 1:]
         # the staged content has c_1 >= c_2 + 2: at least two 1's are unpaired
-        w = lowering(_rearrange(w, (mu[i], mu[j], *rest)), 1)
+        w = lowering(_rearrange(w, cnt, (mu[i], mu[j], *rest)), 1)
         cnt = (mu[i] - 1, mu[j] + 1, *rest)
-    return refill(t, _rearrange(w, beta))
+    return refill(t, _rearrange(w, cnt, beta))
 
 
 def cyclage_standardization(t: Tableau) -> Tableau:
@@ -160,8 +160,8 @@ def cyclage_poset(alpha) -> CyclagePoset:
     mu = sorted(alpha, reverse=True)
     edges = []
     for v in verts:
-        for e in cyclage_covers(refill(v, _rearrange(v.word(), mu))):
-            lower = refill(e.lower, _rearrange(e.lower.word(), alpha))
+        for e in cyclage_covers(refill(v, _rearrange(v.word(), alpha, mu))):
+            lower = refill(e.lower, _rearrange(e.lower.word(), mu, alpha))
             edges.append(e._replace(upper=v, lower=lower))
     grades = tuple(cocharge_grade(v) for v in verts)
     return CyclagePoset(alpha, verts, tuple(edges), grades)

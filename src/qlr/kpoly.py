@@ -41,7 +41,6 @@ from .shapes import (
     from_rects,
     is_partition,
     is_weakly_decreasing,
-    normalize_index,
     pad,
     partitions_containing,
     perm_sign,
@@ -175,10 +174,28 @@ class KIndex(namedtuple("KIndex", "lam gamma eta")):
         return RectSequence._make((self.eta, self.gamma))
 
     def normalized(self):
-        """(sign, normalized index) or None when the polynomial is zero."""
-        if (res := normalize_index(self.lam, self.gamma, self.eta)) is None:
+        """(sign, normalized index) or None when the polynomial is zero.
+
+        Straightens lambda and every block of gamma, then shifts all entries
+        to be nonnegative: the result has a partition lambda and partition
+        blocks, its polynomial times ``sign`` is this one's, and it is its
+        own normalization with sign 1.
+        """
+        # no length check: len(lam) = len(gamma) = sum(eta) by construction
+        if sum(self.lam) != sum(self.gamma):
             return None
-        return res[0], KIndex._make((res[1], res[2], self.eta))
+        starts = block_starts(self.eta)
+        sign, straight = 1, []
+        for piece in [self.lam, *(self.gamma[a:b] for a, b in itertools.pairwise(starts))]:
+            if (res := straighten(piece)) is None:
+                return None
+            sign *= res[0]
+            straight.append(res[1])
+        lam, *blocks = straight
+        gamma = tuple(itertools.chain.from_iterable(blocks))
+        shift = -min((0, *lam, *gamma))
+        return sign, KIndex._make((tuple(x + shift for x in lam),
+                                   tuple(x + shift for x in gamma), self.eta))
 
 
 def index_from_rects(lam, rects) -> KIndex:
@@ -419,18 +436,14 @@ def k_by_recurrence(lam, rseq: RectSequence) -> QPoly:
 # engine C: series expansion of the generating function
 
 
-def staircase_functional(v) -> int:
-    n = len(v)
-    return sum((n - k - 1) * x for k, x in enumerate(v))
-
-
 def default_degree_bound(lam, gamma) -> int:
-    """Largest attainable q-degree for the coefficient of s_lam.
+    """Largest attainable q-degree for the coefficient of s_lam: the
+    staircase functional <rho, lam - gamma>.
 
     Every root use strictly decreases the staircase functional, and the
     identity rearrangement maximizes it over the orbit of lam + rho.
     """
-    return staircase_functional(vec_sub(lam, gamma))
+    return sum(k * x for k, x in enumerate(reversed(vec_sub(lam, gamma))))
 
 
 def series_monomials(gamma, eta, bound: int, values=None) -> dict[Vec, dict[int, int]]:

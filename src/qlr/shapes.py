@@ -1,4 +1,4 @@
-"""Integer partitions, weights, dominance order, and index normalization.
+"""Integer partitions, weights, dominance order, and block sequences.
 
 Everything in this module is a pure function on tuples of integers, so all
 values are hashable and safe to share across threads.  Conventions:
@@ -216,47 +216,21 @@ def from_rects(rects) -> RectSequence:
     return RectSequence._make((tuple(map(len, rects)), tuple(itertools.chain(*rects))))
 
 
-def normalize_index(lam, gamma, eta):
-    """Straighten an index triple to one with partition lambda and blocks.
-
-    Returns ``None`` when the polynomial is identically zero, otherwise
-    ``(sign, lam', gamma')`` where ``lam'`` is a partition, every block slice
-    of ``gamma'`` is a partition, and all entries are nonnegative.  The
-    associated polynomial equals ``sign`` times the one for the returned
-    index.  Idempotent on already-normalized indices.
-    """
-    lam, gamma, eta = tuple(lam), tuple(gamma), tuple(eta)
-    n = sum(eta)
-    if len(lam) != n or len(gamma) != n:
-        raise ValueError("lambda, gamma and eta must agree on n")
-    if sum(lam) != sum(gamma):
-        return None
-
-    sign, straight = 1, []
-    for piece in [lam] + [gamma[a:b] for a, b in itertools.pairwise(block_starts(eta))]:
-        res = straighten(piece)
-        if res is None:
-            return None
-        sign *= res[0]
-        straight.append(res[1])
-    lam2, gamma2 = straight[0], tuple(itertools.chain.from_iterable(straight[1:]))
-
-    shift = -min(min(lam2, default=0), min(gamma2, default=0), 0)
-    return sign, tuple(x + shift for x in lam2), tuple(x + shift for x in gamma2)
-
-
 def box_complement(lam, rseq: RectSequence):
     """Complement ``lam`` and every block inside boxes of the least width.
 
     That width is the largest entry of ``lam`` and ``gamma``; ``lam`` is
     complemented in the n x width box and rotated; block i in its
-    eta_i x width box; the block order is reversed.
+    eta_i x width box; the block order is reversed.  Reversing the blocks
+    and each block's entries reverses gamma, so gamma is complemented whole.
     """
     lam = pad(lam, rseq.n)
-    size = max((max(lam, default=0), max(rseq.gamma, default=0)))
-    lam_c = tuple(size - x for x in reversed(lam))
-    new_rects = [tuple(size - x for x in reversed(r)) for r in reversed(rseq.rects)]
-    return lam_c, from_rects(new_rects)
+    size = max((*lam, *rseq.gamma), default=0)
+
+    def flip(v):
+        return tuple(size - x for x in reversed(v))
+
+    return flip(lam), RectSequence._make((rseq.eta[::-1], flip(rseq.gamma)))
 
 
 # ---------------------------------------------------------------------------

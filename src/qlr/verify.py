@@ -220,7 +220,7 @@ def crosscheck_family(
                         other=p_sym,
                     )
         if cache is not None:
-            key = index_key((1, idx))  # a crosscheck index is its own normalization
+            key = index_key(idx)  # a crosscheck index is its own normalization
             for engine, value in (("recurrence", p_rec), ("kostant", p_kos)):
                 cached = cache.get((key, engine))
                 if cached is not None:
@@ -237,11 +237,10 @@ def crosscheck_family(
     return _scan_family("crosscheck", max_n, max_weight, sample, check, prepare)
 
 
-def index_key(norm) -> str:
-    """Cache key of an index from its normalization ``idx.normalized()``."""
-    if norm is None:
+def index_key(nidx) -> str:
+    """Cache key of an index from its normalized index, None for a zero one."""
+    if nidx is None:
         return "zero"
-    _, nidx = norm
     return f"{list(nidx.lam)}|{list(nidx.gamma)}|{list(nidx.eta)}"
 
 

@@ -33,9 +33,9 @@ def test_compute_accepts_spaces_around_fields(capsys):
 def test_compute_normalizes_the_index_once_besides_the_engine(capsys, monkeypatch):
     # one normalization yields the cache key, the sign and the index the engines run on
     calls = []
-    normalize = qlr.kpoly.normalize_index
-    monkeypatch.setattr(qlr.kpoly, "normalize_index",
-                        lambda *args: calls.append(args) or normalize(*args))
+    normalize = qlr.kpoly.KIndex.normalized
+    monkeypatch.setattr(qlr.kpoly.KIndex, "normalized",
+                        lambda idx: calls.append(idx) or normalize(idx))
     for engine in ("kostant", "all"):
         calls.clear()
         code, lines = run(

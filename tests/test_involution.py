@@ -279,3 +279,65 @@ def test_a_t_dropped_from_the_catabolizable_side_escapes(monkeypatch):
     escaped = ctx.contract(*ctx.step(*ctx.expand(rep.escapes[0])))
     assert applied == [escaped] and escaped.t.outer == (3,)
     assert escaped.t not in ctx.ts_by_shape[(3,)]
+
+
+def test_context_rejects_a_non_dominant_block_sequence():
+    with pytest.raises(ValueError, match="must be dominant"):
+        InvolutionContext((1, 0), rect_sequence((1, 1), (0, 1)))
+
+
+# lambda = (2, 1, 1, 0), eta = gamma = (1, 1, 1, 1): 9 triples, 3 of them fixed,
+# the other 6 paired by the involution across w = 1234 and w = 1324
+FAULT_LAM, FAULT_RSEQ = (2, 1, 1, 0), rect_sequence((1, 1, 1, 1), (1, 1, 1, 1))
+
+
+def test_theta_marks_a_fixed_point_with_none():
+    ctx = InvolutionContext(FAULT_LAM, FAULT_RSEQ)
+    fixed = [tr for tr in ctx.triples() if ctx.step(*ctx.expand(tr)) is None]
+    assert len(fixed) == 3 and all(ctx.theta(tr) is None for tr in fixed)
+    assert verify_involution(FAULT_LAM, FAULT_RSEQ).ok
+
+
+def _charge_off_by_one_on_first_letters(monkeypatch):
+    # T holds no letter 1, so only the charge of P moves
+    original = involution.charge_tableau
+    monkeypatch.setattr(involution, "charge_tableau",
+                        lambda t: original(t) + (1 in t.word()))
+
+
+def _no_superstandard_q(monkeypatch):
+    monkeypatch.setattr(involution, "yamanouchi_tableau", lambda lam: None)
+
+
+def _every_sign_positive(monkeypatch):
+    monkeypatch.setattr(involution, "perm_sign", lambda w: 1)
+
+
+def _weight_reads_w(monkeypatch):
+    # w(2) is 2 on one side of every pair and 3 on the other
+    original = InvolutionContext.weight_exponent
+    monkeypatch.setattr(InvolutionContext, "weight_exponent",
+                        lambda ctx, w, t: original(ctx, w, t) + w[1])
+
+
+def _every_image_the_first(monkeypatch):
+    original, first = InvolutionContext.contract, []
+
+    def contract(ctx, *stepped):
+        first.append(original(ctx, *stepped))
+        return first[0]
+
+    monkeypatch.setattr(InvolutionContext, "contract", contract)
+
+
+@pytest.mark.parametrize("fault, field", [
+    (_charge_off_by_one_on_first_letters, "charge_shift_ok"),
+    (_no_superstandard_q, "involution_ok"),
+    (_every_sign_positive, "involution_ok"),
+    (_weight_reads_w, "weight_preserved"),
+    (_every_image_the_first, "involution_ok"),
+])
+def test_each_report_flag_fires_on_its_fault(monkeypatch, fault, field):
+    fault(monkeypatch)
+    rep = verify_involution(FAULT_LAM, FAULT_RSEQ)
+    assert not getattr(rep, field) and not rep.ok

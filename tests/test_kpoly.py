@@ -41,7 +41,6 @@ from qlr.shapes import (
     dominates,
     from_rects,
     is_weakly_decreasing,
-    normalize_index,
     pad,
     partitions,
     partitions_upto,
@@ -569,15 +568,10 @@ def test_trusted_builds_equal_the_validated_ones():
         for lam in lams:
             idx = KIndex(lam, gamma, eta)
             assert_trusted_is_validated(idx.rects(), rs)
-            sign, nidx = idx.normalized()
-            assert (sign, nidx.lam, nidx.gamma) == normalize_index(lam, gamma, eta)
-            assert_trusted_is_validated(nidx, KIndex(nidx.lam, nidx.gamma, eta))
-            norm = dual_index(idx).normalized()
-            res = normalize_index(star(lam), star(gamma), eta[::-1])
-            assert (norm is None) == (res is None)
-            if norm is not None:
-                assert norm[0] == res[0]
-                assert_trusted_is_validated(norm[1], KIndex(res[1], res[2], eta[::-1]))
+            nidx = idx.normalized()[1]
+            assert_trusted_is_validated(nidx, KIndex(*nidx))
+            if (norm := dual_index(idx).normalized()) is not None:
+                assert_trusted_is_validated(norm[1], KIndex(*norm[1]))
             size = max(gamma + lam)
             lam_c, rs_c = box_complement(lam, rs)
             assert lam_c == tuple(size - x for x in reversed(lam))
@@ -704,6 +698,8 @@ def test_two_rectangle_formula():
                         assert closed == k_by_recurrence(lamp, rs), (lam, gamma, m)
                         if rs.is_dominant():
                             assert closed == k_by_charge(lamp, rs).poly
+    # a lambda with more parts than the two blocks have rows
+    assert two_rectangle_formula((1, 1, 1), (1,), (1,)) == ZERO
 
 
 def test_dual_and_box_complement_identities():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from qlr.crystal import _rearrange, plactic_act
+from qlr.kpoly import KIndex
 from qlr.shapes import (
     RectSequence,
     all_permutations,
@@ -15,7 +16,6 @@ from qlr.shapes import (
     dominates,
     from_rects,
     n_stat,
-    normalize_index,
     pad,
     partitions,
     partitions_containing,
@@ -88,13 +88,13 @@ def perm_mul(u, v):
 
 
 def test_rearrange_examples():
-    assert _rearrange((2, 2), (2, 0)) == (1, 1)
-    assert _rearrange((1, 2, 1, 3, 2), (2, 2, 1)) == (1, 2, 1, 3, 2)
-    assert _rearrange((1, 1, 1, 2, 3), (1, 3, 1)) == (1, 2, 2, 2, 3)
-    assert _rearrange((1, 2, 2, 2, 3), (3, 1, 1)) == (1, 1, 1, 2, 3)
-    assert _rearrange((3, 1, 3, 2), (2, 1, 1)) == (2, 1, 3, 1)
-    assert _rearrange((1, 2, 2), (1, 2, 0)) == (1, 2, 2)
-    assert _rearrange([], ()) == ()
+    assert _rearrange((2, 2), (0, 2), (2, 0)) == (1, 1)
+    assert _rearrange((1, 2, 1, 3, 2), (2, 2, 1), (2, 2, 1)) == (1, 2, 1, 3, 2)
+    assert _rearrange((1, 1, 1, 2, 3), (3, 1, 1), (1, 3, 1)) == (1, 2, 2, 2, 3)
+    assert _rearrange((1, 2, 2, 2, 3), (1, 3, 1), (3, 1, 1)) == (1, 1, 1, 2, 3)
+    assert _rearrange((3, 1, 3, 2), (1, 1, 2), (2, 1, 1)) == (2, 1, 3, 1)
+    assert _rearrange((1, 2, 2), (1, 2), (1, 2, 0)) == (1, 2, 2)
+    assert _rearrange([], (), ()) == ()
 
 
 def test_rearrange_equals_every_matching_permutation():
@@ -108,17 +108,17 @@ def test_rearrange_equals_every_matching_permutation():
             for v in perms:
                 target = perm_apply(v, c)
                 if target not in images:
-                    images[target] = _rearrange(w, target)
+                    images[target] = _rearrange(w, c, target)
                 assert plactic_act(v, w) == images[target], (w, v)
 
 
 def test_rearrange_rejects_a_non_rearrangement():
     for w, target in [((1, 2, 2), (2, 2)), ((1, 2), (1, 1, 1)), ((1, 2, 2), (2, 1, 1))]:
         with pytest.raises(ValueError, match="is not a rearrangement of"):
-            _rearrange(w, target)
+            _rearrange(w, content(w), target)
     # a letter past the target's length
     with pytest.raises(ValueError, match="cannot pad"):
-        _rearrange((2,), (1,))
+        _rearrange((2,), (0, 1), (1,))
 
 
 def test_permutation_algebra():
@@ -176,8 +176,10 @@ def test_rect_sequence_examples():
 
 
 def test_normalize_index_rejects_mismatched_lengths():
-    with pytest.raises(ValueError, match="must agree on n"):
-        normalize_index((1, 0), (1, 0, 0), (1, 1))
+    # KIndex checks the lengths when it is built, so normalization never sees a mismatch
+    for lam, gamma, eta in [((1, 0), (1, 0, 0), (1, 1)), ((1, 0, 0), (1, 0), (1, 1))]:
+        with pytest.raises(ValueError, match="inconsistent index"):
+            KIndex(lam, gamma, eta)
 
 
 @pytest.mark.parametrize("eta, gamma, message", [
@@ -194,30 +196,39 @@ def test_rect_sequence_rejects_an_eta_that_does_not_tile_gamma(eta, gamma, messa
         RectSequence(eta, gamma)
 
 
+def normalized_triple(lam, gamma, eta):
+    """(sign, lambda, gamma) of ``KIndex(lam, gamma, eta).normalized()``, or None."""
+    if (norm := KIndex(lam, gamma, eta).normalized()) is None:
+        return None
+    sign, nidx = norm
+    assert nidx.eta == eta
+    return sign, nidx.lam, nidx.gamma
+
+
 def test_normalize_index_examples():
     # one-element blocks are always dominant
-    assert normalize_index((1, 1), (0, 2), (1, 1)) == (1, (1, 1), (0, 2))
+    assert normalized_triple((1, 1), (0, 2), (1, 1)) == (1, (1, 1), (0, 2))
     # shifting both weights leaves the normalized data shifted consistently
-    base = normalize_index((2, 1, 0), (1, 1, 1), (1, 2))
-    shifted = normalize_index((3, 2, 1), (2, 2, 2), (1, 2))
+    base = normalized_triple((2, 1, 0), (1, 1, 1), (1, 2))
+    shifted = normalized_triple((3, 2, 1), (2, 2, 2), (1, 2))
     assert base and shifted
     assert shifted[0] == base[0]
     assert shifted[1] == tuple(x + 1 for x in base[1])
     # straightening inside a block flips the sign
-    assert normalize_index((2, 1, 0), (1, 0, 2), (1, 2)) == (-1, (2, 1, 0), (1, 1, 1))
+    assert normalized_triple((2, 1, 0), (1, 0, 2), (1, 2)) == (-1, (2, 1, 0), (1, 1, 1))
     # a stuck repeat is zero
-    assert normalize_index((2, 1, 0), (1, 0, 1), (1, 2)) is None
+    assert normalized_triple((2, 1, 0), (1, 0, 1), (1, 2)) is None
 
 
 def test_normalize_index_idempotent():
     for lam in itertools.product(range(-1, 3), repeat=3):
         for gamma in itertools.product(range(-1, 3), repeat=3):
             for eta in compositions(3):
-                res = normalize_index(lam, gamma, eta)
+                res = normalized_triple(lam, gamma, eta)
                 if res is None:
                     continue
                 sign, lam2, gamma2 = res
-                again = normalize_index(lam2, gamma2, eta)
+                again = normalized_triple(lam2, gamma2, eta)
                 assert again == (1, lam2, gamma2)
 
 
@@ -229,6 +240,10 @@ def test_box_complement():
     full = rect_sequence((3,), (2, 2, 2))
     lam_full, _ = box_complement((2, 2, 2), full)
     assert lam_full == (0, 0, 0)
+    # the blocks come in reverse order, each complemented and reversed
+    lam_c, rs_c = box_complement((3, 1), rect_sequence((1, 2), (2, 1, 1)))
+    assert lam_c == (3, 2, 0)
+    assert rs_c.rects == ((2, 2), (1,))
 
 
 def test_n_stat():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from qlr import kpoly, verify
+from qlr import verify
 from qlr.kpoly import (
     CONJECTURAL,
     ONE,
@@ -198,9 +198,8 @@ def test_crosscheck_normalizes_no_index(monkeypatch):
     # its indices are normalized already, and the dual's normalization is
     # the box complement
     calls = []
-    normalize = kpoly.normalize_index
-    monkeypatch.setattr(kpoly, "normalize_index",
-                        lambda *args: calls.append(args) or normalize(*args))
+    normalize = KIndex.normalized
+    monkeypatch.setattr(KIndex, "normalized", lambda idx: calls.append(idx) or normalize(idx))
     rep = crosscheck_family(3, 3)
     assert (rep.ok, rep.checks, len(calls)) == (True, 428, 0)
     # the cache check keys each index as compute would: "[1]|[1]|[1]" is K((1), (1), (1))

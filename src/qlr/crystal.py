@@ -24,11 +24,11 @@ class RPairing(NamedTuple):
     unpaired_high: tuple[int, ...]       # unpaired r+1's, left to right
 
 
-def _match(w, r: int, paired=None) -> tuple[list[int], list[int]]:
-    """Positions of the unpaired r's and r+1's; the pairs go to ``paired``."""
+def _match(w, r: int, paired=None, s=None) -> tuple[list[int], list[int]]:
+    """Unpaired positions of r and s (r+1 if not given); pairs go to ``paired``."""
     if r < 1:
         raise ValueError("r must be a positive letter")
-    s = r + 1
+    s = r + 1 if s is None else s
     low, high = [], []
     for pos, x in enumerate(w):
         if x == s:
@@ -50,18 +50,18 @@ def r_pairing(w, r: int) -> RPairing:
     return RPairing(r, tuple(paired), tuple(low), tuple(high))
 
 
-def _reflect(out: list, r: int) -> None:
-    """Reflect ``out`` in place, writing only the |p - q| cells that change."""
-    low, high = _match(out, r)
+def _reflect(out: list, r: int, s: int) -> None:
+    """Reflect ``out`` in place at letters r, s, writing only the |p - q| changed cells."""
+    low, high = _match(out, r, s=s)
     p, q = len(low), len(high)
     for pos in low[q:] if p > q else high[:q - p]:
-        out[pos] = r + (p > q)
+        out[pos] = s if p > q else r
 
 
 def reflection(w, r: int) -> Word:
     """The involution swapping the numbers of r's and (r+1)'s."""
     out = list(w)
-    _reflect(out, r)
+    _reflect(out, r, r + 1)
     return tuple(out)
 
 
@@ -89,8 +89,28 @@ def plactic_act(w_perm, u) -> Word:
     """
     out = list(u)
     for r in reversed(reduced_word(tuple(w_perm))):
-        _reflect(out, r)
+        _reflect(out, r, r + 1)
     return tuple(out)
+
+
+def _permute(out: list, lab: list, c: list, target) -> None:
+    """Move the labelled word ``out`` (its letter lab[r] reads r) from content c to
+    ``target`` in place; a reflection with no r or no r+1 only swaps two labels."""
+    for i, x in enumerate(target):
+        for r in range(c.index(x, i), i, -1):
+            if c[r - 1] and c[r]:
+                _reflect(out, lab[r], lab[r + 1])
+            else:
+                lab[r], lab[r + 1] = lab[r + 1], lab[r]
+            c[r - 1], c[r] = c[r], c[r - 1]
+
+
+def _read(out: list, lab: list) -> Word:
+    """The word a labelled word reads: its letter lab[r] reads r."""
+    if lab == sorted(lab):  # no label moved
+        return tuple(out)
+    read = sorted(range(len(lab)), key=lab.__getitem__)  # the inverse labels
+    return tuple(map(read.__getitem__, out))
 
 
 def _rearrange(w, c, target) -> Word:
@@ -102,12 +122,9 @@ def _rearrange(w, c, target) -> Word:
     c = list(pad(c, len(target)))
     if sorted(c) != sorted(target):
         raise ValueError(f"{tuple(target)} is not a rearrangement of {tuple(c)}")
-    out = list(w)
-    for i, x in enumerate(target):
-        for r in range(c.index(x, i), i, -1):
-            _reflect(out, r)
-            c[r - 1], c[r] = c[r], c[r - 1]
-    return tuple(out)
+    out, lab = list(w), list(range(len(c) + 1))
+    _permute(out, lab, c, target)
+    return _read(out, lab)
 
 
 def sort_to_partition_content(u) -> Word:

@@ -10,7 +10,7 @@ with the plactic action of the sorting permutation.
 The embeddings between contents alpha >= beta (dominance of the sorted
 contents) compose two elementary moves on the reading word: a plactic
 permutation step and the lowering step that turns the rightmost unpaired 1
-into a 2.  The word is refilled into the tableau's shape once, at the end.
+into a 2, both on one labelled word, read and refilled once at the end.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .charge import cocharge_grade
-from .crystal import _rearrange, lowering, refill
+from .crystal import _match, _permute, _rearrange, _read, refill
 from .shapes import dominates, is_weakly_decreasing, pad, trim
 from .tableaux import (
     Tableau,
@@ -102,19 +102,20 @@ def content_embedding(alpha, beta, t: Tableau) -> Tableau:
     ):
         raise ValueError(f"{alpha} does not dominate {beta}")
     n = max(len(alpha), len(beta))
-    cnt, beta = pad(alpha, n), pad(beta, n)
+    cnt, beta = list(pad(alpha, n)), pad(beta, n)
     target = sorted(beta, reverse=True)
-    w = t.word()
+    out, lab = list(t.word()), list(range(n + 1))
     while (mu := sorted(cnt, reverse=True)) != target:
         # mu_i > target_i >= target_j > mu_j; slack >= 1 on [i, j) keeps the dominance
         slack = list(itertools.accumulate(a - b for a, b in zip(mu, target)))
         i = next(k for k, s in enumerate(slack) if s)
         j = slack.index(0, i)
-        rest = mu[:i] + mu[i + 1:j] + mu[j + 1:]
-        # the staged content has c_1 >= c_2 + 2: at least two 1's are unpaired
-        w = lowering(_rearrange(w, cnt, (mu[i], mu[j], *rest)), 1)
-        cnt = (mu[i] - 1, mu[j] + 1, *rest)
-    return refill(t, _rearrange(w, cnt, beta))
+        _permute(out, lab, cnt, (mu[i], mu[j], *mu[:i], *mu[i + 1:j], *mu[j + 1:]))
+        # staged, c_1 >= c_2 + 2 leaves two 1's unpaired: lower the rightmost at r = 1
+        out[_match(out, lab[1], s=lab[2])[0][-1]] = lab[2]
+        cnt[:2] = mu[i] - 1, mu[j] + 1
+    _permute(out, lab, cnt, beta)
+    return refill(t, _read(out, lab))
 
 
 def cyclage_standardization(t: Tableau) -> Tableau:

@@ -39,6 +39,7 @@ from .kpoly import (
     series_decomposition,
 )
 from .shapes import (
+    RectSequence,
     all_permutations,
     box_complement,
     compositions,
@@ -88,11 +89,27 @@ class ScanReport:
             "descriptor": self.descriptor,
             "checks": self.checks,
             "counterexamples": [
-                {k: repr(v) for k, v in ce.items()} for ce in self.counterexamples
+                {k: _encode(v) for k, v in ce.items()} for ce in self.counterexamples
             ],
             "elapsed_s": round(self.elapsed, 3),
             "ok": self.ok,
         }
+
+
+# fixed at import: the name KIndex here may be rebound to mark each index
+_ENCODERS = {
+    QPoly: QPoly.to_json,
+    KIndex: lambda i: {"lambda": list(i.lam), "gamma": list(i.gamma), "eta": list(i.eta)},
+    RectSequence: lambda r: {"eta": list(r.eta), "gamma": list(r.gamma)},
+    Tableau: lambda t: [list(row) for row in t.rows],
+}
+
+
+def _encode(v):
+    """A counterexample field as JSON data, by its type; strings and numbers stay."""
+    if type(v) in _ENCODERS:
+        return _ENCODERS[type(v)](v)
+    return [_encode(x) for x in v] if isinstance(v, (tuple, list, set, frozenset)) else v
 
 
 def index_family(max_n: int, max_weight: int):

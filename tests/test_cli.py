@@ -311,7 +311,10 @@ def test_crosscheck_detects_corrupted_cache(tmp_path, capsys):
     )
     assert code == 1
     assert not lines[0]["ok"]
-    assert any("cache" in str(ce) for ce in lines[0]["counterexamples"])
+    # the report's records are JSON data, not display text
+    [ce] = [ce for ce in lines[0]["counterexamples"] if ce["check"] == "cache"]
+    assert ce["index"] == {"lambda": [1, 0], "gamma": [1, 0], "eta": [1, 1]}
+    assert (ce["engine"], ce["cached"]) == ("recurrence", {"coeffs": {"5": 7}})
 
 
 def test_crosscheck_clean(capsys):

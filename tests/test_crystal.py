@@ -3,7 +3,9 @@ import itertools
 
 import pytest
 
+from qlr import crystal
 from qlr.crystal import (
+    _rearrange,
     is_mu_lattice,
     lattice_involution,
     lattice_violation,
@@ -288,6 +290,32 @@ def test_operators_match_the_reference_rewrite():
         for rs in prefixes:
             images[rs] = ref_operators(images[rs[:-1]], rs[-1])[0]
         assert [plactic_act(w, u) for w, _ in actions] == [images[rs] for _, rs in actions]
+
+
+def test_rearrange_matches_only_where_both_counts_are_positive(monkeypatch):
+    # a reflection with no r or no r+1 only swaps two labels: the bracket matcher
+    # runs only where both counts are positive, on two letters the word holds,
+    # and the labelled word reads as the chain of one reflection per move
+    seen = []
+    match = crystal._match
+
+    def counting_match(w, r, paired=None, s=None):
+        seen.append(r in w and s in w)
+        return match(w, r, paired, s)
+
+    monkeypatch.setattr(crystal, "_match", counting_match)
+    for w in all_words(4, 6):
+        c = [w.count(k) for k in range(1, 5)]
+        for target in set(itertools.permutations(c)):
+            chain, cnt, both = w, c[:], 0
+            for i, x in enumerate(target):
+                for r in range(cnt.index(x, i), i, -1):
+                    both += cnt[r - 1] > 0 and cnt[r] > 0
+                    chain = reflection(chain, r)
+                    cnt[r - 1], cnt[r] = cnt[r], cnt[r - 1]
+            seen.clear()
+            assert _rearrange(w, c, target) == chain, (w, target)
+            assert seen == [True] * both, (w, target)
 
 
 def test_overlap_counts_r_pairs_in_recording_tableau():

@@ -98,18 +98,15 @@ def test_rearrange_examples():
 
 
 def test_rearrange_equals_every_matching_permutation():
-    # every v in S_4 taking w's padded content to the target acts on w as the
-    # rearrangement does, since the content's stabilizer fixes w
+    # every v in S_4 acts on w as the rearrangement to t, t[v(j) - 1] = c[j], does,
+    # since the content's stabilizer fixes w: the claim the label map rests on;
+    # one rearrangement per v, not per distinct target
     perms = list(all_permutations(4))
     for n in range(7):
         for w in itertools.product(range(1, 5), repeat=n):
             c = pad(content(w), 4)
-            images = {}
             for v in perms:
-                target = perm_apply(v, c)
-                if target not in images:
-                    images[target] = _rearrange(w, c, target)
-                assert plactic_act(v, w) == images[target], (w, v)
+                assert plactic_act(v, w) == _rearrange(w, c, perm_apply(v, c)), (w, v)
 
 
 def test_rearrange_rejects_a_non_rearrangement():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -94,7 +95,26 @@ def test_report_counterexample_plumbing():
     assert rep.ok
     rep.found(check="demo", value=1)
     assert not rep.ok
-    assert rep.to_json()["counterexamples"] == [{"check": "'demo'", "value": "1"}]
+    assert rep.to_json()["counterexamples"] == [{"check": "demo", "value": 1}]
+    # each field is encoded by its type, and the in-memory record keeps it raw
+    idx = KIndex((2, 1), (2, 1), (1, 1))
+    rep.found(check="demo", index=idx, reordering=idx.rects(), poly=ONE + QPoly.term(2),
+              image=Tableau(((1, 1), (2,))), missing={Tableau(((1,),))},
+              word=(1, 2), words=[(1,), ()], mu=frozenset({3}))
+    ce = rep.to_json()["counterexamples"][1]
+    assert ce == {
+        "check": "demo",
+        "index": {"lambda": [2, 1], "gamma": [2, 1], "eta": [1, 1]},
+        "reordering": {"eta": [1, 1], "gamma": [2, 1]},
+        "poly": {"coeffs": {"0": 1, "2": 1}},
+        "image": [[1, 1], [2]],
+        "missing": [[[1]]],
+        "word": [1, 2],
+        "words": [[1], []],
+        "mu": [3],
+    }
+    assert json.loads(json.dumps(ce)) == ce
+    assert rep.counterexamples[1]["index"] is idx
 
 
 def test_word_range_checks_small():

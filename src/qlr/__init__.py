@@ -48,7 +48,6 @@ from .catabolism import (
     is_catabolizable,
     is_mu_catabolizable,
     is_mu_column_catabolizable,
-    yamanouchi_block,
 )
 from .cyclage import (
     CyclagePoset,

@@ -13,17 +13,8 @@ from bisect import bisect_right
 from functools import cache
 from itertools import chain, zip_longest
 
-from .shapes import RectSequence, block_starts, is_partition, partitions_containing, trim
-from .tableaux import EMPTY, Tableau, _insert, enumerate_cst, h_slice, v_slice
-
-
-@cache
-def yamanouchi_block(rseq: RectSequence) -> Tableau:
-    """The block tableau Y_1: its j-th row holds the letter j."""
-    shape = trim(rseq.rects[0])
-    if not is_partition(shape):
-        raise ValueError(f"the first block of {rseq} is not a partition")
-    return Tableau._make((tuple((j,) * x for j, x in enumerate(shape, 1)), ()))
+from .shapes import RectSequence, block_starts, partitions_containing, trim
+from .tableaux import EMPTY, Tableau, _insert, enumerate_cst, h_slice, v_slice, yamanouchi_tableau
 
 
 def _strip(rows, block, m: int):
@@ -56,7 +47,7 @@ def catabolism_trace(t: Tableau, rseq: RectSequence):
     steps, cur, blocks = [], t, rseq
     while blocks.t:
         # strip Y_1 and slice below its rows, keeping the original alphabet
-        m, y1 = blocks.eta[0], yamanouchi_block(blocks)
+        m, y1 = blocks.eta[0], yamanouchi_tableau(blocks.gamma[:blocks.eta[0]])
         rows = None if cur.inner else _cat_step(cur.rows, y1.rows, m, m, 0)
         if rows is None:
             return None
@@ -76,7 +67,7 @@ def _catabolizable(rows, rseq: RectSequence) -> bool:
     if rseq.t == 0:
         return not rows
     m = rseq.eta[0]
-    after = _cat_step(rows, yamanouchi_block(rseq).rows, m, m, m)
+    after = _cat_step(rows, yamanouchi_tableau(rseq.gamma[:m]).rows, m, m, m)
     return after is not None and _catabolizable(after, rseq.tail())
 
 
@@ -106,7 +97,7 @@ def catabolizable_by_shape(rseq: RectSequence, within=None) -> dict:
     """
     if not rseq.t:
         return {(): (EMPTY,)}
-    y1 = yamanouchi_block(rseq)
+    y1 = yamanouchi_tableau(rseq.gamma[:rseq.eta[0]])
     max_len = rseq.n if within is None else len(within)
     groups, segments = {y1.outer: [y1.rows]}, _segments(rseq)  # the prefixes, by shape
     for cnt, size, test in segments:

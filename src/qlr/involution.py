@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
+from itertools import product
 from typing import NamedTuple
 
 from .catabolism import catabolizable_by_shape, enumerate_catabolizable
@@ -30,6 +31,7 @@ from .kpoly import QPoly, k_by_recurrence
 from .shapes import (
     RectSequence,
     Vec,
+    is_partition,
     pad,
     perm_sign,
     rho,
@@ -56,8 +58,8 @@ class InvolutionContext:
     """All data attached to one dominant index (lambda, R)."""
 
     def __init__(self, lam, rseq: RectSequence):
-        if not rseq.is_dominant():
-            raise ValueError(f"the block sequence must be dominant: {rseq}")
+        if not is_partition(rseq.gamma):
+            raise ValueError(f"the block sequence must be dominant and nonnegative: {rseq}")
         self.rseq = rseq
         self.n = rseq.n
         self.m = rseq.eta[0]
@@ -146,30 +148,19 @@ class InvolutionContext:
         nonnegative exactly when each position k holds an entry of lam+rho of
         at least ``rho[k] + r1[k]`` (r1 padded by zeros past the first block).
         lam+rho is strictly decreasing, so position k admits exactly the
-        values ``1..caps[k]``; the walk fills positions in order and tries
-        only those.
+        values ``1..caps[k]``; for a partition gamma the floors strictly
+        decrease and ``caps`` weakly increases, so the earlier positions hold
+        k of ``1..caps[k]`` and position k takes the j-th smallest value left,
+        for j < caps[k] - k.
         """
         n = self.n
         caps = [
             sum(1 for x in self.lam_rho if x >= floor)
             for floor in vec_add(rho(n), pad(self.r1, n))
         ]
-        used = [False] * (n + 1)
-        w = [0] * n
-
-        def place(k):
-            if k == n:
-                yield tuple(w)
-                return
-            for v in range(1, caps[k] + 1):
-                if used[v]:
-                    continue
-                used[v] = True
-                w[k] = v
-                yield from place(k + 1)
-                used[v] = False
-
-        yield from place(0)
+        for picks in product(*(range(c - k) for k, c in enumerate(caps))):
+            free = list(range(1, n + 1))
+            yield tuple(free.pop(j) for j in picks)
 
     def triples(self):
         """All triples of the index with T on the catabolizable side; only the

@@ -51,7 +51,7 @@ from .shapes import (
     vec_add,
     vec_sub,
 )
-from .tableaux import enumerate_cst, straight_cst
+from .tableaux import enumerate_cst, standard_tableaux, straight_cst
 
 
 class QPoly:
@@ -570,8 +570,7 @@ def cocharge_kostka(lam, mu) -> QPoly:
 
 def standard_cocharge_sum(lam, mu) -> QPoly:
     """Cocharge sum over standard tableaux whose catabolism type dominates mu."""
-    lam, mu = trim(lam), trim(mu)
-    standard = straight_cst(lam, (1,) * sum(lam))
+    mu, standard = trim(mu), standard_tableaux(lam)
     return _generating(
         cocharge_tableau, (t for t in standard if dominates(catabolism_type(t), mu))
     )

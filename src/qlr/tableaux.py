@@ -23,7 +23,7 @@ from functools import cache
 from itertools import chain
 from operator import le, lt
 
-from .shapes import Vec, is_weakly_decreasing, partitions, trim
+from .shapes import Vec, is_partition, is_weakly_decreasing, partitions, trim
 
 Word = tuple[int, ...]
 
@@ -276,26 +276,16 @@ def column_rsk_inverse(p: Tableau, q: Tableau, labels=None):
 
 
 def evacuation(t: Tableau, n: int) -> Tableau:
-    """Evacuation with respect to the alphabet [1, n].
-
-    The restriction of the result to [1, i] has the shape of
-    P(word(t restricted to [n+1-i, n])), which pins the tableau uniquely.
-    """
+    """Evacuation with respect to the alphabet [1, n]: P of the reversed word,
+    each letter x read as n + 1 - x.  Its restriction to [1, i] has the shape
+    of P(word(t restricted to [n+1-i, n])), which pins the tableau uniquely,
+    and the reversed complement has that chain of restriction shapes."""
     if t.inner:
         raise ValueError("evacuation expects a straight tableau")
     w = t.word()
     if w and max(w) > n:
         raise ValueError(f"letters exceed the alphabet [1, {n}]")
-    shapes = [()]
-    for i in range(1, n + 1):
-        shapes.append(schensted_p([x for x in w if x > n - i]).outer)
-    rows: list[list[int]] = [[] for _ in shapes[-1]]
-    for i in range(1, n + 1):
-        prev = shapes[i - 1]
-        for r, ln in enumerate(shapes[i]):
-            old = prev[r] if r < len(prev) else 0
-            rows[r].extend([i] * (ln - old))
-    return Tableau._make((tuple(map(tuple, rows)), ()))
+    return schensted_p([n + 1 - x for x in reversed(w)])
 
 
 def h_slice(t: Tableau, r: int) -> Tableau:
@@ -432,6 +422,9 @@ def standard_tableaux(shape) -> tuple[Tableau, ...]:
     return straight_cst(shape, (1,) * sum(shape))
 
 
+@cache
 def yamanouchi_tableau(shape) -> Tableau:
     """The unique column-strict tableau of shape and content ``shape``."""
-    return Tableau([[i + 1] * x for i, x in enumerate(trim(shape))])
+    if not is_partition(shape := trim(shape)):
+        raise ValueError(f"{shape} is not a partition")
+    return Tableau._make((tuple((j,) * x for j, x in enumerate(shape, 1)), ()))

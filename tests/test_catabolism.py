@@ -16,7 +16,6 @@ from qlr.catabolism import (
     is_mu_column_catabolizable,
     leading_run,
     row_catabolism,
-    yamanouchi_block,
 )
 from qlr.charge import charge_tableau, cocharge_tableau
 from qlr.cyclage import cyclage_covers
@@ -32,6 +31,7 @@ from qlr.tableaux import (
     standard_tableaux,
     straight_cst,
     tab,
+    yamanouchi_tableau,
 )
 from qlr.verify import index_family
 from test_cyclage import covers_col_restricted, covers_row_restricted
@@ -40,19 +40,28 @@ RSEQ = rect_sequence((2, 2, 1), (3, 2, 2, 1, 1))
 
 
 def test_yamanouchi_blocks():
-    assert yamanouchi_block(RSEQ) == tab([1, 1, 1], [2, 2])
+    assert yamanouchi_tableau(RSEQ.rects[0]) == tab([1, 1, 1], [2, 2])
     # Y_2 and Y_3 are Y_1 of the tails, relabelled by their offsets
-    assert yamanouchi_block(RSEQ.tail()).relabel(2) == tab([3, 3], [4])
-    assert yamanouchi_block(RSEQ.tail().tail()).relabel(4) == tab([5])
-    with pytest.raises(ValueError, match="first block of .* is not a partition"):
-        yamanouchi_block(rect_sequence((2,), (1, 2)))
+    assert yamanouchi_tableau(RSEQ.tail().rects[0]).relabel(2) == tab([3, 3], [4])
+    assert yamanouchi_tableau(RSEQ.tail().tail().rects[0]).relabel(4) == tab([5])
+    with pytest.raises(ValueError, match=r"\(1, 2\) is not a partition"):
+        is_catabolizable(EMPTY, rect_sequence((2,), (1, 2)))
+
+
+def test_block_sequences_with_one_first_block_share_one_y1():
+    yamanouchi_tableau.cache_clear()
+    # EMPTY fails at the first block, so each run builds Y_1 only
+    assert catabolism_trace(EMPTY, RSEQ) is None
+    assert catabolism_trace(EMPTY, rect_sequence((2, 1), (3, 2, 4))) is None
+    info = yamanouchi_tableau.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
 
 
 def first_block_step(t, rseq):
     """The first step of a catabolism run: strip Y_1 and slice below its rows,
     in the original alphabet; None when the letters 1..m do not fill Y_1."""
     m = rseq.eta[0]
-    rows = _cat_step(t.rows, yamanouchi_block(rseq).rows, m, m, 0)
+    rows = _cat_step(t.rows, yamanouchi_tableau(rseq.rects[0]).rows, m, m, 0)
     return None if rows is None else Tableau._make((rows, ()))
 
 
@@ -61,7 +70,7 @@ def test_first_block_step_example():
     assert first_block_step(s, RSEQ) == tab([3, 3], [4, 5])
     assert catabolism_trace(s, RSEQ)[0][2] == tab([3, 3], [4, 5])
     # a tableau that is its own first block catabolizes to nothing
-    y1 = yamanouchi_block(RSEQ)
+    y1 = yamanouchi_tableau(RSEQ.rects[0])
     one_block = rect_sequence((2,), (3, 2))
     assert first_block_step(y1, one_block) == EMPTY
     assert catabolism_trace(y1, one_block) == ((y1, y1, EMPTY),)
@@ -88,7 +97,7 @@ def test_catabolizable_fixture():
 
 def test_catabolizable_trivia():
     assert is_catabolizable(EMPTY, rect_sequence((), ()))
-    y1 = yamanouchi_block(RSEQ)
+    y1 = yamanouchi_tableau(RSEQ.rects[0])
     assert is_catabolizable(y1, rect_sequence((2,), (3, 2)))
     assert enumerate_catabolizable((4, 3, 1), RSEQ) == ()
     # a skew tableau is never catabolizable, even when its rows are Y_1's
@@ -111,7 +120,7 @@ def cat_block_by_tableaux(t, rseq):
     """First-block catabolism on whole tableaux: restrict t to the letters
     1..m, compare with Y_1, strip it and insert north before south."""
     m = rseq.eta[0]
-    y1 = yamanouchi_block(rseq)
+    y1 = yamanouchi_tableau(rseq.rects[0])
     if restrict(t, 1, m) != y1:
         return None
     return h_slice(Tableau([[x for x in r if x > m] for r in t.rows], y1.outer), m)
@@ -204,7 +213,7 @@ def test_cat_step_matches_the_tableau_reference():
                 after = cat_block_by_tableaux(t, rseq)
                 assert first_block_step(t, rseq) == after, (t, rseq)
                 lowered = None if after is None else after.relabel(-m).rows
-                y1 = yamanouchi_block(rseq).rows
+                y1 = yamanouchi_tableau(rseq.rects[0]).rows
                 assert _cat_step(t.rows, y1, m, m, m) == lowered, (t, rseq)
                 outcomes[after is None] += 1
     assert outcomes[True] and outcomes[False]
@@ -276,7 +285,7 @@ def test_trace_replays():
     trace = catabolism_trace(s, RSEQ)
     assert trace is not None and len(trace) == 3
     before, block, after = trace[0]
-    assert before == s and block == yamanouchi_block(RSEQ)
+    assert before == s and block == yamanouchi_tableau(RSEQ.rects[0])
     assert after == tab([3, 3], [4, 5])
 
 
@@ -368,7 +377,7 @@ def test_hook_block_sequences_reduce_to_content():
     hooks = [((2, 1, 1), (2, 2, 1, 1)), ((3, 1), (2, 1, 1, 1))]
     for eta, gamma in hooks:
         rs = rect_sequence(eta, gamma)
-        y1 = yamanouchi_block(rs)
+        y1 = yamanouchi_tableau(rs.rects[0])
         for shape in partitions(sum(gamma)):
             for t in straight_cst(shape, gamma):
                 simple = restrict(t, 1, eta[0]) == y1

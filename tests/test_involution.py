@@ -284,6 +284,10 @@ def test_a_t_dropped_from_the_catabolizable_side_escapes(monkeypatch):
 def test_context_rejects_a_non_dominant_block_sequence():
     with pytest.raises(ValueError, match="must be dominant"):
         InvolutionContext((1, 0), rect_sequence((1, 1), (0, 1)))
+    # dominant, but with a negative first block the caps need not increase
+    # (here (1, 3, 2)), and the permutation product would miss w = 132
+    with pytest.raises(ValueError, match="must be dominant"):
+        InvolutionContext((0, 0, -1), rect_sequence((2, 1), (0, -2, -2)))
 
 
 # lambda = (2, 1, 1, 0), eta = gamma = (1, 1, 1, 1): 9 triples, 3 of them fixed,

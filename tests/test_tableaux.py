@@ -390,19 +390,34 @@ def test_evacuation_examples():
         evacuation(tab([1, 3]), 2)
 
 
+def evacuation_by_shapes(t, n):
+    """Evacuation read off its chain of restriction shapes: the restriction to
+    [1, i] has the shape of P(word(t restricted to [n+1-i, n]))."""
+    w = t.word()
+    shapes = [()] + [schensted_p([x for x in w if x > n - i]).outer for i in range(1, n + 1)]
+    rows = [[] for _ in shapes[-1]]
+    for i in range(1, n + 1):
+        for r, ln in enumerate(shapes[i]):
+            rows[r] += [i] * (ln - (shapes[i - 1][r] if r < len(shapes[i - 1]) else 0))
+    return tab(*rows)
+
+
 def test_evacuation_involution():
-    n = 4
-    for size in range(7):
+    visited = 0
+    for n, size in itertools.product(range(6), range(8)):
+        padded = lambda u: (u.content() + (0,) * n)[:n]
         for cnt in itertools.product(range(size + 1), repeat=n):
             if sum(cnt) != size:
                 continue
             for shape in partitions(size, max_len=n):
                 for t in straight_cst(shape, cnt):
                     e = evacuation(t, n)
+                    assert e == evacuation_by_shapes(t, n)
                     assert e.outer == t.outer
-                    padded = lambda u: (u.content() + (0,) * n)[:n]
                     assert padded(e) == tuple(reversed(padded(t)))
                     assert evacuation(e, n) == t
+                    visited += 1
+    assert visited == 10340
 
 
 def cut_word(t, keep):

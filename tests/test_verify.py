@@ -287,7 +287,7 @@ def test_ev_duality_runs_column_rsk_once_per_word_sequence(monkeypatch):
 
 def test_white_fitting_and_evacuation_build_no_validated_tableau(monkeypatch):
     # the white-fitting test reads the word rows with the trimmed inner
-    # shape, and evacuation fills a nested chain of shapes: both are trusted
+    # shape, and evacuation is one insertion pass: both are trusted
     built = []
     original = Tableau.__init__
 

@@ -10,9 +10,10 @@ only for a bad path.  The --cache option points at an append-only
 JSON-lines file keyed by the canonical normalized index and engine tag.  A
 record holds the normalized index's polynomial, and a read multiplies it by
 the Bott sign of the index asked about.  On reload the last write wins, and
-lines that do not parse or carry another format version are skipped.  A
-series result cut short by a --degree-bound below the attainable degree is
-labelled ``truncated`` and is never cached.
+lines that do not decode or parse, or carry another format version, are
+skipped.  ``compute`` reads the file once and parses only its key's records,
+from the last one back.  A series result cut short by a --degree-bound below
+the attainable degree is labelled ``truncated`` and is never cached.
 """
 
 from __future__ import annotations
@@ -49,33 +50,44 @@ def _emit(obj, out):
             fh.write(line + "\n")
 
 
+def _record(line: bytes, head: str = "") -> dict:
+    """{(index key, engine): (QPoly, status)} of one cache line that begins,
+    once stripped, with ``head``; empty when it does not, or does not decode or
+    parse (say, cut short by a crash mid-append), or is of another version."""
+    try:
+        text = line.decode().strip()
+        if text.startswith(head) and (rec := json.loads(text))["version"] == CACHE_VERSION:
+            return {(rec["key"], rec["engine"]):
+                    (QPoly.from_json(rec["poly"]), rec.get("status", "exact"))}
+    except (ValueError, KeyError, TypeError, AttributeError):
+        pass
+    return {}
+
+
 def load_cache(path, wanted=None):
     """Map (index key, engine) -> (QPoly, status); the last valid write of
     this format version wins.
 
-    With ``wanted``, a set of such keys, a line is parsed only when it begins
-    as ``compute`` writes a record of one of them.
+    With ``wanted``, a set of such keys, a byte search finds the lines that
+    begin as ``compute`` writes a record of one of them, and only those are
+    parsed, each key's from its last one back.
     """
-    cache = {}
     p = Path(path)
     if not p.exists():
-        return cache
-    heads = None if wanted is None else tuple(
-        json.dumps({"key": k, "engine": e})[:-1] for k, e in wanted)
-    with p.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or (heads is not None and not line.startswith(heads)):
-                continue
-            # a line that does not parse (say, cut short by a crash
-            # mid-append) is skipped; the valid records are still served
-            try:
-                rec = json.loads(line)
-                key = (rec["key"], rec["engine"])
-                if rec["version"] == CACHE_VERSION and (wanted is None or key in wanted):
-                    cache[key] = (QPoly.from_json(rec["poly"]), rec.get("status", "exact"))
-            except (ValueError, KeyError, TypeError, AttributeError):
-                continue
+        return {}
+    data = p.read_bytes()
+    if wanted is None:
+        return {k: v for line in data.split(b"\n") for k, v in _record(line).items()}
+    cache = {}
+    for key in wanted:
+        head = json.dumps({"key": key[0], "engine": key[1]})[:-1]
+        end = len(data)
+        while (i := data.rfind(head.encode(), 0, end)) >= 0:
+            # the match's line, whose start bounds the next search
+            end, stop = data.rfind(b"\n", 0, i) + 1, data.find(b"\n", i)
+            if key in (rec := _record(data[end:stop if stop >= 0 else None], head)):
+                cache[key] = rec[key]
+                break
     return cache
 
 

@@ -1,10 +1,11 @@
 import json
+import random
 
 import pytest
 
 import qlr.kpoly
 from qlr.cli import CACHE_VERSION, build_parser, main, load_cache, poset_dot
-from qlr.kpoly import QPoly
+from qlr.kpoly import ENGINES, QPoly
 
 
 def run(capsys, *argv):
@@ -225,13 +226,141 @@ def test_cache_parses_only_the_wanted_lines_and_the_last_valid_write_wins(
     monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or loads(text))
     key = (record["key"], "recurrence")
     assert load_cache(cache, {key}) == {key: (QPoly({9: 1}), "exact")}
-    # the first write, the second, the malformed and the truncated line
-    assert len(parsed) == 4
+    # read from the back: the truncated line, the malformed one and the second
+    # write; the first write is never parsed
+    assert len(parsed) == 3
     monkeypatch.undo()
     assert len(load_cache(cache)) == 3
     code, lines = run(capsys, "compute", *wanted, "--engine", "recurrence")
     assert code == 0 and lines[0]["status"] == "cached:exact"
     assert lines[0]["poly"] == {"coeffs": {"9": 1}}
+
+
+def reference_load_cache(path, wanted=None):
+    """load_cache as one pass over every line: each is stripped, tested against
+    the wanted records' heads and parsed in turn, so the last valid write wins."""
+    cache = {}
+    heads = None if wanted is None else tuple(
+        json.dumps({"key": k, "engine": e})[:-1] for k, e in wanted)
+    with open(path, "rb") as fh:
+        for line in fh:
+            try:
+                line = line.decode().strip()
+                if not line or (heads is not None and not line.startswith(heads)):
+                    continue
+                rec = json.loads(line)
+                key = (rec["key"], rec["engine"])
+                if rec["version"] == CACHE_VERSION and (wanted is None or key in wanted):
+                    cache[key] = (QPoly.from_json(rec["poly"]), rec.get("status", "exact"))
+            except (ValueError, KeyError, TypeError, AttributeError):
+                continue
+    return cache
+
+
+# two keys share a prefix up to the closing quote, and "zero" is the identically zero index
+CACHE_KEYS = [(key, engine)
+              for key in ("[1]|[1]|[1]", "[1]|[1]|[1, 0]", "[2, 1]|[2, 1]|[1, 2]", "zero")
+              for engine in ENGINES]
+
+
+def _random_cache_file(rng) -> bytes:
+    """An append log of cache records with the faults that crashes, old
+    versions and hand edits leave: repeated writes of one key, records cut
+    short with no newline, malformed polynomials, other versions, leading
+    blanks, CRLF endings, undecodable bytes, and a record's head mid-line."""
+    out = []
+    for _ in range(rng.randrange(1, 30)):
+        key, engine = rng.choice(CACHE_KEYS)
+        rec = {"key": key, "engine": engine, "version": CACHE_VERSION,
+               "poly": {"coeffs": {str(rng.randrange(3)): rng.randrange(-2, 3)}},
+               "status": rng.choice(["exact", "conjectural"])}
+        fault = rng.randrange(12)
+        if fault == 0:
+            rec["poly"] = rng.choice([{"coeffs": {"1": "x"}}, {"coeffs": {"a": 1}}, [1], None])
+        elif fault == 1:
+            rec["version"] = rng.choice([1, "2", None])
+        elif fault == 2:
+            del rec["version"]
+        elif fault == 3:  # a valid record, but its head is not where the line begins
+            rec = {"note": {"key": key, "engine": engine}, **rec}
+        text = json.dumps(rec).encode()
+        if fault == 4:  # cut short: the next record lands on the same line
+            out.append(text[: rng.randrange(len(text))])
+            continue
+        if fault == 5:
+            text = rng.choice([b" ", b"\t", b" \t "]) + text
+        elif fault == 6:
+            text = rng.choice([b'{"note": 1} ', b"garbage ", b"x"]) + text
+        elif fault == 7:
+            text = text.replace(b'"status"', b'"st\xffatus"')
+        elif fault == 8:
+            text = b"\xff\xfe garbage"
+        out.append(text + rng.choice([b"\n", b"\n", b"\r\n"]))
+    if rng.random() < 0.4:  # a last line with no newline, cut short or whole
+        text = json.dumps(rec).encode()
+        out.append(text[: rng.choice([len(text) // 2, len(text)])])
+    return b"".join(out)
+
+
+def test_load_cache_matches_a_pass_over_every_line(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    served = missed = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        cache.write_bytes(_random_cache_file(rng))
+        assert load_cache(cache) == reference_load_cache(cache)
+        for wanted in ({rng.choice(CACHE_KEYS)}, set(rng.sample(CACHE_KEYS, 4)), set(CACHE_KEYS)):
+            found = load_cache(cache, wanted)
+            assert found == reference_load_cache(cache, wanted), (seed, wanted)
+            served += len(found)
+            missed += len(wanted) - len(found)
+    assert served > 1000 and missed > 1000
+
+
+def test_a_wanted_key_costs_one_parse_however_long_the_file(tmp_path, monkeypatch):
+    cache = tmp_path / "cache.jsonl"
+    body = {"engine": "recurrence", "version": CACHE_VERSION,
+            "poly": {"coeffs": {"1": 1}}, "status": "exact"}
+    lines = [json.dumps({"key": f"[{i}]|[{i}]|[1]", **body}) for i in range(20_000)]
+    lines.insert(10_000, json.dumps({"key": "[2, 1]|[2, 1]|[1, 2]", **body}))
+    cache.write_text("\n".join(lines) + "\n")
+    parsed, built = [], []
+    loads, from_json = json.loads, QPoly.from_json
+    monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or loads(text))
+    monkeypatch.setattr(QPoly, "from_json", lambda data: built.append(data) or from_json(data))
+    key = ("[2, 1]|[2, 1]|[1, 2]", "recurrence")
+    assert load_cache(cache, {key}) == {key: (QPoly({1: 1}), "exact")}
+    assert (len(parsed), len(built)) == (1, 1)
+
+
+def test_compute_skips_cache_lines_that_do_not_decode(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    args = [
+        "compute", "--lam", "2,1,0", "--gamma", "0,2,1", "--eta", "1,1,1",
+        "--engine", "recurrence", "--cache", str(cache),
+    ]
+    run(capsys, *args)
+    record = cache.read_bytes()
+    # a stray binary line, then a copy of the record with a byte that is not UTF-8
+    with cache.open("ab") as fh:
+        fh.write(b"\xff\xfe garbage\n" + record.replace(b'"exact"', b'"\xffexact"'))
+    code, lines = run(capsys, *args)
+    assert code == 0 and lines[0]["status"] == "cached:exact"
+    assert lines[0]["poly"] == {"coeffs": {"1": -1, "2": 1, "3": 1}}
+
+
+def test_crosscheck_skips_cache_lines_that_do_not_decode(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    run(capsys, "compute", "--lam", "1,0", "--gamma", "1,0", "--eta", "1,1",
+        "--engine", "recurrence", "--cache", str(cache))
+    with cache.open("ab") as fh:
+        fh.write(b"\xff\xfe garbage\n")
+    argv = ("crosscheck", "--max-n", "2", "--max-weight", "2")
+    _, plain = run(capsys, *argv)
+    code, lines = run(capsys, *argv, "--cache", str(cache))
+    assert code == 0 and lines[0]["ok"]
+    # the valid record is still compared against the recomputed polynomial
+    assert lines[0]["checks"] == plain[0]["checks"] + 1
 
 
 def test_truncated_series_is_labelled_and_not_cached(tmp_path, capsys):

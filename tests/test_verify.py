@@ -270,6 +270,56 @@ def test_crosscheck_box_check_reads_kostant_on_the_complement(monkeypatch):
     assert all(ce["complement"] == ce["poly"] + 1 for ce in rep.counterexamples)
 
 
+def _fault_in_group(monkeypatch, engine, group, matches):
+    """Make ``engine`` in qlr.verify return one more than it should on the
+    calls whose arguments ``matches`` while the crosscheck visits ``group``;
+    every other call is left alone."""
+    visiting = []
+
+    def visit(eta, gamma):
+        visiting[:] = [rect_sequence(eta, gamma)]
+        return visiting[0]
+
+    def faulty(*args):
+        return original(*args) + (1 if visiting == [group] and matches(*args) else 0)
+
+    original = getattr(verify, engine)
+    monkeypatch.setattr(verify, "rect_sequence", visit)
+    monkeypatch.setattr(verify, engine, faulty)
+
+
+# K((3, 0, 0), (1, 1, 1), (1, 2)): its box complement lies outside the family of
+# crosscheck_family(3, 3), and its blocks have one other dominant order
+GROUP, REORDERED = rect_sequence((1, 2), (1, 1, 1)), rect_sequence((2, 1), (1, 1, 1))
+TARGET = KIndex((3, 0, 0), (1, 1, 1), (1, 2))
+
+
+def test_crosscheck_stops_at_an_index_whose_engines_disagree(monkeypatch):
+    _fault_in_group(monkeypatch, "k_by_kostant", GROUP, lambda idx: idx == TARGET)
+    rep = crosscheck_family(3, 3)
+    [ce] = rep.counterexamples
+    assert (ce["check"], ce["index"]) == ("engines", TARGET)
+    assert ce["kostant"] == ce["recurrence"] + 1 and ce["series"] == ce["recurrence"]
+    # the index's charge, q=1, dual, box and symmetry checks are skipped
+    assert charge_engine_status(GROUP) == PROVEN and rep.checks == 428 - 5
+    [record] = rep.to_json()["counterexamples"]
+    assert json.loads(json.dumps(record)) == record
+    assert record["index"] == {"lambda": [3, 0, 0], "gamma": [1, 1, 1], "eta": [1, 2]}
+
+
+def test_crosscheck_reports_a_reordering_the_recurrence_gets_wrong(monkeypatch):
+    _fault_in_group(monkeypatch, "_k_rec", GROUP,
+                    lambda lam, rseq: (lam, rseq) == (TARGET.lam, REORDERED))
+    rep = crosscheck_family(3, 3)
+    [ce] = rep.counterexamples
+    assert (ce["check"], ce["index"], ce["reordering"]) == ("symmetry", TARGET, REORDERED)
+    assert ce["other"] == ce["poly"] + 1
+    assert rep.checks == 428
+    [record] = rep.to_json()["counterexamples"]
+    assert json.loads(json.dumps(record)) == record
+    assert record["reordering"] == {"eta": [2, 1], "gamma": [1, 1, 1]}
+
+
 def test_ev_duality_runs_column_rsk_once_per_word_sequence(monkeypatch):
     calls = []
 

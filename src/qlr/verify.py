@@ -126,12 +126,15 @@ def index_family(max_n: int, max_weight: int):
                     yield gamma, eta, lams
 
 
-def _scan_family(kind, max_n, max_weight, sample, check, prepare=None) -> ScanReport:
-    """Run ``check(rep, idx, rseq, prepared)`` on every index of the family.
+def _scan_family(kind, max_n, max_weight, sample, check) -> ScanReport:
+    """Run ``check(rep, rseq, indices)`` once per (gamma, eta) group of the family.
 
-    The (gamma, eta) groups of ``index_family``, or a seeded sample of them,
-    are visited in turn; ``prepare(rseq)`` runs once per group, and what it
-    returns is handed to each check of the group as ``prepared``.
+    The groups of ``index_family``, or a seeded sample of them, are visited
+    in turn.  ``rseq`` is the group's block sequence, and ``indices`` yields
+    each of its ``KIndex(lam, gamma, eta)`` only when the check's loop
+    reaches it, so a check keeps its group's set-up as plain locals ahead of
+    that loop.  A timing harness that rebinds ``rect_sequence`` and
+    ``KIndex`` here charges that set-up to the group's first index.
     """
     with ScanReport.timed(
         kind=kind,
@@ -146,10 +149,7 @@ def _scan_family(kind, max_n, max_weight, sample, check, prepare=None) -> ScanRe
             if count < len(groups):
                 groups = random.Random(seed).sample(groups, count)
         for gamma, eta, lams in groups:
-            rseq = rect_sequence(eta, gamma)
-            prepared = prepare(rseq) if prepare else None
-            for lam in lams:
-                check(rep, KIndex(lam, gamma, eta), rseq, prepared)
+            check(rep, rect_sequence(eta, gamma), (KIndex(lam, gamma, eta) for lam in lams))
     return rep
 
 
@@ -176,7 +176,8 @@ def crosscheck_family(
     ``dual``, the Kostant engine for ``box``.
     """
 
-    def prepare(rseq):
+    # every index here and derived here passes k_by_recurrence's checks
+    def check(rep, rseq, indices):
         gamma = rseq.gamma
         bound = default_degree_bound((sum(gamma),) + (0,) * (rseq.n - 1), gamma)
         decomposition = series_decomposition(gamma, rseq.eta, bound)
@@ -185,73 +186,54 @@ def crosscheck_family(
                        if include_dualities else ())
         charge = (_charge_polys(rseq) if include_charge
                   and charge_engine_status(rseq) == PROVEN else None)
-        return decomposition, product, charge, reorderings
-
-    # every index here and derived here passes k_by_recurrence's checks
-    def check(rep, idx, rseq, prepared):
-        decomposition, product, charge, reorderings = prepared
-        lam = idx.lam
-        p_rec = _k_rec(lam, rseq)
-        p_kos = k_by_kostant(idx)
-        p_ser = decomposition.get(lam, ZERO)
-        rep.checks += 1
-        if not (p_rec == p_kos == p_ser):
-            rep.found(
-                check="engines",
-                index=idx,
-                recurrence=p_rec,
-                kostant=p_kos,
-                series=p_ser,
-            )
-            return
-        if charge is not None:
-            p_charge = charge.get(trim(lam), ZERO)
+        for idx in indices:
+            lam = idx.lam
+            p_rec = _k_rec(lam, rseq)
+            p_kos = k_by_kostant(idx)
+            p_ser = decomposition.get(lam, ZERO)
             rep.checks += 1
-            if p_charge != p_rec:
-                rep.found(check="charge", index=idx, charge=p_charge, exact=p_rec)
-        rep.checks += 1
-        lr = product.get(trim(lam), 0)
-        if p_rec.at_one() != lr:
-            rep.found(check="q=1", index=idx, poly=p_rec, lr=lr)
-        if include_dualities:
-            # the dual of a dominant index normalizes, with sign +1, to its box complement
-            lam_c, rs_c = box_complement(lam, rseq)
-            rep.checks += 1
-            p_dual = _k_rec(lam_c, rs_c)
-            if p_dual != p_rec:
-                rep.found(check="dual", index=idx, poly=p_rec, dual=p_dual)
-            rep.checks += 1
-            # built trusted from idx: the name KIndex here may be rebound to mark each index
-            p_box = k_by_kostant(idx._replace(lam=lam_c, gamma=rs_c.gamma, eta=rs_c.eta))
-            if p_box != p_rec:
-                rep.found(check="box", index=idx, poly=p_rec, complement=p_box)
-            for other in reorderings:
+            if not (p_rec == p_kos == p_ser):
+                rep.found(check="engines", index=idx, recurrence=p_rec, kostant=p_kos,
+                          series=p_ser)
+                continue
+            if charge is not None:
+                p_charge = charge.get(trim(lam), ZERO)
                 rep.checks += 1
-                p_sym = _k_rec(lam, other)
-                if p_sym != p_rec:
-                    rep.found(
-                        check="symmetry",
-                        index=idx,
-                        reordering=other,
-                        poly=p_rec,
-                        other=p_sym,
-                    )
-        if cache is not None:
-            key = index_key(idx)  # a crosscheck index is its own normalization
-            for engine, value in (("recurrence", p_rec), ("kostant", p_kos)):
-                cached = cache.get((key, engine))
-                if cached is not None:
+                if p_charge != p_rec:
+                    rep.found(check="charge", index=idx, charge=p_charge, exact=p_rec)
+            rep.checks += 1
+            lr = product.get(trim(lam), 0)
+            if p_rec.at_one() != lr:
+                rep.found(check="q=1", index=idx, poly=p_rec, lr=lr)
+            if include_dualities:
+                # the dual of a dominant index normalizes, with sign +1, to its box complement
+                lam_c, rs_c = box_complement(lam, rseq)
+                rep.checks += 1
+                p_dual = _k_rec(lam_c, rs_c)
+                if p_dual != p_rec:
+                    rep.found(check="dual", index=idx, poly=p_rec, dual=p_dual)
+                rep.checks += 1
+                # built trusted from idx: the name KIndex here may be rebound to mark each index
+                p_box = k_by_kostant(idx._replace(lam=lam_c, gamma=rs_c.gamma, eta=rs_c.eta))
+                if p_box != p_rec:
+                    rep.found(check="box", index=idx, poly=p_rec, complement=p_box)
+                for other in reorderings:
                     rep.checks += 1
-                    if cached[0] != value:
-                        rep.found(
-                            check="cache",
-                            index=idx,
-                            engine=engine,
-                            cached=cached[0],
-                            computed=value,
-                        )
+                    p_sym = _k_rec(lam, other)
+                    if p_sym != p_rec:
+                        rep.found(check="symmetry", index=idx, reordering=other,
+                                  poly=p_rec, other=p_sym)
+            if cache is not None:
+                key = index_key(idx)  # a crosscheck index is its own normalization
+                for engine, value in (("recurrence", p_rec), ("kostant", p_kos)):
+                    cached = cache.get((key, engine))
+                    if cached is not None:
+                        rep.checks += 1
+                        if cached[0] != value:
+                            rep.found(check="cache", index=idx, engine=engine,
+                                      cached=cached[0], computed=value)
 
-    return _scan_family("crosscheck", max_n, max_weight, sample, check, prepare)
+    return _scan_family("crosscheck", max_n, max_weight, sample, check)
 
 
 def index_key(nidx) -> str:
@@ -269,11 +251,12 @@ def index_key(nidx) -> str:
 def scan_positivity(max_n: int, max_weight: int, *, sample=None) -> ScanReport:
     """Dominant gamma should give nonnegative coefficients."""
 
-    def check(rep, idx, rseq, _):
-        poly = _k_rec(idx.lam, rseq)
-        rep.checks += 1
-        if not poly.is_nonnegative():
-            rep.found(check="positivity", index=idx, poly=poly)
+    def check(rep, rseq, indices):
+        for idx in indices:
+            poly = _k_rec(idx.lam, rseq)
+            rep.checks += 1
+            if not poly.is_nonnegative():
+                rep.found(check="positivity", index=idx, poly=poly)
 
     return _scan_family("positivity", max_n, max_weight, sample, check)
 
@@ -281,42 +264,43 @@ def scan_positivity(max_n: int, max_weight: int, *, sample=None) -> ScanReport:
 def scan_catabolizable(max_n: int, max_weight: int, *, sample=None) -> ScanReport:
     """The charge engine should match the exact engines on dominant inputs."""
 
-    def prepare(rseq):
-        return _charge_polys(rseq), charge_engine_status(rseq)
+    def check(rep, rseq, indices):
+        polys, status = _charge_polys(rseq), charge_engine_status(rseq)
+        for idx in indices:
+            exact = _k_rec(idx.lam, rseq)
+            conj = polys.get(trim(idx.lam), ZERO)
+            rep.checks += 1
+            if conj != exact:
+                rep.found(check="catabolizable", index=idx, status=status,
+                          charge=conj, exact=exact)
 
-    def check(rep, idx, rseq, prepared):
-        polys, status = prepared
-        exact = _k_rec(idx.lam, rseq)
-        conj = polys.get(trim(idx.lam), ZERO)
-        rep.checks += 1
-        if conj != exact:
-            rep.found(check="catabolizable", index=idx, status=status, charge=conj, exact=exact)
-
-    return _scan_family("catabolizable", max_n, max_weight, sample, check, prepare)
+    return _scan_family("catabolizable", max_n, max_weight, sample, check)
 
 
-def _grows(kind: str):
-    """The scan check that K grows coefficientwise from each index's block
-    sequence to every variant ``prepare`` made of it."""
+def _grows(kind, variants_of, max_n, max_weight, sample) -> ScanReport:
+    """Scan that K grows coefficientwise from each index's block sequence to
+    every variant ``variants_of(rseq)`` makes of it."""
 
-    def check(rep, idx, rseq, variants):
+    def check(rep, rseq, indices):
+        variants = variants_of(rseq)
         if not variants:
             return
-        base = _k_rec(idx.lam, rseq)
-        for variant in variants:
-            rep.checks += 1
-            other = _k_rec(idx.lam, variant)
-            if not base.leq(other):
-                rep.found(check=kind, index=idx, variant_eta=variant.eta,
-                          poly=base, other=other)
+        for idx in indices:
+            base = _k_rec(idx.lam, rseq)
+            for variant in variants:
+                rep.checks += 1
+                other = _k_rec(idx.lam, variant)
+                if not base.leq(other):
+                    rep.found(check=kind, index=idx, variant_eta=variant.eta,
+                              poly=base, other=other)
 
-    return check
+    return _scan_family(kind, max_n, max_weight, sample, check)
 
 
 def scan_monotonicity_refine(max_n: int, max_weight: int, *, sample=None) -> ScanReport:
     """Refining one block of a dominant sequence should grow K coefficientwise."""
 
-    def prepare(rseq):
+    def splits(rseq):
         # every two-part split (a, part - a) of every block
         eta = rseq.eta
         return [
@@ -325,8 +309,7 @@ def scan_monotonicity_refine(max_n: int, max_weight: int, *, sample=None) -> Sca
             for a in range(1, part)
         ]
 
-    kind = "monotonicity1"
-    return _scan_family(kind, max_n, max_weight, sample, _grows(kind), prepare)
+    return _grows("monotonicity1", splits, max_n, max_weight, sample)
 
 
 def _rectangle_runs(rseq):
@@ -347,7 +330,7 @@ def _rectangle_runs(rseq):
 def scan_monotonicity_heights(max_n: int, max_weight: int, *, sample=None) -> ScanReport:
     """Spreading rectangle heights downward in dominance grows K."""
 
-    def prepare(rseq):
+    def spreads(rseq):
         eta = rseq.eta
         variants = []
         for start, stop in _rectangle_runs(rseq):
@@ -365,8 +348,7 @@ def scan_monotonicity_heights(max_n: int, max_weight: int, *, sample=None) -> Sc
                 variants.append(rect_sequence(eta[:start] + beta + eta[stop:], rseq.gamma))
         return variants
 
-    kind = "monotonicity2"
-    return _scan_family(kind, max_n, max_weight, sample, _grows(kind), prepare)
+    return _grows("monotonicity2", spreads, max_n, max_weight, sample)
 
 
 SCANS = {

@@ -333,6 +333,30 @@ def test_a_wanted_key_costs_one_parse_however_long_the_file(tmp_path, monkeypatc
     assert (len(parsed), len(built)) == (1, 1)
 
 
+def test_compute_all_parses_one_line_per_engine_past_older_records(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache.jsonl"
+    index = ["--lam", "3,2,1,0", "--gamma", "2,2,1,1", "--eta", "2,2", "--cache", str(cache)]
+    code, lines = run(capsys, "compute", *index)
+    assert code == 0 and [r["status"] for r in lines] == ["exact"] * 3 + ["proven"]
+    newest = [json.loads(line) for line in cache.read_text().splitlines()]
+    older = [{**rec, "poly": {"coeffs": {"7": 1}}} for rec in newest]
+    other = {**newest[0], "key": "[1]|[1]|[1]"}
+    # each engine's newest record comes after older ones of the same key, and
+    # the last two engines' older records lie between the newest ones
+    order = older + [other] + newest[:2] + older[2:] + newest[2:3] + older[3:] + newest[3:]
+    cache.write_text("".join(json.dumps(rec) + "\n" for rec in order))
+    parsed, built = [], []
+    loads, from_json = json.loads, QPoly.from_json
+    monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or loads(text))
+    monkeypatch.setattr(QPoly, "from_json", lambda data: built.append(data) or from_json(data))
+    assert main(["compute", *index, "--engine", "all"]) == 0
+    assert (len(parsed), len(built)) == (4, 4)
+    monkeypatch.undo()
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["engine"], r["status"], r["poly"]) for r in lines] == [
+        (rec["engine"], "cached:" + rec["status"], rec["poly"]) for rec in newest]
+
+
 def test_compute_skips_cache_lines_that_do_not_decode(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     args = [

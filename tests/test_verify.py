@@ -198,6 +198,21 @@ def test_crosscheck_builds_one_index_per_index_and_one_rect_sequence_per_group(m
         assert groups == [eta for _, eta, _ in expected]
 
 
+def test_crosscheck_builds_each_index_right_before_its_engines_run(monkeypatch):
+    # the harness charges an index the time from its KIndex call to the next
+    # one, so a group's indices are built one at a time as its checks reach them
+    events = []
+    make_index, kostant = verify.KIndex, verify.k_by_kostant
+    monkeypatch.setattr(verify, "KIndex", lambda lam, gamma, eta: events.append(
+        ("index", (lam, gamma, eta))) or make_index(lam, gamma, eta))
+    monkeypatch.setattr(verify, "k_by_kostant", lambda idx: events.append(
+        ("kostant", (idx.lam, idx.gamma, idx.eta))) or kostant(idx))
+    assert crosscheck_family(3, 3).ok
+    # each index, then the Kostant engine on it and on its box complement
+    assert [kind for kind, _ in events] == ["index", "kostant", "kostant"] * 84
+    assert all(events[i + 1] == ("kostant", events[i][1]) for i in range(0, len(events), 3))
+
+
 def test_crosscheck_validates_only_the_indices_and_groups_it_enumerates(monkeypatch):
     # the box complement (as a block sequence, and as an index for the
     # Kostant engine), the reorderings and the recurrence's tails are valid
@@ -318,6 +333,43 @@ def test_crosscheck_reports_a_reordering_the_recurrence_gets_wrong(monkeypatch):
     [record] = rep.to_json()["counterexamples"]
     assert json.loads(json.dumps(record)) == record
     assert record["reordering"] == {"eta": [2, 1], "gamma": [1, 1, 1]}
+
+
+def _fault_at_index(monkeypatch, target, matches):
+    """Make ``_k_rec`` in qlr.verify return one less than it should on the
+    calls whose arguments ``matches`` while a scan checks ``target``, the
+    index it built last; every other call is left alone."""
+    current = []
+
+    def mark(lam, gamma, eta):
+        current[:] = [make_index(lam, gamma, eta)]
+        return current[0]
+
+    def faulty(lam, rseq):
+        return original(lam, rseq) - (ONE if current == [target] and matches(lam, rseq) else ZERO)
+
+    make_index, original = verify.KIndex, verify._k_rec
+    monkeypatch.setattr(verify, "KIndex", mark)
+    monkeypatch.setattr(verify, "_k_rec", faulty)
+
+
+@pytest.mark.parametrize("scan, kind, smaller", [
+    # K(TARGET) is zero, so one less is negative
+    (scan_positivity, "positivity", GROUP),
+    # GROUP's one split, and its one spread of rectangle heights
+    (scan_monotonicity_refine, "monotonicity1", rect_sequence((1, 1, 1), (1, 1, 1))),
+    (scan_monotonicity_heights, "monotonicity2", REORDERED),
+])
+def test_scans_report_the_index_whose_k_is_made_smaller(monkeypatch, scan, kind, smaller):
+    checks = scan(3, 3).checks
+    _fault_at_index(monkeypatch, TARGET, lambda lam, rseq: rseq == smaller)
+    rep = scan(3, 3)
+    [ce] = rep.counterexamples
+    assert (ce["check"], ce["index"], rep.checks) == (kind, TARGET, checks)
+    assert ce.get("variant_eta", smaller.eta) == smaller.eta
+    [record] = rep.to_json()["counterexamples"]
+    assert json.loads(json.dumps(record)) == record
+    assert record["index"] == {"lambda": [3, 0, 0], "gamma": [1, 1, 1], "eta": [1, 2]}
 
 
 def test_ev_duality_runs_column_rsk_once_per_word_sequence(monkeypatch):

@@ -69,9 +69,8 @@ def load_cache(path, wanted=None):
     this format version wins.
 
     With ``wanted``, a set of such keys, a byte search finds the lines that
-    begin as ``compute`` writes a record of one of its index keys, from the
-    last one back; only a line that names a wanted engine still missing is
-    parsed, and the search for a key stops once each of its engines has one.
+    begin as ``compute`` writes a record of one of them, and only those are
+    parsed, each key's from its last one back.
     """
     p = Path(path)
     if not p.exists():
@@ -80,21 +79,15 @@ def load_cache(path, wanted=None):
     if wanted is None:
         return {k: v for line in data.split(b"\n") for k, v in _record(line).items()}
     cache = {}
-    for key in {k for k, _ in wanted}:
-        # every record of the key begins so, then its engine's name in quotes
-        head = json.dumps({"key": key, "engine": ""})[:-3]
-        missing = {json.dumps(e).encode(): e for k, e in wanted if k == key}
+    for key in wanted:
+        head = json.dumps({"key": key[0], "engine": key[1]})[:-1]
         end = len(data)
-        while missing and (i := data.rfind(head.encode(), 0, end)) >= 0:
+        while (i := data.rfind(head.encode(), 0, end)) >= 0:
             # the match's line, whose start bounds the next search
             end, stop = data.rfind(b"\n", 0, i) + 1, data.find(b"\n", i)
-            for name, engine in missing.items():
-                if data.startswith(name, i + len(head)):
-                    rec = _record(data[end:stop if stop >= 0 else None], head)
-                    if (key, engine) in rec:
-                        cache[key, engine] = rec[key, engine]
-                        del missing[name]
-                    break
+            if key in (rec := _record(data[end:stop if stop >= 0 else None], head)):
+                cache[key] = rec[key]
+                break
     return cache
 
 

@@ -315,16 +315,12 @@ def scan_monotonicity_refine(max_n: int, max_weight: int, *, sample=None) -> Sca
 def _rectangle_runs(rseq):
     """Maximal runs (start, stop) of consecutive blocks that are full
     rectangles of one nonzero width."""
-    def width(r):
-        return r[0] if len(set(r)) == 1 else 0
-
-    runs, start = [], 0
-    for w, run in itertools.groupby(rseq.rects, key=width):
+    start = 0
+    for w, run in itertools.groupby(rseq.rects, key=lambda r: r[0] if len(set(r)) == 1 else 0):
         stop = start + len(list(run))
         if w:
-            runs.append((start, stop))
+            yield start, stop
         start = stop
-    return runs
 
 
 def scan_monotonicity_heights(max_n: int, max_weight: int, *, sample=None) -> ScanReport:
@@ -335,17 +331,11 @@ def scan_monotonicity_heights(max_n: int, max_weight: int, *, sample=None) -> Sc
         variants = []
         for start, stop in _rectangle_runs(rseq):
             heights = eta[start:stop]
-            total = sum(heights)
-            length = stop - start
-            for beta in compositions(total):
-                if len(beta) != length or beta == heights:
-                    continue
-                if not dominates(
-                    tuple(sorted(heights, reverse=True)),
-                    tuple(sorted(beta, reverse=True)),
-                ):
-                    continue
-                variants.append(rect_sequence(eta[:start] + beta + eta[stop:], rseq.gamma))
+            top = tuple(sorted(heights, reverse=True))
+            for beta in compositions(sum(heights)):
+                if (len(beta) == stop - start and beta != heights
+                        and dominates(top, tuple(sorted(beta, reverse=True)))):
+                    variants.append(rect_sequence(eta[:start] + beta + eta[stop:], rseq.gamma))
         return variants
 
     return _grows("monotonicity2", spreads, max_n, max_weight, sample)

@@ -267,7 +267,8 @@ def _random_cache_file(rng) -> bytes:
     """An append log of cache records with the faults that crashes, old
     versions and hand edits leave: repeated writes of one key, records cut
     short with no newline, malformed polynomials, other versions, leading
-    blanks, CRLF endings, undecodable bytes, and a record's head mid-line."""
+    blanks, CRLF endings, undecodable bytes, a record's head mid-line, and a
+    valid record that holds another engine's head of its key mid-line."""
     out = []
     for _ in range(rng.randrange(1, 30)):
         key, engine = rng.choice(CACHE_KEYS)
@@ -283,6 +284,8 @@ def _random_cache_file(rng) -> bytes:
             del rec["version"]
         elif fault == 3:  # a valid record, but its head is not where the line begins
             rec = {"note": {"key": key, "engine": engine}, **rec}
+        elif fault == 9:  # a valid record that holds another engine's head of its key
+            rec["note"] = {"key": key, "engine": rng.choice([e for e in ENGINES if e != engine])}
         text = json.dumps(rec).encode()
         if fault == 4:  # cut short: the next record lands on the same line
             out.append(text[: rng.randrange(len(text))])

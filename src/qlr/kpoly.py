@@ -6,7 +6,8 @@ Four independent engines compute the same family K(lambda, gamma, eta):
                           q-counted root flows, as one signed walk over the
                           positions that places an entry of lambda + rho and
                           its outflow together, so arrangements that agree
-                          on what is left share its count;
+                          on what is left share its count, kept in one table
+                          per eta across calls;
 * ``k_by_recurrence``  -- the block-peeling recurrence driven by minimal
                           coset representatives and skew LR coefficients;
 * ``k_by_series``      -- direct expansion of the product generating
@@ -18,7 +19,8 @@ Four independent engines compute the same family K(lambda, gamma, eta):
                           conjectural; the result carries that label).
 
 The module also houses the counting oracles (Kostka numbers, LR
-coefficients) and the generating-function identities around cocharge.
+coefficients, the latter counting lattice fillings cell by cell without
+building tableaux) and the generating-function identities around cocharge.
 """
 
 from __future__ import annotations
@@ -26,13 +28,12 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from collections import Counter, namedtuple
-from functools import cache, lru_cache
+from functools import cache
 from operator import add, ge, le
 from typing import NamedTuple
 
 from .catabolism import catabolism_type, catabolizable_by_shape
 from .charge import charge_tableau, cocharge_tableau
-from .crystal import is_mu_lattice
 from .shapes import (
     RectSequence,
     Vec,
@@ -51,7 +52,7 @@ from .shapes import (
     vec_add,
     vec_sub,
 )
-from .tableaux import enumerate_cst, standard_tableaux, straight_cst
+from .tableaux import standard_tableaux, straight_cst
 
 
 class QPoly:
@@ -217,7 +218,11 @@ def lr_coefficient(outer, inner, lam, mu) -> int:
     """Inner product of the skew Schur functions outer/inner and lam/mu.
 
     Counts mu-lattice column-strict tableaux of shape outer/inner and
-    content lam - mu.
+    content lam - mu, filling the cells in the order the lattice condition
+    reads them, top row first and each row right to left: a cell takes
+    letters from the cell above + 1 up to its right neighbour, and a letter
+    x goes in only while some of its content is left and mu_x plus the x's
+    placed stays below that count for x - 1 (Fulton, Young Tableaux, 5).
     """
     outer, inner, lam, mu = trim(outer), trim(inner), trim(lam), trim(mu)
     if len(inner) > len(outer) or any(inner[i] > outer[i] for i in range(len(inner))):
@@ -225,14 +230,32 @@ def lr_coefficient(outer, inner, lam, mu) -> int:
     if sum(outer) - sum(inner) != sum(lam) - sum(mu):
         return 0
     ln = max(len(lam), len(mu))
-    diff = vec_sub(pad(lam, ln), pad(mu, ln))
-    if any(x < 0 for x in diff):
+    left = list(vec_sub(pad(lam, ln), pad(mu, ln)))
+    if any(x < 0 for x in left):
         return 0
-    return sum(
-        1
-        for t in enumerate_cst(outer, inner, diff)
-        if is_mu_lattice(t.word(), mu)
-    )
+    counts = [float("inf"), *pad(mu, ln)]  # mu_x plus the x's placed, at x
+    inner = pad(inner, len(outer))
+    cells = [(i, j) for i in range(len(outer)) for j in range(outer[i] - 1, inner[i] - 1, -1)]
+    # the letters of the current path by cell, read only at cells already
+    # filled on it; a neighbour that is not a cell bounds by 0 above, ln right
+    filled = {}
+
+    def fill(k):
+        if k == len(cells):
+            return 1
+        i, j = cell = cells[k]
+        found = 0
+        for x in range(filled.get((i - 1, j), 0) + 1, filled.get((i, j + 1), ln) + 1):
+            if left[x - 1] and counts[x] < counts[x - 1]:
+                left[x - 1] -= 1
+                counts[x] += 1
+                filled[cell] = x
+                found += fill(k + 1)
+                left[x - 1] += 1
+                counts[x] -= 1
+        return found
+
+    return fill(0)
 
 
 def lr_product(rects, max_len: int) -> dict[Vec, int]:
@@ -269,7 +292,8 @@ def _runs_sign(heads) -> int:
 
 class _KostantStates(dict):
     """Coefficients by q-degree of the signed flow count from a state of the
-    walk for one eta, computed on a miss.
+    walk for one eta: ``count`` computes one and stores nothing, and a miss
+    stores what ``count`` gives.
 
     A state after positions 0..p-1 is (the entries of lam + rho not yet
     placed, increasing; what each position from p on still needs, its
@@ -290,6 +314,10 @@ class _KostantStates(dict):
         self.first = [b for a, b in itertools.pairwise(starts) for _ in range(a, b)]
 
     def __missing__(self, state):
+        coeffs = self[state] = self.count(state)
+        return coeffs
+
+    def count(self, state):
         values, needs = state
         n, last = self.n, self.last
         top = len(values) - 1
@@ -310,12 +338,12 @@ class _KostantStates(dict):
                 if sign and out >= 0:
                     acc.extend([0] * (out + 1 - len(acc)))
                     acc[out] += -sign if (top - k) % 2 else sign
-            return self.setdefault(state, tuple(acc))
+            return tuple(acc)
         first = self.first[p]
         here = sorted(needs[:first - p])
         if not (all(map(ge, values[len(values) - len(here):], here))
                 and all(map(le, values, sorted(needs[last - p:])))):
-            return self.setdefault(state, ())
+            return ()
         child = list(needs[1:])
 
         def spread(j, left):
@@ -346,13 +374,13 @@ class _KostantStates(dict):
             low = rest[0]
             sign = -1 if (top - k) % 2 else 1
             spread(n - 1, out)
-        return self.setdefault(state, tuple(acc))
+        return tuple(acc)
 
 
-# one dict of states per (gamma + rho, eta); two are kept, since the
-# crosscheck alternates an index's with its box complement's
-@lru_cache(maxsize=2)
-def _kostant_states(gamma_rho, eta) -> _KostantStates:
+# one table of states per eta, kept across calls: the states below the root
+# recur across gammas of one eta, many groups apart
+@cache
+def _kostant_states(eta) -> _KostantStates:
     return _KostantStates(eta)
 
 
@@ -368,7 +396,8 @@ def k_by_kostant(idx: KIndex) -> QPoly:
     gamma_rho = tuple(map(add, gamma, range(n - 1, -1, -1)))
     if len(eta) < 2:
         return ONE * _runs_sign([bisect_right(lam_rho, b) for b in gamma_rho])
-    coeffs = _kostant_states(gamma_rho, eta)[lam_rho, gamma_rho]  # nothing placed yet
+    # the root, nothing placed yet, is counted but not kept: it seldom recurs
+    coeffs = _kostant_states(eta).count((lam_rho, gamma_rho))
     return QPoly(dict(enumerate(coeffs))) if coeffs else ZERO
 
 

@@ -1,10 +1,12 @@
 import itertools
 import random
 from functools import cache
+from operator import gt
 
 import pytest
 
 from qlr import kpoly
+from qlr.crystal import is_mu_lattice
 from qlr.kpoly import (
     CONJECTURAL,
     ENGINES,
@@ -49,9 +51,11 @@ from qlr.shapes import (
     rho,
     roots_of,
     straighten,
+    trim,
     vec_add,
     vec_sub,
 )
+from qlr.tableaux import Tableau, enumerate_cst
 from qlr.verify import index_family
 
 q = QPoly.term
@@ -406,9 +410,11 @@ def test_kostant_walk_matches_reference_and_recurrence(seed):
         assert kostant_reference(idx) == expected, idx
 
 
+ANCHOR = KIndex((6, 4, 3, 2, 1, 0, 0, 0), (2,) * 8, (2, 2, 2, 2))
+
+
 def test_kostant_agrees_with_recurrence_at_the_n8_anchor():
-    idx = KIndex((6, 4, 3, 2, 1, 0, 0, 0), (2,) * 8, (2, 2, 2, 2))
-    assert k_by_kostant(idx) == k_by_recurrence(idx.lam, idx.rects())
+    assert k_by_kostant(ANCHOR) == k_by_recurrence(ANCHOR.lam, ANCHOR.rects())
 
 
 def test_kostant_walk_matches_the_arrangement_walk_exhaustively():
@@ -440,14 +446,28 @@ def test_kostant_walk_matches_the_arrangement_walk_off_partitions():
 
 def test_kostant_walk_shares_states_at_the_n8_anchor():
     # the anchor has 260 root-flow arrangements; the walk visits each of
-    # its distinct states once
-    idx = KIndex((6, 4, 3, 2, 1, 0, 0, 0), (2,) * 8, (2, 2, 2, 2))
+    # its distinct states once, and keeps every one but the root
     kpoly._kostant_states.cache_clear()
-    k_by_kostant(idx)
-    states = kpoly._kostant_states(vec_add(idx.gamma, rho(8)), idx.eta)
+    k_by_kostant(ANCHOR)
+    states = kpoly._kostant_states(ANCHOR.eta)
     walked = list(_root_flow_arrangements(
-        vec_add(idx.lam, rho(8)), vec_add(idx.gamma, rho(8)), idx.eta))
-    assert (len(walked), len(states)) == (260, 1264)
+        vec_add(ANCHOR.lam, rho(8)), vec_add(ANCHOR.gamma, rho(8)), ANCHOR.eta))
+    assert (len(walked), len(states)) == (260, 1263)
+
+
+def test_kostant_walks_of_one_eta_share_one_table_without_roots():
+    other = KIndex(ANCHOR.lam, (3, 1, 2, 2, 2, 2, 2, 2), ANCHOR.eta)
+    kpoly._kostant_states.cache_clear()
+    k_by_kostant(other)
+    alone = len(kpoly._kostant_states(ANCHOR.eta))
+    kpoly._kostant_states.cache_clear()
+    k_by_kostant(ANCHOR)
+    states = kpoly._kostant_states(ANCHOR.eta)
+    first = len(states)
+    assert k_by_kostant(other) == k_by_recurrence(other.lam, other.rects())
+    assert (first, alone, len(states) - first) == (1263, 1194, 56)
+    # a root has all 8 entries of lambda + rho still to place
+    assert all(len(values) < 8 for values, _ in states)
 
 
 def test_kostka_numbers():
@@ -470,6 +490,55 @@ def test_lr_coefficients():
     assert lr_coefficient((2, 1), (), (2, 1), (2, 1)) == 0
     assert lr_coefficient((), (), (2, 1), (2, 1)) == 1
     assert lr_coefficient((2,), (), (3, 1), (2,)) == 1
+
+
+def lr_coefficient_reference(outer, inner, lam, mu) -> int:
+    """Every column-strict filling of outer/inner with content lam - mu,
+    kept when its reading word is mu-lattice."""
+    outer, inner, lam, mu = trim(outer), trim(inner), trim(lam), trim(mu)
+    if len(inner) > len(outer) or any(inner[i] > outer[i] for i in range(len(inner))):
+        return 0
+    if sum(outer) - sum(inner) != sum(lam) - sum(mu):
+        return 0
+    ln = max(len(lam), len(mu))
+    diff = vec_sub(pad(lam, ln), pad(mu, ln))
+    if any(x < 0 for x in diff):
+        return 0
+    return sum(1 for t in enumerate_cst(outer, inner, diff) if is_mu_lattice(t.word(), mu))
+
+
+def test_lr_coefficient_matches_the_filtered_enumeration_exhaustively():
+    # every outer of size <= 6, inner inside it, mu of size <= 3 and
+    # lam of the matching size <= 7
+    cases = nonzero = 0
+    for outer in partitions_upto(6):
+        for inner in partitions_upto(sum(outer)):
+            if len(inner) > len(outer) or any(map(gt, inner, outer)):
+                continue
+            for mu in partitions_upto(3):
+                size = sum(outer) - sum(inner) + sum(mu)
+                for lam in partitions(size) if size <= 7 else ():
+                    expected = lr_coefficient_reference(outer, inner, lam, mu)
+                    assert lr_coefficient(outer, inner, lam, mu) == expected, (outer, inner, lam, mu)
+                    cases, nonzero = cases + 1, nonzero + bool(expected)
+    assert (cases, nonzero) == (9409, 4395)
+
+
+def test_lr_coefficient_builds_no_tableau(monkeypatch):
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+
+    make = Tableau._make
+    monkeypatch.setattr(Tableau, "__init__", counted)
+    monkeypatch.setattr(Tableau, "_make", staticmethod(lambda rows: built.append(rows) or make(rows)))
+    lr_coefficient.cache_clear()
+    enumerate_cst.cache_clear()
+    assert lr_coefficient((3, 2, 1), (2, 1), (2, 1), ()) == 2
+    assert lr_coefficient((4, 3, 2), (2, 1), (4, 2, 1), (1,)) == 4
+    calls = enumerate_cst.cache_info()
+    assert (len(built), calls.hits + calls.misses) == (0, 0)
 
 
 def lr_skew_times_row_reference(sigma, alpha, r1, beta) -> int:

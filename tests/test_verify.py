@@ -16,7 +16,7 @@ from qlr.kpoly import (
     cocharge_kostka,
     k_by_recurrence,
 )
-from qlr.shapes import RectSequence, pad, partitions, rect_sequence
+from qlr.shapes import RectSequence, pad, partitions, rect_sequence, trim
 from qlr.tableaux import Tableau
 from qlr.verify import (
     CHECKS,
@@ -24,6 +24,8 @@ from qlr.verify import (
     ScanReport,
     check_charge_axioms,
     check_ev_duality,
+    check_row_col_cat,
+    check_stembridge,
     check_white_fitting,
     crosscheck_family,
     index_family,
@@ -370,6 +372,36 @@ def test_scans_report_the_index_whose_k_is_made_smaller(monkeypatch, scan, kind,
     [record] = rep.to_json()["counterexamples"]
     assert json.loads(json.dumps(record)) == record
     assert record["index"] == {"lambda": [3, 0, 0], "gamma": [1, 1, 1], "eta": [1, 2]}
+
+
+def test_row_col_cat_reports_the_tableau_whose_column_test_is_flipped(monkeypatch):
+    checks = check_row_col_cat(4).checks
+    target = (Tableau(((1, 2), (3, 4))), (2, 2))
+    original = verify.is_mu_column_catabolizable
+    monkeypatch.setattr(verify, "is_mu_column_catabolizable",
+                        lambda t, mu: original(t, mu) != ((t, mu) == target))
+    rep = check_row_col_cat(4)
+    [ce] = rep.counterexamples
+    assert (ce["check"], (ce["tableau"], ce["mu"]), rep.checks) == ("row_col_cat", target, checks)
+    [record] = rep.to_json()["counterexamples"]
+    assert json.loads(json.dumps(record)) == record
+    assert record == {"check": "row_col_cat", "tableau": [[1, 2], [3, 4]], "mu": [2, 2]}
+
+
+def test_stembridge_reports_the_lambda_whose_k_is_made_smaller(monkeypatch):
+    checks = check_stembridge(4).checks
+    original = verify._k_rec
+    monkeypatch.setattr(verify, "_k_rec", lambda lam, rseq: original(lam, rseq) - (
+        ONE if trim(lam) == (2, 1, 1) else ZERO))
+    rep = check_stembridge(4)
+    # one less on both sides and on the q-power's term breaks the recurrence;
+    # at m = 1 that term is zero, lambda having more parts than its rows
+    assert rep.checks == checks
+    assert [(ce["check"], ce["lam"], ce["m"], ce["d"]) for ce in rep.counterexamples] == [
+        ("stembridge", (2, 1, 1), 0, 0), ("stembridge", (2, 1, 1), 0, 1)]
+    records = rep.to_json()["counterexamples"]
+    assert json.loads(json.dumps(records)) == records
+    assert records[0]["lam"] == [2, 1, 1]
 
 
 def test_ev_duality_runs_column_rsk_once_per_word_sequence(monkeypatch):

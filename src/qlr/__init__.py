@@ -24,7 +24,6 @@ from .tableaux import (
     content,
     enumerate_cst,
     evacuation,
-    h_slice,
     overlap,
     schensted_p,
     straight_cst,
@@ -40,7 +39,7 @@ from .crystal import (
     raising,
     reflection,
 )
-from .charge import charge, charge_tableau, cocharge, cocharge_tableau
+from .charge import charge, charge_tableau, cocharge_grade
 from .catabolism import (
     catabolism_type,
     catabolizable_by_shape,

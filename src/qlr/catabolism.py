@@ -14,7 +14,7 @@ from functools import cache
 from itertools import chain, zip_longest
 
 from .shapes import RectSequence, block_starts, partitions_containing, trim
-from .tableaux import EMPTY, Tableau, _insert, enumerate_cst, h_slice, v_slice, yamanouchi_tableau
+from .tableaux import EMPTY, Tableau, _insert, enumerate_cst, v_slice, yamanouchi_tableau
 
 
 def _strip(rows, block, m: int):
@@ -153,7 +153,7 @@ def catabolism_type(t: Tableau):
     while runs[-1] < n:
         # the run i grows: i + 1 leads row 2, so inserting row 1 and then the rest
         # puts it right after 1..i in row 1, and no later letter bumps them
-        cur = h_slice(cur, 1)
+        cur = Tableau._make((_cat_step(cur.rows, (), 0, 1, 0), ()))
         runs.append(leading_run(cur))
     return tuple(a - b for a, b in zip(runs, [0] + runs[:-1]))
 

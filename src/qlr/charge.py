@@ -47,35 +47,17 @@ def _charge_partition(w) -> int:
 def charge(w) -> int:
     """Charge of an arbitrary word."""
     w = tuple(w)
-    cnt = content(w)
-    if cnt and cnt[0] == 0:
-        # leading zero counts: shift the alphabet down instead of acting
-        drop = next(i for i, c in enumerate(cnt) if c)
-        return charge(tuple(x - drop for x in w))
-    if not is_weakly_decreasing(cnt):
+    if not is_weakly_decreasing(content(w)):
         return charge(sort_to_partition_content(w))
     return _charge_partition(w)
-
-
-def cocharge(w) -> int:
-    """n(mu) - charge(w) for a word of partition content mu."""
-    w = tuple(w)
-    mu = content(w)
-    if not is_weakly_decreasing(mu):
-        raise ValueError(f"cocharge needs partition content, got {mu}")
-    return n_stat(mu) - charge(w)
 
 
 def charge_tableau(t: Tableau) -> int:
     return charge(t.word())
 
 
-def cocharge_tableau(t: Tableau) -> int:
-    return cocharge(t.word())
-
-
 def cocharge_grade(t: Tableau) -> int:
-    """Cocharge through the dominant rearrangement of the content.
+    """Cocharge n(mu) - charge, mu the content sorted into a partition.
 
     Defined for any content: charge is constant on plactic orbits, so this is
     the grade of the tableau inside its cyclage poset.

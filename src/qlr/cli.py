@@ -155,25 +155,31 @@ def cmd_compute(args) -> int:
     return 1 if failures else 0
 
 
+def _report(rep, out) -> int:
+    """Emit a sweep's or check's report; exit status 1 when it found a counterexample."""
+    _emit(rep.to_json(), out)
+    return 0 if rep.ok else 1
+
+
+def _sample(args):
+    return (args.sample, args.sample_count) if args.sample is not None else None
+
+
 def cmd_crosscheck(args) -> int:
     cache = load_cache(args.cache) if args.cache else None
-    sample = (args.sample, args.sample_count) if args.sample is not None else None
     rep = crosscheck_family(
         args.max_n,
         args.max_weight,
         include_dualities=not args.no_dualities,
-        sample=sample,
+        sample=_sample(args),
         cache=cache,
     )
-    _emit(rep.to_json(), args.out)
-    return 0 if rep.ok else 1
+    return _report(rep, args.out)
 
 
 def cmd_scan(args) -> int:
-    sample = (args.sample, args.sample_count) if args.sample is not None else None
-    rep = SCANS[args.kind](args.max_n, args.max_weight, sample=sample)
-    _emit(rep.to_json(), args.out)
-    return 0 if rep.ok else 1
+    rep = SCANS[args.kind](args.max_n, args.max_weight, sample=_sample(args))
+    return _report(rep, args.out)
 
 
 def poset_dot(alpha) -> str:
@@ -212,9 +218,7 @@ def cmd_dot(args) -> int:
 
 
 def cmd_check(args) -> int:
-    rep = CHECKS[args.name](args.n)
-    _emit(rep.to_json(), args.out)
-    return 0 if rep.ok else 1
+    return _report(CHECKS[args.name](args.n), args.out)
 
 
 @cache
@@ -225,8 +229,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="q-analogues of Littlewood-Richardson coefficients, four ways",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand's --out; the sweeps' index family and seeded sample of its groups
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    family = argparse.ArgumentParser(add_help=False, parents=[out])
+    family.add_argument("--max-n", type=int, default=3)
+    family.add_argument("--max-weight", type=int, default=4)
+    family.add_argument("--sample", type=int, default=None, help="random seed")
+    family.add_argument("--sample-count", type=int, default=50)
 
-    c = sub.add_parser("compute", help="evaluate one index with one or all engines")
+    c = sub.add_parser("compute", parents=[out], help="evaluate one index with one or all engines")
     c.add_argument("--lam", default="", help="comma-separated weight")
     c.add_argument("--gamma", default="", help="comma-separated weight")
     c.add_argument("--eta", default="", help="comma-separated composition")
@@ -234,37 +246,24 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--engine", default="all", choices=ENGINES + ("all",))
     c.add_argument("--degree-bound", type=int, default=None)
     c.add_argument("--cache", default=None)
-    c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_compute)
 
-    x = sub.add_parser("crosscheck", help="engine agreement and identity sweep")
-    x.add_argument("--max-n", type=int, default=3)
-    x.add_argument("--max-weight", type=int, default=4)
+    x = sub.add_parser("crosscheck", parents=[family], help="engine agreement and identity sweep")
     x.add_argument("--no-dualities", action="store_true")
-    x.add_argument("--sample", type=int, default=None, help="random seed")
-    x.add_argument("--sample-count", type=int, default=50)
     x.add_argument("--cache", default=None)
-    x.add_argument("--out", default=None)
     x.set_defaults(func=cmd_crosscheck)
 
-    s = sub.add_parser("scan", help="conjecture scans")
+    s = sub.add_parser("scan", parents=[family], help="conjecture scans")
     s.add_argument("--kind", required=True, choices=sorted(SCANS))
-    s.add_argument("--max-n", type=int, default=3)
-    s.add_argument("--max-weight", type=int, default=4)
-    s.add_argument("--sample", type=int, default=None, help="random seed")
-    s.add_argument("--sample-count", type=int, default=50)
-    s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_scan)
 
-    d = sub.add_parser("dot", help="emit a cyclage poset as Graphviz text")
+    d = sub.add_parser("dot", parents=[out], help="emit a cyclage poset as Graphviz text")
     d.add_argument("--alpha", required=True, help="content, e.g. 2,1")
-    d.add_argument("--out", default=None)
     d.set_defaults(func=cmd_dot)
 
-    k = sub.add_parser("check", help="theorem checks at a given size")
+    k = sub.add_parser("check", parents=[out], help="theorem checks at a given size")
     k.add_argument("--name", required=True, choices=sorted(CHECKS))
     k.add_argument("--n", type=int, default=5)
-    k.add_argument("--out", default=None)
     k.set_defaults(func=cmd_check)
 
     return parser

@@ -33,7 +33,7 @@ from operator import add, ge, le
 from typing import NamedTuple
 
 from .catabolism import catabolism_type, catabolizable_by_shape
-from .charge import charge_tableau, cocharge_tableau
+from .charge import charge_tableau, cocharge_grade
 from .shapes import (
     RectSequence,
     Vec,
@@ -147,7 +147,11 @@ class QPoly:
 
     @staticmethod
     def from_json(data) -> "QPoly":
-        return QPoly({int(e): int(c) for e, c in data["coeffs"].items()})
+        """The inverse of ``to_json``; ValueError unless every coefficient is an int."""
+        coeffs = data["coeffs"]
+        if not all(type(c) is int for c in coeffs.values()):
+            raise ValueError(f"coefficients must be integers: {coeffs}")
+        return QPoly({int(e): c for e, c in coeffs.items()})
 
 
 ZERO = QPoly()
@@ -593,15 +597,17 @@ def k_by_charge(lam, rseq: RectSequence) -> ChargeResult:
 
 
 def cocharge_kostka(lam, mu) -> QPoly:
-    """Cocharge generating function over CST(lam, mu)."""
-    return _generating(cocharge_tableau, straight_cst(trim(lam), tuple(mu)))
+    """Cocharge generating function over CST(lam, mu), mu a partition."""
+    if not is_weakly_decreasing(mu := tuple(mu)):
+        raise ValueError(f"cocharge needs partition content, got {mu}")
+    return _generating(cocharge_grade, straight_cst(trim(lam), mu))
 
 
 def standard_cocharge_sum(lam, mu) -> QPoly:
     """Cocharge sum over standard tableaux whose catabolism type dominates mu."""
     mu, standard = trim(mu), standard_tableaux(lam)
     return _generating(
-        cocharge_tableau, (t for t in standard if dominates(catabolism_type(t), mu))
+        cocharge_grade, (t for t in standard if dominates(catabolism_type(t), mu))
     )
 
 

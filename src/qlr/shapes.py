@@ -191,11 +191,7 @@ class RectSequence(namedtuple("RectSequence", "eta gamma")):
 
     @property
     def rects(self) -> tuple[Vec, ...]:
-        out, start = [], 0
-        for e in self.eta:
-            out.append(self.gamma[start:start + e])
-            start += e
-        return tuple(out)
+        return tuple(self.gamma[a:b] for a, b in itertools.pairwise(block_starts(self.eta)))
 
     def tail(self) -> "RectSequence":
         """The sequence with the first block removed (alphabet relabelled)."""

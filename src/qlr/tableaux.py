@@ -103,17 +103,6 @@ class Tableau(namedtuple("Tableau", "rows inner")):
     def relabel(self, offset: int) -> "Tableau":
         return Tableau._make((tuple(tuple(x + offset for x in r) for r in self.rows), self.inner))
 
-    def cells(self):
-        """All (row, col) cell coordinates, 0-based."""
-        for i, r in enumerate(self.rows):
-            base = self.inner_at(i)
-            for j in range(len(r)):
-                yield (i, base + j)
-
-    def entry(self, cell):
-        i, j = cell
-        return self.rows[i][j - self.inner_at(i)]
-
     def corners(self):
         """Removable cells of a straight tableau, top row first (0-based)."""
         outer = self.outer
@@ -288,13 +277,6 @@ def evacuation(t: Tableau, n: int) -> Tableau:
     return schensted_p([n + 1 - x for x in reversed(w)])
 
 
-def h_slice(t: Tableau, r: int) -> Tableau:
-    """Cut between rows r and r+1 and insert the north part before the south."""
-    w = t.word()
-    k = sum(map(len, t.rows[max(r, 0):]))  # the south part leads the word
-    return schensted_p(w[k:] + w[:k])
-
-
 def v_slice(t: Tableau, c: int) -> Tableau:
     """Cut between columns c and c+1 and insert the east part before the west."""
     west, east = [], []
@@ -332,7 +314,8 @@ def jdt_slide(t: Tableau, cell) -> Tableau:
     i, j = cell
     if j != t.inner_at(i) - 1 or (i + 1 < len(t.rows) and t.inner_at(i + 1) > j):
         raise ValueError(f"{cell} is not an inner corner of {t.outer}/{t.inner}")
-    grid = {c: t.entry(c) for c in t.cells()}
+    grid = {(r, t.inner_at(r) + c): x
+            for r, row in enumerate(t.rows) for c, x in enumerate(row)}
     hole = (i, j)
     while True:
         right = grid.get((hole[0], hole[1] + 1))

@@ -21,7 +21,7 @@ from .catabolism import (
     is_mu_catabolizable,
     is_mu_column_catabolizable,
 )
-from .charge import charge, cocharge_grade, cocharge_tableau
+from .charge import charge, cocharge_grade
 from .crystal import is_mu_lattice, plactic_act
 from .cyclage import cyclage_standardization
 from .kpoly import (
@@ -166,8 +166,9 @@ def crosscheck_family(
 
     ``sample`` is an optional (seed, group_count) pair restricting the sweep
     to a random subset of (gamma, eta) groups.  ``cache`` maps
-    (index key, engine) -> (QPoly, status); cached polynomials are compared
-    against the recomputed ones, so a corrupted cache surfaces as a
+    (index key, engine) -> (QPoly, status); the cached polynomials of every
+    engine the sweep ran on an index (charge only on proven groups) are
+    compared against the recomputed ones, so a corrupted cache surfaces as a
     counterexample.  The q=1 oracle ``lr_product`` and the recurrence share
     ``lr_coefficient``, but the Kostant and series engines do not, so a fault
     there still surfaces in the ``engines`` check.  The ``dual`` and ``box``
@@ -225,7 +226,10 @@ def crosscheck_family(
                                   poly=p_rec, other=p_sym)
             if cache is not None:
                 key = index_key(idx)  # a crosscheck index is its own normalization
-                for engine, value in (("recurrence", p_rec), ("kostant", p_kos)):
+                computed = [("recurrence", p_rec), ("kostant", p_kos), ("series", p_ser)]
+                if charge is not None:
+                    computed.append(("charge", p_charge))
+                for engine, value in computed:
                     cached = cache.get((key, engine))
                     if cached is not None:
                         rep.checks += 1
@@ -370,7 +374,7 @@ def check_cyc_image(n: int) -> ScanReport:
                         rep.found(check="injectivity", mu=mu, collision=s)
                     if s.outer != t.outer:
                         rep.found(check="shape", mu=mu, source=t, image=s)
-                    if cocharge_tableau(s) != cocharge_grade(t):
+                    if cocharge_grade(s) != cocharge_grade(t):
                         rep.found(check="grade", mu=mu, source=t, image=s)
                     image.add(s)
             expected = {s for s, ct in standard_by_type.items() if dominates(ct, mu)}

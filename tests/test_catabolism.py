@@ -17,7 +17,7 @@ from qlr.catabolism import (
     leading_run,
     row_catabolism,
 )
-from qlr.charge import charge_tableau, cocharge_tableau
+from qlr.charge import charge_tableau, cocharge_grade
 from qlr.cyclage import cyclage_covers
 from qlr.involution import InvolutionContext
 from qlr.kpoly import QPoly, k_by_charge, k_by_recurrence
@@ -27,7 +27,6 @@ from qlr.tableaux import (
     Tableau,
     _transpose,
     all_cst_of_content,
-    h_slice,
     standard_tableaux,
     straight_cst,
     tab,
@@ -35,6 +34,7 @@ from qlr.tableaux import (
 )
 from qlr.verify import index_family
 from test_cyclage import covers_col_restricted, covers_row_restricted
+from test_tableaux import h_slice
 
 RSEQ = rect_sequence((2, 2, 1), (3, 2, 2, 1, 1))
 
@@ -289,16 +289,34 @@ def test_trace_replays():
     assert after == tab([3, 3], [4, 5])
 
 
+def first_row_catabolism(t):
+    """H_1 of a straight tableau by the row stepper, as catabolism_type steps."""
+    return Tableau._make((_cat_step(t.rows, (), 0, 1, 0), ()))
+
+
+def test_row_stepper_matches_h_slice_by_words():
+    # every straight tableau of partition content and size <= 7, at every cut
+    # before, inside and past its rows
+    pairs = 0
+    for n in range(8):
+        for mu in partitions(n):
+            for t in all_cst_of_content(mu):
+                for r in range(len(t.rows) + 2):
+                    assert Tableau._make((_cat_step(t.rows, (), 0, r, 0), ())) == h_slice(t, r)
+                    pairs += 1
+    assert pairs == 4125
+
+
 def test_leading_run_and_first_row_catabolism():
     s = tab([1, 2, 3, 4, 7], [5, 6, 9], [8])
     assert leading_run(s) == 4
-    c1 = h_slice(s, 1)
+    c1 = first_row_catabolism(s)
     assert c1 == tab([1, 2, 3, 4, 5, 6, 9], [7, 8])
-    assert h_slice(c1, 1) == tab([1, 2, 3, 4, 5, 6, 7, 8], [9])
+    assert first_row_catabolism(c1) == tab([1, 2, 3, 4, 5, 6, 7, 8], [9])
     assert leading_run(tab([1], [2])) == 1
     one_row = tab([1, 2, 3])
     assert leading_run(one_row) == 3
-    assert h_slice(one_row, 1) == one_row
+    assert first_row_catabolism(one_row) == one_row
 
 
 def test_first_row_catabolism_raises_the_leading_run():
@@ -309,7 +327,7 @@ def test_first_row_catabolism_raises_the_leading_run():
         for shape in partitions(n):
             for t in standard_tableaux(shape):
                 while (run := leading_run(t)) < n:
-                    t = h_slice(t, 1)
+                    t = first_row_catabolism(t)
                     assert leading_run(t) > run, t
                     steps += 1
     assert steps == 6167
@@ -398,7 +416,7 @@ def test_transpose_bridges_column_blocks_and_column_catabolism():
                     assert is_catabolizable(t, rs) == is_mu_column_catabolizable(
                         transpose(t), mu
                     )
-                    assert charge_tableau(t) == cocharge_tableau(transpose(t))
+                    assert charge_tableau(t) == cocharge_grade(transpose(t))
 
 
 def test_catabolizability_moves_along_restricted_covers():

@@ -2,15 +2,9 @@ import itertools
 
 import pytest
 
-from qlr.charge import (
-    charge,
-    charge_tableau,
-    cocharge,
-    cocharge_grade,
-    cocharge_tableau,
-)
+from qlr.charge import charge, charge_tableau, cocharge_grade
 from qlr.shapes import is_weakly_decreasing, n_stat, partitions
-from qlr.tableaux import content, yamanouchi_tableau
+from qlr.tableaux import all_cst_of_content, content, schensted_p, tab, yamanouchi_tableau
 from qlr.verify import check_charge_axioms
 
 
@@ -121,11 +115,27 @@ def test_yamanouchi_words_have_zero_charge():
 
 
 def test_cocharge():
-    assert cocharge((1, 1, 2, 2)) == 0
-    assert cocharge((2, 2, 1, 1)) == n_stat((2, 2)) == 2
-    assert cocharge((4, 3, 2, 3, 4, 1, 1, 2, 5, 5)) == 20 - 8
-    with pytest.raises(ValueError):
-        cocharge((1, 2, 2))
+    assert cocharge_grade(tab([1, 1, 2, 2])) == 0
+    assert cocharge_grade(tab([1, 1], [2, 2])) == n_stat((2, 2)) == 2
+    assert cocharge_grade(schensted_p((4, 3, 2, 3, 4, 1, 1, 2, 5, 5))) == 20 - 8
+
+
+def test_cocharge_grade_is_n_mu_less_charge_on_partition_content():
+    # the cocharge of a word of partition content mu, n(mu) - charge, on every
+    # tableau of partition content and size <= 7
+    tableaux = [t for n in range(8) for mu in partitions(n) for t in all_cst_of_content(mu)]
+    assert len(tableaux) == 837
+    for t in tableaux:
+        assert cocharge_grade(t) == n_stat(t.content()) - charge(t.word()), t
+
+
+def test_charge_ignores_a_shift_of_the_alphabet():
+    # a word that lacks the letter 1 has the charge of the word shifted down
+    # until its least letter is 1
+    words = [w for n in range(1, 8) for w in itertools.product(range(2, 5), repeat=n)]
+    assert len(words) == 3279
+    for w in words:
+        assert charge(w) == charge(tuple(x - min(w) + 1 for x in w)), w
 
 
 def test_charge_of_general_content():
@@ -144,7 +154,6 @@ def test_charge_of_general_content():
 def test_tableau_wrappers():
     t = yamanouchi_tableau((2, 2))
     assert charge_tableau(t) == 0
-    assert cocharge_tableau(t) == 2
     assert cocharge_grade(t) == 2
 
 

@@ -249,9 +249,11 @@ def reference_load_cache(path, wanted=None):
                 if not line or (heads is not None and not line.startswith(heads)):
                     continue
                 rec = json.loads(line)
-                key = (rec["key"], rec["engine"])
-                if rec["version"] == CACHE_VERSION and (wanted is None or key in wanted):
-                    cache[key] = (QPoly.from_json(rec["poly"]), rec.get("status", "exact"))
+                key, coeffs = (rec["key"], rec["engine"]), rec["poly"]["coeffs"]
+                if (rec["version"] == CACHE_VERSION and (wanted is None or key in wanted)
+                        and all(type(c) is int for c in coeffs.values())):
+                    poly = QPoly({int(e): c for e, c in coeffs.items()})
+                    cache[key] = (poly, rec.get("status", "exact"))
             except (ValueError, KeyError, TypeError, AttributeError):
                 continue
     return cache
@@ -266,16 +268,17 @@ CACHE_KEYS = [(key, engine)
 def _random_cache_file(rng) -> bytes:
     """An append log of cache records with the faults that crashes, old
     versions and hand edits leave: repeated writes of one key, records cut
-    short with no newline, malformed polynomials, other versions, leading
-    blanks, CRLF endings, undecodable bytes, a record's head mid-line, and a
-    valid record that holds another engine's head of its key mid-line."""
+    short with no newline, malformed polynomials, coefficients that are not
+    integers, other versions, leading blanks, CRLF endings, undecodable bytes,
+    a record's head mid-line, and a valid record that holds another engine's
+    head of its key mid-line."""
     out = []
     for _ in range(rng.randrange(1, 30)):
         key, engine = rng.choice(CACHE_KEYS)
         rec = {"key": key, "engine": engine, "version": CACHE_VERSION,
                "poly": {"coeffs": {str(rng.randrange(3)): rng.randrange(-2, 3)}},
                "status": rng.choice(["exact", "conjectural"])}
-        fault = rng.randrange(12)
+        fault = rng.randrange(13)
         if fault == 0:
             rec["poly"] = rng.choice([{"coeffs": {"1": "x"}}, {"coeffs": {"a": 1}}, [1], None])
         elif fault == 1:
@@ -286,6 +289,8 @@ def _random_cache_file(rng) -> bytes:
             rec = {"note": {"key": key, "engine": engine}, **rec}
         elif fault == 9:  # a valid record that holds another engine's head of its key
             rec["note"] = {"key": key, "engine": rng.choice([e for e in ENGINES if e != engine])}
+        elif fault == 10:
+            rec["poly"] = {"coeffs": {"1": rng.choice([1.9, 2.0, "7", True, False]), "2": 1}}
         text = json.dumps(rec).encode()
         if fault == 4:  # cut short: the next record lands on the same line
             out.append(text[: rng.randrange(len(text))])
@@ -318,6 +323,24 @@ def test_load_cache_matches_a_pass_over_every_line(tmp_path):
             served += len(found)
             missed += len(wanted) - len(found)
     assert served > 1000 and missed > 1000
+
+
+def test_cache_skips_records_with_non_integer_coefficients(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    args = [
+        "compute", "--lam", "2,1,0", "--gamma", "0,2,1", "--eta", "1,1,1",
+        "--engine", "recurrence", "--cache", str(cache),
+    ]
+    run(capsys, *args)
+    record = json.loads(cache.read_text())
+    for coeffs in ({"1": 1.9, "2": 1}, {"1": 2.0}, {"1": "7"}, {"1": True}, {"1": False}):
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            QPoly.from_json({"coeffs": coeffs})
+        cache.write_text(json.dumps({**record, "poly": {"coeffs": coeffs}}) + "\n")
+        assert load_cache(cache) == {}
+        code, lines = run(capsys, *args)
+        assert code == 0 and lines[0]["status"] == "exact"
+        assert lines[0]["poly"] == {"coeffs": {"1": -1, "2": 1, "3": 1}}
 
 
 def test_a_wanted_key_costs_one_parse_however_long_the_file(tmp_path, monkeypatch):
@@ -454,13 +477,15 @@ def test_every_command_rejects_bad_input_with_a_json_error(tmp_path, capsys, arg
     assert list(tmp_path.iterdir()) == []  # nothing written, not even the error
 
 
+def _bad_records(key, engines) -> str:
+    return "".join(json.dumps({"key": key, "engine": engine, "version": CACHE_VERSION,
+                               "poly": {"coeffs": {"5": 7}}}) + "\n" for engine in engines)
+
+
 def test_crosscheck_detects_corrupted_cache(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
-    key = "[1, 0]|[1, 0]|[1, 1]"
-    cache.write_text(
-        json.dumps({"key": key, "engine": "recurrence", "version": CACHE_VERSION,
-                    "poly": {"coeffs": {"5": 7}}}) + "\n"
-    )
+    # a bad record of every engine; two blocks are a proven group, so charge runs
+    cache.write_text(_bad_records("[1, 0]|[1, 0]|[1, 1]", ENGINES))
     code, lines = run(
         capsys, "crosscheck", "--max-n", "2", "--max-weight", "2",
         "--cache", str(cache),
@@ -468,9 +493,23 @@ def test_crosscheck_detects_corrupted_cache(tmp_path, capsys):
     assert code == 1
     assert not lines[0]["ok"]
     # the report's records are JSON data, not display text
-    [ce] = [ce for ce in lines[0]["counterexamples"] if ce["check"] == "cache"]
-    assert ce["index"] == {"lambda": [1, 0], "gamma": [1, 0], "eta": [1, 1]}
-    assert (ce["engine"], ce["cached"]) == ("recurrence", {"coeffs": {"5": 7}})
+    found = [ce for ce in lines[0]["counterexamples"] if ce["check"] == "cache"]
+    assert [ce["engine"] for ce in found] == ["recurrence", "kostant", "series", "charge"]
+    for ce in found:
+        assert ce["index"] == {"lambda": [1, 0], "gamma": [1, 0], "eta": [1, 1]}
+        assert ce["cached"] == {"coeffs": {"5": 7}}
+
+
+def test_crosscheck_compares_cached_charge_only_where_the_charge_engine_ran(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    # eta (1, 2, 1) is a conjectural group: the sweep does not run the charge engine there
+    cache.write_text(_bad_records("[1, 0, 0, 0]|[1, 0, 0, 0]|[1, 2, 1]", ["recurrence", "charge"]))
+    code, lines = run(
+        capsys, "crosscheck", "--max-n", "4", "--max-weight", "1", "--cache", str(cache),
+    )
+    assert code == 1
+    [ce] = lines[0]["counterexamples"]
+    assert (ce["check"], ce["engine"]) == ("cache", "recurrence")
 
 
 def test_crosscheck_clean(capsys):

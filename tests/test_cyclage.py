@@ -4,7 +4,7 @@ import random
 import pytest
 
 from qlr.catabolism import catabolism_type
-from qlr.charge import cocharge_grade, cocharge_tableau
+from qlr.charge import cocharge_grade
 from qlr.crystal import lowering, plactic_act, refill, sort_to_partition_content
 from qlr.cyclage import (
     CyclageEdge,
@@ -155,7 +155,7 @@ def test_covers_drop_cocharge_and_respect_words():
             for t in all_cst_of_content(alpha):
                 for e in cyclage_covers(t):
                     assert e.letter > 1
-                    assert cocharge_tableau(e.upper) == cocharge_tableau(e.lower) + 1
+                    assert cocharge_grade(e.upper) == cocharge_grade(e.lower) + 1
                     word_u = e.intermediate.word()
                     assert schensted_p((e.letter,) + word_u) == e.upper
                     assert schensted_p(word_u + (e.letter,)) == e.lower
@@ -315,7 +315,7 @@ def test_embedding_preserves_shape_grade_and_covers():
             for t in verts:
                 s = cyclage_standardization(t)
                 assert s.outer == t.outer
-                assert cocharge_tableau(s) == cocharge_grade(t)
+                assert cocharge_grade(s) == cocharge_grade(t)
                 images[t] = s
             cover_pairs = {
                 (e.upper, e.lower) for t in verts for e in cyclage_covers(t)

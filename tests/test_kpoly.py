@@ -730,6 +730,10 @@ def test_cocharge_kostka():
     # the unique filling at lam = mu carries cocharge n(mu)
     assert cocharge_kostka((2, 1), (2, 1)) == q(1)
     assert cocharge_kostka((3, 1), (3, 1)) == q(1)
+    # cocharge is n(mu) - charge for a partition mu only, checked before any tableau
+    for lam in ((2, 1), (5,)):
+        with pytest.raises(ValueError, match=r"cocharge needs partition content, got \(1, 2\)"):
+            cocharge_kostka(lam, (1, 2))
 
 
 def test_cocharge_kostka_column_identity():

@@ -18,7 +18,6 @@ from qlr.tableaux import (
     content,
     enumerate_cst,
     evacuation,
-    h_slice,
     is_weakly_increasing_word,
     jdt_slide,
     overlap,
@@ -421,9 +420,17 @@ def test_evacuation_involution():
 
 
 def cut_word(t, keep):
-    """Row-reading word of the cells of t that ``keep`` selects."""
-    cells = sorted(t.cells(), key=lambda cell: (-cell[0], cell[1]))
-    return tuple(t.entry(cell) for cell in cells if keep(cell))
+    """Row-reading word of the (row, col) cells of t that ``keep`` selects."""
+    return tuple(x for i in reversed(range(len(t.rows)))
+                 for j, x in enumerate(t.rows[i], t.inner_at(i)) if keep((i, j)))
+
+
+def h_slice(t, r):
+    """H_r by words: cut between rows r and r+1 and insert the north part
+    before the south; the reference for the row stepper ``_cat_step``."""
+    w = t.word()
+    k = sum(map(len, t.rows[max(r, 0):]))  # the south part leads the word
+    return schensted_p(w[k:] + w[:k])
 
 
 SKEW_SLICE_INPUTS = [

@@ -68,7 +68,6 @@ from .kpoly import (
     kostka_number,
     lr_coefficient,
     standard_cocharge_sum,
-    two_rectangle_formula,
 )
 from .involution import InvolutionContext, SignedTriple, verify_involution
 

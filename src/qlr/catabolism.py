@@ -9,12 +9,11 @@ partition extracted by iterating the first-row catabolism operator.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import cache
 from itertools import chain, zip_longest
 
 from .shapes import RectSequence, block_starts, partitions_containing, trim
-from .tableaux import EMPTY, Tableau, _insert, enumerate_cst, v_slice, yamanouchi_tableau
+from .tableaux import EMPTY, Tableau, enumerate_cst, schensted_p, v_slice, yamanouchi_tableau
 
 
 def _strip(rows, block, m: int):
@@ -35,10 +34,7 @@ def _cat_step(rows, block, m: int, cut: int, shift: int):
     rest = _strip(rows, block, m)
     if rest is None:
         return None
-    out: list[list[int]] = []
-    for x in chain(*rest[:cut][::-1], *rest[cut:][::-1]):
-        _insert(out, x - shift, bisect_right)
-    return tuple(map(tuple, out))
+    return schensted_p([x - shift for x in chain(*rest[:cut][::-1], *rest[cut:][::-1])]).rows
 
 
 def catabolism_trace(t: Tableau, rseq: RectSequence):

@@ -25,7 +25,8 @@ from functools import cache
 from pathlib import Path
 
 from .cyclage import cyclage_poset
-from .kpoly import ENGINES, KIndex, QPoly, _compute_normalized, index_from_rects
+from .kpoly import ENGINES, KIndex, QPoly, _compute_normalized
+from .shapes import from_rects, pad
 from .verify import CHECKS, SCANS, crosscheck_family, index_key
 
 # records written before the cache held normalized polynomials have no version
@@ -99,7 +100,8 @@ def _parse_index(args) -> KIndex:
             isinstance(r, list) and all(type(x) is int for x in r) for r in rects
         ):
             raise ValueError(f"--rects must be a list of integer lists, got {args.rects!r}")
-        return index_from_rects(_vec(args.lam), rects)
+        rs = from_rects(rects)
+        return KIndex(pad(_vec(args.lam), rs.n), rs.gamma, rs.eta)
     if not (args.lam and args.gamma and args.eta):
         raise ValueError("compute needs --lam, --gamma, --eta (or --rects)")
     return KIndex(_vec(args.lam), _vec(args.gamma), _vec(args.eta))

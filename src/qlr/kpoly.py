@@ -61,11 +61,7 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        cc = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if c:
-                    cc[int(e)] = int(c)
+        cc = {e: c for e, c in coeffs.items() if c} if coeffs else {}
         object.__setattr__(self, "coeffs", cc)
 
     def __setattr__(self, *a):
@@ -147,11 +143,16 @@ class QPoly:
 
     @staticmethod
     def from_json(data) -> "QPoly":
-        """The inverse of ``to_json``; ValueError unless every coefficient is an int."""
+        """The inverse of ``to_json``; ValueError unless every coefficient is an
+        int and every key a nonnegative exponent written as ``to_json`` writes it."""
         coeffs = data["coeffs"]
         if not all(type(c) is int for c in coeffs.values()):
             raise ValueError(f"coefficients must be integers: {coeffs}")
-        return QPoly({int(e): c for e, c in coeffs.items()})
+        out = {int(k): c for k, c in coeffs.items()}
+        # equal only when str(int(k)) == k for every key: no two keys name one exponent
+        if list(map(str, out)) != list(coeffs) or min(out, default=0) < 0:
+            raise ValueError(f"exponents must be nonnegative integers: {coeffs}")
+        return QPoly(out)
 
 
 ZERO = QPoly()
@@ -201,11 +202,6 @@ class KIndex(namedtuple("KIndex", "lam gamma eta")):
         shift = -min((0, *lam, *gamma))
         return sign, KIndex._make((tuple(x + shift for x in lam),
                                    tuple(x + shift for x in gamma), self.eta))
-
-
-def index_from_rects(lam, rects) -> KIndex:
-    rs = from_rects(rects)
-    return KIndex(pad(lam, rs.n), rs.gamma, rs.eta)
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +450,16 @@ def _k_rec(lam: Vec, rseq: RectSequence) -> QPoly:
 
 
 def k_by_recurrence(lam, rseq: RectSequence) -> QPoly:
-    """Engine B: peel the first block with coset data and skew LR numbers."""
-    lam = pad(lam, rseq.n)
+    """Engine B: peel the first block with coset data and skew LR numbers; a
+    lambda with more parts than positions has coefficient zero."""
+    lam = trim(lam)
     if not is_partition(lam):
         raise ValueError(f"lambda must be a partition, got {lam}")
     if not all(map(is_partition, rseq.rects)):
         raise ValueError(f"every block of {rseq} must be a partition")
-    if sum(lam) != sum(rseq.gamma):
+    if len(lam) > rseq.n or sum(lam) != sum(rseq.gamma):
         return ZERO
-    return _k_rec(lam, rseq)
+    return _k_rec(pad(lam, rseq.n), rseq)
 
 
 # ---------------------------------------------------------------------------
@@ -605,25 +602,11 @@ def cocharge_kostka(lam, mu) -> QPoly:
 
 def standard_cocharge_sum(lam, mu) -> QPoly:
     """Cocharge sum over standard tableaux whose catabolism type dominates mu."""
-    mu, standard = trim(mu), standard_tableaux(lam)
+    if not is_weakly_decreasing(mu := trim(mu)):
+        raise ValueError(f"cocharge needs partition content, got {mu}")
     return _generating(
-        cocharge_grade, (t for t in standard if dominates(catabolism_type(t), mu))
+        cocharge_grade, (t for t in standard_tableaux(lam) if dominates(catabolism_type(t), mu))
     )
-
-
-def two_rectangle_formula(lam, r1, r2) -> QPoly:
-    """Closed form for a two-block sequence: a q-power times a skew LR number."""
-    r1, r2 = tuple(r1), tuple(r2)
-    m = len(r1)
-    lam = trim(lam)
-    if len(lam) > m + len(r2):
-        return ZERO
-    lam = pad(lam, m + len(r2))
-    alpha, beta = lam[:m], lam[m:]
-    c = lr_coefficient(r2, beta, alpha, r1)
-    if not c:
-        return ZERO
-    return QPoly.term(sum(alpha) - sum(r1), c)
 
 
 # ---------------------------------------------------------------------------

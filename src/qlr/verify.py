@@ -35,6 +35,7 @@ from .kpoly import (
     default_degree_bound,
     dominant_reorderings,
     k_by_kostant,
+    k_by_recurrence,
     lr_product,
     series_decomposition,
 )
@@ -513,15 +514,6 @@ def check_ev_duality(total: int = 6, alphabet: int = 3) -> ScanReport:
     return rep
 
 
-def k_or_zero(lam, rseq) -> QPoly:
-    """Recurrence engine with the few-variables convention: a partition with
-    more parts than positions has coefficient zero."""
-    lam = trim(lam)
-    if len(lam) > rseq.n:
-        return ZERO
-    return _k_rec(pad(lam, rseq.n), rseq)  # callers pass lam of gamma's size, gamma dominant
-
-
 def check_stembridge(n: int) -> ScanReport:
     """The two-celled-rectangle family satisfies the branching recurrence."""
 
@@ -535,9 +527,9 @@ def check_stembridge(n: int) -> ScanReport:
                 for d in range((n - 2 * m) // 2 + 1):
                     if 2 * m + 2 * (d + 1) > n:
                         continue
-                    lhs = k_or_zero(lam, blocks(m, d + 1))
-                    a = k_or_zero(lam, blocks(m, d))
-                    b = k_or_zero(lam, blocks(m + 1, d))
+                    lhs = k_by_recurrence(lam, blocks(m, d + 1))
+                    a = k_by_recurrence(lam, blocks(m, d))
+                    b = k_by_recurrence(lam, blocks(m + 1, d))
                     rep.checks += 1
                     if lhs != a - QPoly.term(n - 2 * m - d - 1) * b:
                         rep.found(check="stembridge", lam=lam, m=m, d=d, lhs=lhs)

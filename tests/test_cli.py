@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -251,7 +252,8 @@ def reference_load_cache(path, wanted=None):
                 rec = json.loads(line)
                 key, coeffs = (rec["key"], rec["engine"]), rec["poly"]["coeffs"]
                 if (rec["version"] == CACHE_VERSION and (wanted is None or key in wanted)
-                        and all(type(c) is int for c in coeffs.values())):
+                        and all(type(c) is int for c in coeffs.values())
+                        and all(re.fullmatch("0|[1-9][0-9]*", e) for e in coeffs)):
                     poly = QPoly({int(e): c for e, c in coeffs.items()})
                     cache[key] = (poly, rec.get("status", "exact"))
             except (ValueError, KeyError, TypeError, AttributeError):
@@ -265,11 +267,16 @@ CACHE_KEYS = [(key, engine)
               for engine in ENGINES]
 
 
+# int() reads these as q^10, q^2, q^3, q^3 and q^-1
+BAD_EXPONENT_KEYS = ("1_0", " 2", "+3", "\u0663", "-1")
+
+
 def _random_cache_file(rng) -> bytes:
     """An append log of cache records with the faults that crashes, old
     versions and hand edits leave: repeated writes of one key, records cut
     short with no newline, malformed polynomials, coefficients that are not
-    integers, other versions, leading blanks, CRLF endings, undecodable bytes,
+    integers, exponent keys that int() reads but to_json never writes, other
+    versions, leading blanks, CRLF endings, undecodable bytes,
     a record's head mid-line, and a valid record that holds another engine's
     head of its key mid-line."""
     out = []
@@ -278,7 +285,7 @@ def _random_cache_file(rng) -> bytes:
         rec = {"key": key, "engine": engine, "version": CACHE_VERSION,
                "poly": {"coeffs": {str(rng.randrange(3)): rng.randrange(-2, 3)}},
                "status": rng.choice(["exact", "conjectural"])}
-        fault = rng.randrange(13)
+        fault = rng.randrange(14)
         if fault == 0:
             rec["poly"] = rng.choice([{"coeffs": {"1": "x"}}, {"coeffs": {"a": 1}}, [1], None])
         elif fault == 1:
@@ -291,6 +298,8 @@ def _random_cache_file(rng) -> bytes:
             rec["note"] = {"key": key, "engine": rng.choice([e for e in ENGINES if e != engine])}
         elif fault == 10:
             rec["poly"] = {"coeffs": {"1": rng.choice([1.9, 2.0, "7", True, False]), "2": 1}}
+        elif fault == 11:
+            rec["poly"] = {"coeffs": {rng.choice(BAD_EXPONENT_KEYS): 1, "0": 1}}
         text = json.dumps(rec).encode()
         if fault == 4:  # cut short: the next record lands on the same line
             out.append(text[: rng.randrange(len(text))])
@@ -323,6 +332,13 @@ def test_load_cache_matches_a_pass_over_every_line(tmp_path):
             served += len(found)
             missed += len(wanted) - len(found)
     assert served > 1000 and missed > 1000
+
+
+def test_from_json_rejects_exponent_keys_that_to_json_never_writes():
+    for key in BAD_EXPONENT_KEYS:
+        with pytest.raises(ValueError):
+            QPoly.from_json({"coeffs": {key: 1}})
+    assert QPoly.from_json({"coeffs": {"0": 1, "10": -2}}) == QPoly({0: 1, 10: -2})
 
 
 def test_cache_skips_records_with_non_integer_coefficients(tmp_path, capsys):

@@ -21,7 +21,6 @@ from qlr.kpoly import (
     compute,
     default_degree_bound,
     dominant_reorderings,
-    index_from_rects,
     k_by_charge,
     k_by_kostant,
     k_by_recurrence,
@@ -32,7 +31,6 @@ from qlr.kpoly import (
     series_decomposition,
     series_monomials,
     standard_cocharge_sum,
-    two_rectangle_formula,
 )
 from qlr.shapes import (
     all_permutations,
@@ -597,7 +595,7 @@ def test_catabolizable_fixture_value():
 
 def test_empty_index():
     assert k_by_recurrence((), rect_sequence((), ())) == ONE
-    assert index_from_rects((), []).n == 0
+    assert from_rects([]).n == 0
 
 
 def test_index_rejects_nonpositive_eta_parts():
@@ -755,6 +753,19 @@ def test_standard_cocharge_sum_matches_cocharge_kostka():
     # only the one-row shape survives mu = (n)
     assert standard_cocharge_sum((3,), (3,)) == ONE
     assert standard_cocharge_sum((2, 1), (3,)) == ZERO
+    # the same boundary as cocharge_kostka's, not the answer at mu sorted
+    with pytest.raises(ValueError, match=r"cocharge needs partition content, got \(1, 2\)"):
+        standard_cocharge_sum((2, 1), (1, 2))
+
+
+def two_rectangle_formula(lam, r1, r2) -> QPoly:
+    """Reference closed form for a two-block sequence: a q-power times a skew LR number."""
+    m, lam = len(r1), trim(lam)
+    if len(lam) > m + len(r2):
+        return ZERO
+    alpha, beta = lam[:m], lam[m:]
+    c = lr_coefficient(r2, beta, alpha, r1)
+    return QPoly.term(sum(alpha) - sum(r1), c) if c else ZERO
 
 
 def test_two_rectangle_formula():
@@ -772,7 +783,9 @@ def test_two_rectangle_formula():
                         if rs.is_dominant():
                             assert closed == k_by_charge(lamp, rs).poly
     # a lambda with more parts than the two blocks have rows
+    rs = rect_sequence((1, 1), (1, 1))
     assert two_rectangle_formula((1, 1, 1), (1,), (1,)) == ZERO
+    assert k_by_recurrence((1, 1, 1), rs) == ZERO == k_by_charge((1, 1, 1), rs).poly
 
 
 def test_dual_and_box_complement_identities():

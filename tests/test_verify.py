@@ -29,7 +29,6 @@ from qlr.verify import (
     check_white_fitting,
     crosscheck_family,
     index_family,
-    k_or_zero,
     scan_catabolizable,
     scan_monotonicity_heights,
     scan_monotonicity_refine,
@@ -86,10 +85,10 @@ def test_monotonicity_heights_covers_cocharge_kostka_case():
                 assert a == engine
 
 
-def test_k_or_zero_handles_long_partitions():
+def test_recurrence_handles_long_partitions():
     rs = rect_sequence((1, 1), (1, 1))
-    assert k_or_zero((1, 1, 1), rs) == QPoly()
-    assert k_or_zero((2,), rs) == k_by_recurrence((2, 0), rs)
+    assert k_by_recurrence((1, 1, 1), rs) == QPoly()
+    assert k_by_recurrence((2,), rs) == k_by_recurrence((2, 0), rs)
 
 
 def test_report_counterexample_plumbing():
@@ -390,9 +389,10 @@ def test_row_col_cat_reports_the_tableau_whose_column_test_is_flipped(monkeypatc
 
 def test_stembridge_reports_the_lambda_whose_k_is_made_smaller(monkeypatch):
     checks = check_stembridge(4).checks
-    original = verify._k_rec
-    monkeypatch.setattr(verify, "_k_rec", lambda lam, rseq: original(lam, rseq) - (
-        ONE if trim(lam) == (2, 1, 1) else ZERO))
+    original = verify.k_by_recurrence
+    # only where lambda fits: a lambda with more parts than positions stays zero
+    monkeypatch.setattr(verify, "k_by_recurrence", lambda lam, rseq: original(lam, rseq) - (
+        ONE if trim(lam) == (2, 1, 1) and rseq.n >= 3 else ZERO))
     rep = check_stembridge(4)
     # one less on both sides and on the q-power's term breaks the recurrence;
     # at m = 1 that term is zero, lambda having more parts than its rows

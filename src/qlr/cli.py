@@ -169,13 +169,7 @@ def _sample(args):
 
 def cmd_crosscheck(args) -> int:
     cache = load_cache(args.cache) if args.cache else None
-    rep = crosscheck_family(
-        args.max_n,
-        args.max_weight,
-        include_dualities=not args.no_dualities,
-        sample=_sample(args),
-        cache=cache,
-    )
+    rep = crosscheck_family(args.max_n, args.max_weight, sample=_sample(args), cache=cache)
     return _report(rep, args.out)
 
 
@@ -251,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_compute)
 
     x = sub.add_parser("crosscheck", parents=[family], help="engine agreement and identity sweep")
-    x.add_argument("--no-dualities", action="store_true")
     x.add_argument("--cache", default=None)
     x.set_defaults(func=cmd_crosscheck)
 

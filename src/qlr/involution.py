@@ -35,7 +35,6 @@ from .shapes import (
     pad,
     perm_sign,
     rho,
-    trim,
     vec_add,
     vec_sub,
 )
@@ -251,7 +250,7 @@ def verify_involution(lam, rseq: RectSequence) -> InvolutionReport:
 
     signed_sum = QPoly(signed)
     # enumerate_catabolizable lists by reading word
-    ct = enumerate_catabolizable(trim(lam), rseq)
+    ct = enumerate_catabolizable(lam, rseq)
     bijection_ok = sorted(fixed, key=Tableau.word) == list(ct)
     engine = k_by_recurrence(lam, rseq)
 

@@ -32,7 +32,7 @@ from functools import cache
 from operator import add, ge, le
 from typing import NamedTuple
 
-from .catabolism import catabolism_type, catabolizable_by_shape
+from .catabolism import catabolism_type, catabolizable_by_shape, enumerate_catabolizable
 from .charge import charge_tableau, cocharge_grade
 from .shapes import (
     RectSequence,
@@ -579,18 +579,18 @@ def _generating(stat, tableaux) -> QPoly:
     return QPoly(Counter(map(stat, tableaux)))
 
 
-def _charge_polys(rseq: RectSequence, within=None) -> dict[Vec, QPoly]:
-    """Engine D on every shape (those inside ``within``, if given) at once."""
+def _charge_polys(rseq: RectSequence) -> dict[Vec, QPoly]:
+    """Engine D on every shape at once."""
     return {shape: _generating(charge_tableau, ts)
-            for shape, ts in catabolizable_by_shape(rseq, within).items()}
+            for shape, ts in catabolizable_by_shape(rseq).items()}
 
 
 def k_by_charge(lam, rseq: RectSequence) -> ChargeResult:
     """Engine D: the charge generating function over catabolizable tableaux."""
     if not rseq.is_dominant():
         raise ValueError(f"the block sequence must be dominant: {rseq.gamma}")
-    lam = trim(lam)
-    return ChargeResult(_charge_polys(rseq, lam).get(lam, ZERO), charge_engine_status(rseq))
+    return ChargeResult(_generating(charge_tableau, enumerate_catabolizable(lam, rseq)),
+                        charge_engine_status(rseq))
 
 
 def cocharge_kostka(lam, mu) -> QPoly:

@@ -43,7 +43,7 @@ class Tableau(namedtuple("Tableau", "rows inner")):
             raise ValueError(f"inner shape {inner} taller than rows {rows}")
         t = super().__new__(cls, rows, inner)
         outer = t.outer
-        if not is_weakly_decreasing(outer) or not is_weakly_decreasing(inner):
+        if not is_weakly_decreasing(outer) or not is_partition(inner):
             raise ValueError(f"not a skew shape: {outer}/{inner}")
         return t
 
@@ -55,6 +55,10 @@ class Tableau(namedtuple("Tableau", "rows inner")):
 
     def inner_at(self, i: int) -> int:
         return self.inner[i] if i < len(self.inner) else 0
+
+    def padded(self) -> list[list]:
+        """Each row as a list of its columns, led by one None per inner box."""
+        return [[None] * self.inner_at(i) + list(r) for i, r in enumerate(self.rows)]
 
     @property
     def size(self) -> int:
@@ -83,15 +87,11 @@ class Tableau(namedtuple("Tableau", "rows inner")):
             return all(all(map(le, r, r[1:])) for r in rows) and all(
                 all(map(lt, above, r)) for above, r in zip(rows, rows[1:])
             )
-        above, a0 = (), 0
-        for i, r in enumerate(self.rows):
-            b = self.inner_at(i)
-            if any(x > y for x, y in zip(r, r[1:])) or any(
-                a >= x for a, x in zip(above[max(b - a0, 0):], r[max(a0 - b, 0):])
-            ):
-                return False
-            above, a0 = r, b
-        return True
+        # an inner box lies only above inner boxes, since the inner shape is a partition
+        grid = self.padded()
+        return all(all(map(le, r, r[1:])) for r in self.rows) and all(
+            all(a is None or a < x for a, x in zip(above, r)) for above, r in zip(grid, grid[1:])
+        )
 
     def is_standard(self) -> bool:
         return (
@@ -168,7 +168,8 @@ def _uninsert(lines, cell, find):
     before ``find(line, x)``.
     """
     i, j = cell
-    if j != len(lines[i]) - 1 or (i + 1 < len(lines) and len(lines[i + 1]) > j):
+    if (not 0 <= i < len(lines) or j != len(lines[i]) - 1
+            or (i + 1 < len(lines) and len(lines[i + 1]) > j)):
         raise ValueError(f"{cell} is not a removable cell")
     x = lines[i].pop()
     if not lines[i]:
@@ -312,34 +313,25 @@ def two_row_tableau(top, bottom) -> Tableau:
 def jdt_slide(t: Tableau, cell) -> Tableau:
     """One inward jeu-de-taquin slide starting at the inner corner ``cell``."""
     i, j = cell
-    if j != t.inner_at(i) - 1 or (i + 1 < len(t.rows) and t.inner_at(i + 1) > j):
+    if not (0 <= i < len(t.rows) and 0 <= j == t.inner_at(i) - 1) or t.inner_at(i + 1) > j:
         raise ValueError(f"{cell} is not an inner corner of {t.outer}/{t.inner}")
-    grid = {(r, t.inner_at(r) + c): x
-            for r, row in enumerate(t.rows) for c, x in enumerate(row)}
-    hole = (i, j)
+    grid = t.padded()
+    inner = [t.inner_at(r) for r in range(len(grid))]
+    inner[i] -= 1  # the start corner leaves the inner shape
     while True:
-        right = grid.get((hole[0], hole[1] + 1))
-        below = grid.get((hole[0] + 1, hole[1]))
+        # None marks a missing neighbour: no inner box lies right of or below the hole
+        right = grid[i][j + 1] if j + 1 < len(grid[i]) else None
+        below = grid[i + 1][j] if i + 1 < len(grid) and j < len(grid[i + 1]) else None
         if right is None and below is None:
             break
         # the smaller neighbour moves into the hole; ties resolve downward
         if right is None or (below is not None and below <= right):
-            grid[hole] = below
-            hole = (hole[0] + 1, hole[1])
+            grid[i][j], i = below, i + 1
         else:
-            grid[hole] = right
-            hole = (hole[0], hole[1] + 1)
-        del grid[hole]
-    # the start corner leaves the inner shape; the final hole leaves the outer
-    inner = [t.inner_at(r) for r in range(len(t.rows))]
-    inner[i] -= 1
-    # each row stays one run of cells from its inner edge: the hole enters a
-    # row only at an existing cell and leaves it at the row's end, an outer corner
-    rows = []
-    for r in range(len(t.rows)):
-        cols = sorted(c[1] for c in grid if c[0] == r)
-        rows.append([grid[(r, c)] for c in cols])
-    return Tableau(rows, inner)
+            grid[i][j], j = right, j + 1
+    # the hole leaves at the end of its row, an outer corner
+    grid[i].pop()
+    return Tableau([row[k:] for row, k in zip(grid, inner)], inner)
 
 
 # ---------------------------------------------------------------------------

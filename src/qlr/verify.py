@@ -524,9 +524,7 @@ def check_stembridge(n: int) -> ScanReport:
     with ScanReport.timed(kind="stembridge", n=n) as rep:
         for lam in partitions(n):
             for m in range(n // 2 + 1):
-                for d in range((n - 2 * m) // 2 + 1):
-                    if 2 * m + 2 * (d + 1) > n:
-                        continue
+                for d in range((n - 2 * m) // 2):
                     lhs = k_by_recurrence(lam, blocks(m, d + 1))
                     a = k_by_recurrence(lam, blocks(m, d))
                     b = k_by_recurrence(lam, blocks(m + 1, d))

@@ -178,6 +178,10 @@ def test_cocyclage_inverts_covers():
     assert up is not None and up.upper == tab([1, 1], [2])
     with pytest.raises(ValueError):
         cocyclage(tab([1, 1], [2]), (0, 0))
+    # a row outside the tableau, below it or counted from its end
+    for cell in ((5, 0), (-2, 2)):
+        with pytest.raises(ValueError, match="is not a removable cell"):
+            cocyclage(tab([1, 1, 2], [2, 3]), cell)
 
 
 def test_transfer_step():

@@ -83,6 +83,7 @@ def test_reading_word_and_content():
     ([[1]], (1, 1), "taller than rows"),
     ([[1], [1, 2]], (), "not a skew shape"),
     ([[1], [2]], (0, 1), "not a skew shape"),
+    ([[1], [2]], (0, -1), "not a skew shape"),
 ])
 def test_tableau_rejects_a_shape_that_is_not_skew(rows, inner, message):
     with pytest.raises(ValueError, match=message):
@@ -504,6 +505,28 @@ def test_jdt_slide_preserves_class():
     assert schensted_p(slid.word()) == schensted_p(t.word())
     with pytest.raises(ValueError):
         jdt_slide(t, (2, 0))
+    # a cell left of column 0, or below the rows
+    for t, cell in ((tab([1, 2]), (0, -1)), (tab([1, 2], [3]), (5, -1))):
+        with pytest.raises(ValueError, match="is not an inner corner"):
+            jdt_slide(t, cell)
+
+
+def jdt_slide_reference(t, cell):
+    """The slide on a {(row, column): entry} grid, the rows read back off it."""
+    grid, (i, j) = grid_of(t), cell
+    while True:
+        right, below = grid.get((i, j + 1)), grid.get((i + 1, j))
+        if right is None and below is None:
+            break
+        if right is None or (below is not None and below <= right):
+            grid[i, j], i = below, i + 1
+        else:
+            grid[i, j], j = right, j + 1
+        del grid[i, j]
+    inner = [t.inner_at(r) for r in range(len(t.rows))]
+    inner[cell[0]] -= 1
+    rows = [[grid[r, c] for c in sorted(c for r2, c in grid if r2 == r)] for r in range(len(inner))]
+    return Tableau(rows, inner)
 
 
 def inner_corners(t):
@@ -533,6 +556,7 @@ def test_jdt_slides_exhaustively_small():
                 for t in enumerate_cst(outer, inner, cnt):
                     for cell in inner_corners(t):
                         slid = jdt_slide(t, cell)
+                        assert slid == jdt_slide_reference(t, cell)
                         assert slid.size == t.size
                         assert slid.is_column_strict()
                         assert schensted_p(slid.word()) == schensted_p(t.word())

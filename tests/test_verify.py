@@ -17,12 +17,13 @@ from qlr.kpoly import (
     k_by_recurrence,
 )
 from qlr.shapes import RectSequence, pad, partitions, rect_sequence, trim
-from qlr.tableaux import Tableau
+from qlr.tableaux import Tableau, tab
 from qlr.verify import (
     CHECKS,
     SCANS,
     ScanReport,
     check_charge_axioms,
+    check_cyc_image,
     check_ev_duality,
     check_row_col_cat,
     check_stembridge,
@@ -404,6 +405,81 @@ def test_stembridge_reports_the_lambda_whose_k_is_made_smaller(monkeypatch):
     assert records[0]["lam"] == [2, 1, 1]
 
 
+def _records(rep, *checks):
+    """The report's JSON records, after asserting that they round-trip and
+    name the given checks in order."""
+    records = rep.to_json()["counterexamples"]
+    assert json.loads(json.dumps(records)) == records
+    assert [r["check"] for r in records] == list(checks)
+    return records
+
+
+def test_ev_duality_reports_the_words_whose_evacuation_is_made_wrong(monkeypatch):
+    # in [1, 2] tab([2, 2]) evacuates to tab([1, 1]) anyway, so the fault shows
+    # only on the Q of three words, which evacuates to itself in [1, 3]
+    original = verify.evacuation
+    monkeypatch.setattr(verify, "evacuation",
+                        lambda t, n: tab([1, 1]) if t == tab([2, 2]) else original(t, n))
+    rep = check_ev_duality(2, 2)
+    records = _records(rep, "ev", "ev", "ev")
+    assert [r["words"] for r in records] == [[[], [1, 1], []], [[], [1, 2], []], [[], [2, 2], []]]
+    assert all(r["q"] == [[2, 2]] for r in records)
+
+
+def test_white_fitting_reports_the_words_whose_lattice_test_is_flipped(monkeypatch):
+    original = verify.is_mu_lattice
+    monkeypatch.setattr(verify, "is_mu_lattice",
+                        lambda w, mu: original(w, mu) != (w == (2, 1) and mu == (0, 0)))
+    rep = check_white_fitting(2, 2)
+    assert _records(rep, "fitting") == [
+        {"check": "fitting", "words": [[1], [2]], "mu": [0, 0], "lam": [1, 1]}]
+
+
+def test_cyc_image_reports_a_standardization_met_twice(monkeypatch):
+    # each tableau of content (2, 1) enumerated twice: the image set is unchanged
+    checks = check_cyc_image(3).checks
+    original = verify.straight_cst
+    monkeypatch.setattr(verify, "straight_cst",
+                        lambda shape, mu: original(shape, mu) * (1 + (mu == (2, 1))))
+    rep = check_cyc_image(3)
+    assert rep.checks == checks + 2
+    assert _records(rep, "injectivity", "injectivity") == [
+        {"check": "injectivity", "mu": [2, 1], "collision": [[1, 2, 3]]},
+        {"check": "injectivity", "mu": [2, 1], "collision": [[1, 2], [3]]}]
+
+
+def test_cyc_image_reports_a_standardization_of_another_shape(monkeypatch):
+    # tab([1, 1], [2]) standardizes to tab([1, 2], [3]); the column put in its
+    # place has another shape and grade, and leaves the image
+    original = verify.cyclage_standardization
+    monkeypatch.setattr(verify, "cyclage_standardization",
+                        lambda t: tab([1], [2], [3]) if t == tab([1, 1], [2]) else original(t))
+    rep = check_cyc_image(3)
+    shape, grade, image = _records(rep, "shape", "grade", "image")
+    assert shape == {"check": "shape", "mu": [2, 1], "source": [[1, 1], [2]],
+                     "image": [[1], [2], [3]]}
+    assert grade == dict(shape, check="grade")
+    assert image == {"check": "image", "mu": [2, 1], "missing": [[[1, 2], [3]]],
+                     "extra": [[[1], [2], [3]]]}
+
+
+def test_cyc_image_reports_a_grade_made_larger(monkeypatch):
+    original = verify.cocharge_grade
+    monkeypatch.setattr(verify, "cocharge_grade",
+                        lambda t: original(t) + (t == tab([1, 1], [2])))
+    assert _records(check_cyc_image(3), "grade") == [
+        {"check": "grade", "mu": [2, 1], "source": [[1, 1], [2]], "image": [[1, 2], [3]]}]
+
+
+def test_cyc_image_reports_the_image_a_wrong_type_does_not_expect(monkeypatch):
+    # typed (1, 1, 1), tab([1, 2], [3]) is no longer expected at content (2, 1)
+    original = verify.catabolism_type
+    monkeypatch.setattr(verify, "catabolism_type",
+                        lambda s: (1, 1, 1) if s == tab([1, 2], [3]) else original(s))
+    assert _records(check_cyc_image(3), "image") == [
+        {"check": "image", "mu": [2, 1], "missing": [], "extra": [[[1, 2], [3]]]}]
+
+
 def test_ev_duality_runs_column_rsk_once_per_word_sequence(monkeypatch):
     calls = []
 
@@ -463,8 +539,8 @@ def _charge_fault(monkeypatch):
     shape's; returns the list that collects the (lam, gamma, eta) so lost."""
     lost = []
 
-    def faulty(rseq, within=None):
-        polys = charge_polys(rseq, within)
+    def faulty(rseq):
+        polys = charge_polys(rseq)
         shape = next(iter(polys))
         lost.append((pad(shape, rseq.n), rseq.gamma, rseq.eta))
         del polys[shape]

@@ -432,20 +432,28 @@ def _kept_cosets(lam_rho, r1):
 
 
 @cache
-def _k_rec(lam: Vec, rseq: RectSequence) -> QPoly:
-    if rseq.t <= 1:
-        return ONE if trim(lam) == trim(rseq.gamma) else ZERO
-    r1 = rseq.gamma[:rseq.eta[0]]
-    m, n = len(r1), rseq.n
-    tail, r1_trim, r1_size = rseq.tail(), trim(r1), sum(r1)
-    total: dict[int, int] = {}
+def _peel(lam: Vec, r1: Vec) -> tuple:
+    """The nonzero first-block terms (deg, sign * c, sigma padded to n - m) at lambda
+    (n parts) against R_1 = r1 (m parts): every R that starts with r1 shares them."""
+    m, n = len(r1), len(lam)
+    r1_trim, r1_size = trim(r1), sum(r1)
+    terms = []
     for sign, alpha, beta in _kept_cosets(vec_add(lam, rho(n)), r1):
         deg = sum(alpha) - r1_size
         for sigma in partitions_containing(beta, deg + sum(beta), n - m):
-            c = lr_coefficient(sigma, trim(beta), trim(alpha), r1_trim)
-            if c:
-                for e, x in _k_rec(pad(sigma, n - m), tail).coeffs.items():
-                    total[deg + e] = total.get(deg + e, 0) + sign * c * x
+            if c := lr_coefficient(sigma, trim(beta), trim(alpha), r1_trim):
+                terms.append((deg, sign * c, pad(sigma, n - m)))
+    return tuple(terms)
+
+
+@cache
+def _k_rec(lam: Vec, rseq: RectSequence) -> QPoly:
+    if rseq.t <= 1:
+        return ONE if trim(lam) == trim(rseq.gamma) else ZERO
+    tail, total = rseq.tail(), {}
+    for deg, c, sigma in _peel(lam, rseq.gamma[:rseq.eta[0]]):
+        for e, x in _k_rec(sigma, tail).coeffs.items():
+            total[deg + e] = total.get(deg + e, 0) + c * x
     return QPoly(total) if total else ZERO
 
 

@@ -346,9 +346,8 @@ def enumerate_cst(outer, inner, cnt) -> tuple[Tableau, ...]:
     order relied on elsewhere.
     """
     outer, inner = trim(outer), trim(inner)
-    if len(inner) > len(outer) or any(
-        inner[i] > outer[i] for i in range(len(inner))
-    ):
+    if not (is_partition(outer) and is_partition(inner) and len(inner) <= len(outer)
+            and all(map(le, inner, outer))):
         raise ValueError(f"not a skew shape: {outer}/{inner}")
     if sum(outer) - sum(inner) != sum(cnt) or any(x < 0 for x in cnt):
         return ()

@@ -1,7 +1,7 @@
 import itertools
 import random
 from functools import cache
-from operator import gt
+from operator import ge, gt
 
 import pytest
 
@@ -54,7 +54,7 @@ from qlr.shapes import (
     vec_sub,
 )
 from qlr.tableaux import Tableau, enumerate_cst
-from qlr.verify import index_family
+from qlr.verify import crosscheck_family, index_family
 
 q = QPoly.term
 
@@ -681,8 +681,9 @@ def test_coset_reps():
         assert len(coset_reps((3, 2, 1), m)) == [1, 3, 3, 1][m]
 
 
-def test_kept_cosets_are_the_reference_cosets_with_alpha_containing_r1():
-    walks = 0
+def kept_coset_cases():
+    """(lam, r1, the reference cosets whose alpha contains r1) for every padded
+    lam of size <= 6 with n <= 5 and every padded partition r1 of at most |lam|."""
     for n in range(1, 6):
         for lam in partitions_upto(6, n):
             lam = pad(lam, n)
@@ -690,10 +691,39 @@ def test_kept_cosets_are_the_reference_cosets_with_alpha_containing_r1():
                 reference = coset_reps(lam, m)
                 for r1 in partitions_upto(sum(lam), m):
                     r1 = pad(r1, m)
-                    kept = [c for c in reference if all(a >= r for a, r in zip(c[1], r1))]
-                    assert list(_kept_cosets(vec_add(lam, rho(n)), r1)) == kept, (lam, r1)
-                    walks += 1
+                    yield lam, r1, [c for c in reference if all(map(ge, c[1], r1))]
+
+
+def test_kept_cosets_are_the_reference_cosets_with_alpha_containing_r1():
+    walks = 0
+    for lam, r1, kept in kept_coset_cases():
+        assert list(_kept_cosets(vec_add(lam, rho(len(lam))), r1)) == kept, (lam, r1)
+        walks += 1
     assert walks == 4208
+
+
+def test_peel_is_the_kept_cosets_weighted_by_skew_lr_numbers():
+    # every sigma of the right size, so lr_coefficient alone rules out beta not inside it
+    terms = 0
+    for lam, r1, kept in kept_coset_cases():
+        n, m, size = len(lam), len(r1), sum(lam) - sum(r1)
+        reference = [(sum(alpha) - sum(r1), sign * c, pad(sigma, n - m))
+                     for sign, alpha, beta in kept
+                     for sigma in partitions(size, n - m)
+                     if (c := lr_coefficient(sigma, beta, alpha, r1))]
+        assert sorted(kpoly._peel(lam, r1)) == sorted(reference), (lam, r1)
+        terms += len(reference)
+    assert terms == 2408
+
+
+def test_recurrence_peels_each_first_block_once(monkeypatch):
+    kpoly._peel.cache_clear()
+    kpoly._k_rec.cache_clear()
+    walks, walk = [], kpoly._kept_cosets
+    monkeypatch.setattr(kpoly, "_kept_cosets", lambda *args: walks.append(args) or walk(*args))
+    rep = crosscheck_family(4, 8)
+    # once per distinct (lambda, R_1); a memo per (lambda, R) walks 7,388 times
+    assert (len(walks), rep.checks) == (2859, 25811)
 
 
 def test_charge_engine_requires_dominant_blocks():

@@ -577,9 +577,13 @@ def test_enumerate_cst_examples():
 
 
 def test_enumerate_cst_rejects_a_shape_that_is_not_skew():
-    for outer, inner in (((1,), (2,)), ((1,), (1, 1))):
+    # the last two are not partitions, and their sizes match their contents
+    cases = (((1,), (2,), (1,)), ((1,), (1, 1), (1,)), ((2,), (-1,), (3,)), ((1, 2), (), (1, 1, 1)))
+    for outer, inner, cnt in cases:
         with pytest.raises(ValueError, match="not a skew shape"):
-            enumerate_cst(outer, inner, (1,))
+            enumerate_cst(outer, inner, cnt)
+    with pytest.raises(ValueError, match="not a skew shape"):
+        kostka_number((1, 2), (1, 1, 1))
 
 
 def test_enumerate_cst_rejects_negative_content():

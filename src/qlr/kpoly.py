@@ -224,7 +224,9 @@ def lr_coefficient(outer, inner, lam, mu) -> int:
     x goes in only while some of its content is left and mu_x plus the x's
     placed stays below that count for x - 1 (Fulton, Young Tableaux, 5).
     """
-    outer, inner, lam, mu = trim(outer), trim(inner), trim(lam), trim(mu)
+    outer, inner, lam, mu = shapes = trim(outer), trim(inner), trim(lam), trim(mu)
+    if not all(map(is_partition, shapes)):
+        raise ValueError(f"not skew shapes: {outer}/{inner} and {lam}/{mu}")
     if len(inner) > len(outer) or any(inner[i] > outer[i] for i in range(len(inner))):
         return 0
     if sum(outer) - sum(inner) != sum(lam) - sum(mu):
@@ -405,40 +407,27 @@ def k_by_kostant(idx: KIndex) -> QPoly:
 # engine B: the block-peeling recurrence
 
 
-def _kept_cosets(lam_rho, r1):
-    """Coset data (sign, alpha, beta) for splitting off the first m = len(r1)
-    positions of w^{-1}(lam + rho) - rho, for the cosets whose alpha contains r1.
-
-    The positions of alpha are chosen in increasing order.  lam + rho strictly
-    decreases, so once an entry is below the floor rho_k + r1_k, every later
-    one is too.  Each choice passes i - k unchosen positions.
-    """
-    n, m = len(lam_rho), len(r1)
-    rho_n, rho_rest = rho(n), rho(n - m)
-    floors = vec_add(rho_n, r1)
-
-    def walk(k, start, chosen, crossings):
-        if k == m:
-            rest = (x for i, x in enumerate(lam_rho) if i not in chosen)
-            alpha = vec_sub((lam_rho[i] for i in chosen), rho_n)
-            yield (-1 if crossings % 2 else 1), alpha, vec_sub(rest, rho_rest)
-            return
-        for i in range(start, n):
-            if lam_rho[i] < floors[k]:
-                break
-            yield from walk(k + 1, i + 1, chosen + (i,), crossings + i - k)
-
-    yield from walk(0, 0, (), 0)
-
-
 @cache
 def _peel(lam: Vec, r1: Vec) -> tuple:
     """The nonzero first-block terms (deg, sign * c, sigma padded to n - m) at lambda
-    (n parts) against R_1 = r1 (m parts): every R that starts with r1 shares them."""
+    (n parts) against R_1 = r1 (m parts): every R that starts with r1 shares them.
+
+    The cosets split off the first m positions of w^{-1}(lam + rho) - rho, and only
+    those whose alpha contains r1 are kept.  lam + rho strictly decreases, so position
+    k of alpha holds one of its first caps[k] entries, those at least rho_k + r1_k.
+    Each chosen position i passes i - k unchosen ones.
+    """
     m, n = len(r1), len(lam)
     r1_trim, r1_size = trim(r1), sum(r1)
+    lam_rho, rho_n, rho_rest = vec_add(lam, rho(n)), rho(n), rho(n - m)
+    caps = [sum(1 for x in lam_rho if x >= floor) for floor in vec_add(rho_n, r1)]
     terms = []
-    for sign, alpha, beta in _kept_cosets(vec_add(lam, rho(n)), r1):
+    for chosen in itertools.combinations(range(max(caps, default=0)), m):
+        if any(map(ge, chosen, caps)):
+            continue
+        sign = -1 if (sum(chosen) - m * (m - 1) // 2) % 2 else 1
+        alpha = vec_sub((lam_rho[i] for i in chosen), rho_n)
+        beta = vec_sub((x for i, x in enumerate(lam_rho) if i not in chosen), rho_rest)
         deg = sum(alpha) - r1_size
         for sigma in partitions_containing(beta, deg + sum(beta), n - m):
             if c := lr_coefficient(sigma, trim(beta), trim(alpha), r1_trim):
@@ -612,9 +601,10 @@ def standard_cocharge_sum(lam, mu) -> QPoly:
     """Cocharge sum over standard tableaux whose catabolism type dominates mu."""
     if not is_weakly_decreasing(mu := trim(mu)):
         raise ValueError(f"cocharge needs partition content, got {mu}")
-    return _generating(
-        cocharge_grade, (t for t in standard_tableaux(lam) if dominates(catabolism_type(t), mu))
-    )
+    tableaux = standard_tableaux(lam)
+    if sum(lam) != sum(mu):
+        return ZERO
+    return _generating(cocharge_grade, (t for t in tableaux if dominates(catabolism_type(t), mu)))
 
 
 # ---------------------------------------------------------------------------

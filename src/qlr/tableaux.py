@@ -342,8 +342,9 @@ def jdt_slide(t: Tableau, cell) -> Tableau:
 def enumerate_cst(outer, inner, cnt) -> tuple[Tableau, ...]:
     """All column-strict fillings of outer/inner with content ``cnt``.
 
-    Sorted lexicographically by row-reading word, which is the deterministic
-    order relied on elsewhere.
+    The cells are filled in reading order, each with its letters in increasing
+    order, so the tableaux come out sorted lexicographically by row-reading
+    word, which is the deterministic order relied on elsewhere.
     """
     outer, inner = trim(outer), trim(inner)
     if not (is_partition(outer) and is_partition(inner) and len(inner) <= len(outer)
@@ -351,31 +352,27 @@ def enumerate_cst(outer, inner, cnt) -> tuple[Tableau, ...]:
         raise ValueError(f"not a skew shape: {outer}/{inner}")
     if sum(outer) - sum(inner) != sum(cnt) or any(x < 0 for x in cnt):
         return ()
-    letters = len(cnt)
-    base = [inner[i] if i < len(inner) else 0 for i in range(len(outer))]
-    rows = [[0] * (outer[i] - base[i]) for i in range(len(outer))]
+    grid = [[None] * b + [0] * (x - b) for x, b in zip(outer, inner + (0,) * len(outer))]
+    cells = [(i, j) for i in reversed(range(len(grid)))
+             for j, x in enumerate(grid[i]) if x is not None]
     remaining = list(cnt)
-    cells = [(i, j) for i in range(len(outer)) for j in range(len(rows[i]))]
     found = []
 
     def fill(k):
         if k == len(cells):
-            found.append(Tableau._make((tuple(map(tuple, rows)), inner)))
+            found.append(Tableau._make((tuple(tuple(filter(None, r)) for r in grid), inner)))
             return
         i, j = cells[k]
-        lo = rows[i][j - 1] if j > 0 else 1
-        col = base[i] + j
-        if i > 0 and base[i - 1] <= col < base[i - 1] + len(rows[i - 1]):
-            lo = max(lo, rows[i - 1][col - base[i - 1]] + 1)
-        for x in range(lo, letters + 1):
+        lo = grid[i][j - 1] if j and grid[i][j - 1] else 1
+        hi = grid[i + 1][j] if i + 1 < len(grid) and j < len(grid[i + 1]) else len(cnt) + 1
+        for x in range(lo, hi):
             if remaining[x - 1]:
                 remaining[x - 1] -= 1
-                rows[i][j] = x
+                grid[i][j] = x
                 fill(k + 1)
                 remaining[x - 1] += 1
 
     fill(0)
-    found.sort(key=lambda u: u.word())
     return tuple(found)
 
 

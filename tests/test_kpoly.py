@@ -15,7 +15,6 @@ from qlr.kpoly import (
     PROVEN,
     QPoly,
     ZERO,
-    _kept_cosets,
     charge_engine_status,
     cocharge_kostka,
     compute,
@@ -488,6 +487,13 @@ def test_lr_coefficients():
     assert lr_coefficient((2, 1), (), (2, 1), (2, 1)) == 0
     assert lr_coefficient((), (), (2, 1), (2, 1)) == 1
     assert lr_coefficient((2,), (), (3, 1), (2,)) == 1
+    # an inner shape outside the outer one, or lam not containing mu, counts nothing
+    assert lr_coefficient((2,), (1, 1), (1,), ()) == 0
+    assert lr_coefficient((1,), (1,), (2,), (1, 1)) == 0
+    # a pair that is not a skew shape has no coefficient
+    for args in [((2, 2), (0, 1), (2, 1), ()), ((2, 1), (), (1, 2), ()), ((3,), (), (3,), (-1,))]:
+        with pytest.raises(ValueError, match="not skew shapes"):
+            lr_coefficient(*args)
 
 
 def lr_coefficient_reference(outer, inner, lam, mu) -> int:
@@ -694,17 +700,9 @@ def kept_coset_cases():
                     yield lam, r1, [c for c in reference if all(map(ge, c[1], r1))]
 
 
-def test_kept_cosets_are_the_reference_cosets_with_alpha_containing_r1():
-    walks = 0
-    for lam, r1, kept in kept_coset_cases():
-        assert list(_kept_cosets(vec_add(lam, rho(len(lam))), r1)) == kept, (lam, r1)
-        walks += 1
-    assert walks == 4208
-
-
 def test_peel_is_the_kept_cosets_weighted_by_skew_lr_numbers():
     # every sigma of the right size, so lr_coefficient alone rules out beta not inside it
-    terms = 0
+    cases = terms = 0
     for lam, r1, kept in kept_coset_cases():
         n, m, size = len(lam), len(r1), sum(lam) - sum(r1)
         reference = [(sum(alpha) - sum(r1), sign * c, pad(sigma, n - m))
@@ -712,18 +710,17 @@ def test_peel_is_the_kept_cosets_weighted_by_skew_lr_numbers():
                      for sigma in partitions(size, n - m)
                      if (c := lr_coefficient(sigma, beta, alpha, r1))]
         assert sorted(kpoly._peel(lam, r1)) == sorted(reference), (lam, r1)
+        cases += 1
         terms += len(reference)
-    assert terms == 2408
+    assert (cases, terms) == (4208, 2408)
 
 
-def test_recurrence_peels_each_first_block_once(monkeypatch):
+def test_recurrence_peels_each_first_block_once():
     kpoly._peel.cache_clear()
     kpoly._k_rec.cache_clear()
-    walks, walk = [], kpoly._kept_cosets
-    monkeypatch.setattr(kpoly, "_kept_cosets", lambda *args: walks.append(args) or walk(*args))
     rep = crosscheck_family(4, 8)
     # once per distinct (lambda, R_1); a memo per (lambda, R) walks 7,388 times
-    assert (len(walks), rep.checks) == (2859, 25811)
+    assert (kpoly._peel.cache_info().misses, rep.checks) == (2859, 25811)
 
 
 def test_charge_engine_requires_dominant_blocks():
@@ -783,6 +780,13 @@ def test_standard_cocharge_sum_matches_cocharge_kostka():
     # only the one-row shape survives mu = (n)
     assert standard_cocharge_sum((3,), (3,)) == ONE
     assert standard_cocharge_sum((2, 1), (3,)) == ZERO
+    # a content of another size has no tableaux on either side
+    for lam, mu in [((2,), (1,)), ((2, 1), ())]:
+        assert standard_cocharge_sum(lam, mu) == cocharge_kostka(lam, mu) == ZERO
+    # while a lambda that is not a partition is rejected whatever its size
+    for cocharge_sum in (standard_cocharge_sum, cocharge_kostka):
+        with pytest.raises(ValueError, match="not a skew shape"):
+            cocharge_sum((1, 2), (1,))
     # the same boundary as cocharge_kostka's, not the answer at mu sorted
     with pytest.raises(ValueError, match=r"cocharge needs partition content, got \(1, 2\)"):
         standard_cocharge_sum((2, 1), (1, 2))

@@ -2,11 +2,12 @@ import itertools
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from operator import gt
 
 import pytest
 
 from qlr.kpoly import kostka_number
-from qlr.shapes import partitions
+from qlr.shapes import partitions, partitions_upto
 from qlr.tableaux import (
     EMPTY,
     Tableau,
@@ -574,6 +575,55 @@ def test_enumerate_cst_examples():
     for t in enumerate_cst((3, 2), (1,), (2, 1, 1)):
         assert t.is_column_strict()
         assert t.content() == (2, 1, 1)
+
+
+def enumerate_cst_reference(outer, inner, cnt):
+    """The column-strict fillings of a skew shape, filled row by row from the
+    top row down and then sorted by reading word."""
+    base = [inner[i] if i < len(inner) else 0 for i in range(len(outer))]
+    rows = [[0] * (outer[i] - base[i]) for i in range(len(outer))]
+    remaining = list(cnt)
+    cells = [(i, j) for i in range(len(outer)) for j in range(len(rows[i]))]
+    found = []
+
+    def fill(k):
+        if k == len(cells):
+            found.append(Tableau._make((tuple(map(tuple, rows)), inner)))
+            return
+        i, j = cells[k]
+        lo = rows[i][j - 1] if j > 0 else 1
+        col = base[i] + j
+        if i > 0 and base[i - 1] <= col < base[i - 1] + len(rows[i - 1]):
+            lo = max(lo, rows[i - 1][col - base[i - 1]] + 1)
+        for x in range(lo, len(cnt) + 1):
+            if remaining[x - 1]:
+                remaining[x - 1] -= 1
+                rows[i][j] = x
+                fill(k + 1)
+                remaining[x - 1] += 1
+
+    fill(0)
+    return tuple(sorted(found, key=Tableau.word))
+
+
+def test_enumerate_cst_matches_the_sorted_row_fill():
+    # every skew shape of outer size <= 6 with a content of 1-4 letters
+    inputs = tableaux = 0
+    for size in range(7):
+        for outer in partitions(size):
+            for inner in partitions_upto(size):
+                if len(inner) > len(outer) or any(map(gt, inner, outer)):
+                    continue
+                cells = size - sum(inner)
+                for cnt in itertools.chain.from_iterable(
+                    itertools.product(range(cells + 1), repeat=k) for k in range(1, 5)
+                ):
+                    if sum(cnt) == cells:
+                        expected = enumerate_cst_reference(outer, inner, cnt)
+                        assert enumerate_cst(outer, inner, cnt) == expected, (outer, inner, cnt)
+                        inputs += 1
+                        tableaux += len(expected)
+    assert (inputs, tableaux) == (7719, 6882)
 
 
 def test_enumerate_cst_rejects_a_shape_that_is_not_skew():

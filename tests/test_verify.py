@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -117,6 +118,18 @@ def test_report_counterexample_plumbing():
     }
     assert json.loads(json.dumps(ce)) == ce
     assert rep.counterexamples[1]["index"] is idx
+
+
+def test_charge_axioms_report_every_broken_axiom(monkeypatch):
+    # a charge that gains its first letter (1 on the empty word) breaks all five
+    charge = verify.charge
+    monkeypatch.setattr(verify, "charge", lambda w: charge(w) + (w[0] if w else 1))
+    rep = check_charge_axioms(3, 3)
+    found = Counter(ce["check"] for ce in rep.counterexamples)
+    assert found == {"plactic": 33, "knuth": 8, "rotation": 6, "strip_ones": 4, "empty": 1}
+    assert rep.checks == 158
+    ces = rep.to_json()["counterexamples"]
+    assert json.loads(json.dumps(ces)) == ces
 
 
 def test_word_range_checks_small():

@@ -2,18 +2,19 @@
 
 All results are emitted as JSON lines; polynomials serialize as
 {"coeffs": {"0": -1, "1": 1}}.  The exit status is nonzero exactly when a
-check fails or a scan finds a counterexample (1), or when a subcommand is
-given malformed input (an unparsable index or content, a size below its
-least legal value, a --cache or --out path that is a directory or lies in
-a missing one), which it reports as one JSON error record (2), on stdout
-only for a bad path.  The --cache option points at an append-only
+check fails, a scan finds a counterexample or either checks nothing (1), or
+when a subcommand is given malformed input (an unparsable index or content,
+a size below its least legal value, a --cache or --out path that is a
+directory or lies in a missing one), which it reports as one JSON error
+record (2), on stdout only for a bad path.  The --cache option points at an append-only
 JSON-lines file keyed by the canonical normalized index and engine tag.  A
 record holds the normalized index's polynomial, and a read multiplies it by
 the Bott sign of the index asked about.  On reload the last write wins, and
-lines that do not decode or parse, or carry another format version, are
-skipped.  ``compute`` reads the file once and parses only its key's records,
-from the last one back.  A series result cut short by a --degree-bound below
-the attainable degree is labelled ``truncated`` and is never cached.
+lines that do not decode or parse, or carry another format version or a
+status that ``compute`` never writes for their engine, are skipped.
+``compute`` reads the file once and parses only its key's records, from the
+last one back.  A series result cut short by a --degree-bound below the
+attainable degree is labelled ``truncated`` and is never cached.
 """
 
 from __future__ import annotations
@@ -25,12 +26,15 @@ from functools import cache
 from pathlib import Path
 
 from .cyclage import cyclage_poset
-from .kpoly import ENGINES, KIndex, QPoly, _compute_normalized
+from .kpoly import CONJECTURAL, ENGINES, PROVEN, KIndex, QPoly, _compute_normalized
 from .shapes import from_rects, pad
 from .verify import CHECKS, SCANS, crosscheck_family, index_key
 
 # records written before the cache held normalized polynomials have no version
 CACHE_VERSION = 2
+# the statuses ``compute`` writes by engine; a truncated series is never written
+CACHED_STATUSES = {"kostant": ("exact",), "recurrence": ("exact",), "series": ("exact",),
+                   "charge": (PROVEN, CONJECTURAL)}
 
 
 def _vec(text):
@@ -54,12 +58,13 @@ def _emit(obj, out):
 def _record(line: bytes, head: str = "") -> dict:
     """{(index key, engine): (QPoly, status)} of one cache line that begins,
     once stripped, with ``head``; empty when it does not, or does not decode or
-    parse (say, cut short by a crash mid-append), or is of another version."""
+    parse (say, cut short by a crash mid-append), or is of another version, or
+    carries a status that ``compute`` never writes for its engine."""
     try:
         text = line.decode().strip()
-        if text.startswith(head) and (rec := json.loads(text))["version"] == CACHE_VERSION:
-            return {(rec["key"], rec["engine"]):
-                    (QPoly.from_json(rec["poly"]), rec.get("status", "exact"))}
+        if (text.startswith(head) and (rec := json.loads(text))["version"] == CACHE_VERSION
+                and rec["status"] in CACHED_STATUSES[rec["engine"]]):
+            return {(rec["key"], rec["engine"]): (QPoly.from_json(rec["poly"]), rec["status"])}
     except (ValueError, KeyError, TypeError, AttributeError):
         pass
     return {}

@@ -26,7 +26,6 @@ building tableaux) and the generating-function identities around cocharge.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from collections import Counter, namedtuple
 from functools import cache
 from operator import add, ge, le
@@ -282,16 +281,6 @@ def lr_product(rects, max_len: int) -> dict[Vec, int]:
 # earlier block than j) to N with demand sum m(i,j)(e_i - e_j) = d (Kostant).
 
 
-def _runs_sign(heads) -> int:
-    """The sum of the signs of the ways to give position j one of the first
-    ``heads[j]`` of m increasing values, each once: a determinant of rows of
-    ones that each start at the first column, so it is nonzero exactly when
-    the heads are 1..m in some order."""
-    if sorted(heads) != list(range(1, len(heads) + 1)):
-        return 0
-    return perm_sign([-x for x in heads])
-
-
 class _KostantStates(dict):
     """Coefficients by q-degree of the signed flow count from a state of the
     walk for one eta: ``count`` computes one and stores nothing, and a miss
@@ -311,7 +300,7 @@ class _KostantStates(dict):
 
     def __init__(self, eta):
         starts = block_starts(eta)
-        self.n, self.last = starts[-1], starts[-2]
+        self.n, self.last = starts[-1], starts[-2] if eta else 0
         # the first position of the block after each position's own
         self.first = [b for a, b in itertools.pairwise(starts) for _ in range(a, b)]
 
@@ -324,23 +313,11 @@ class _KostantStates(dict):
         n, last = self.n, self.last
         top = len(values) - 1
         p = n - 1 - top
+        if p >= last:
+            # every position left is in the last block and only receives, so
+            # it holds its need: one arrangement, when the needs are the entries
+            return (perm_sign([-x for x in needs]),) if sorted(needs) == list(values) else ()
         acc = []
-        if p + 1 == last:
-            # p sends each last-block position its need less the entry it
-            # ends up with, so the count sums over the bijections of the rest
-            # onto the last block: _runs_sign of the heads (the entries at
-            # most each need), each one less where it passes v.  That is
-            # nonzero only when the heads sorted are 1..r, r+2..top+1 and v
-            # is entry r or r+1.
-            heads = [bisect_right(values, x) for x in needs[1:]]
-            r = sum(x == i for i, x in enumerate(sorted(heads), 1))
-            sign = _runs_sign([x - (x > r) for x in heads])
-            for k in range(min(r + 1, top), r - 1, -1):
-                out = values[k] - needs[0]
-                if sign and out >= 0:
-                    acc.extend([0] * (out + 1 - len(acc)))
-                    acc[out] += -sign if (top - k) % 2 else sign
-            return tuple(acc)
         first = self.first[p]
         here = sorted(needs[:first - p])
         if not (all(map(ge, values[len(values) - len(here):], here))
@@ -396,8 +373,6 @@ def k_by_kostant(idx: KIndex) -> QPoly:
     n = len(lam)
     lam_rho = tuple(map(add, reversed(lam), range(n)))
     gamma_rho = tuple(map(add, gamma, range(n - 1, -1, -1)))
-    if len(eta) < 2:
-        return ONE * _runs_sign([bisect_right(lam_rho, b) for b in gamma_rho])
     # the root, nothing placed yet, is counted but not kept: it seldom recurs
     coeffs = _kostant_states(eta).count((lam_rho, gamma_rho))
     return QPoly(dict(enumerate(coeffs))) if coeffs else ZERO

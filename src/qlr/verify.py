@@ -80,7 +80,7 @@ class ScanReport:
 
     @property
     def ok(self) -> bool:
-        return not self.counterexamples
+        return self.checks > 0 and not self.counterexamples
 
     def found(self, **kwargs):
         self.counterexamples.append(kwargs)

@@ -251,11 +251,13 @@ def reference_load_cache(path, wanted=None):
                     continue
                 rec = json.loads(line)
                 key, coeffs = (rec["key"], rec["engine"]), rec["poly"]["coeffs"]
+                statuses = ["proven", "conjectural"] if key[1] == "charge" else ["exact"]
                 if (rec["version"] == CACHE_VERSION and (wanted is None or key in wanted)
+                        and key[1] in ENGINES and rec["status"] in statuses
                         and all(type(c) is int for c in coeffs.values())
                         and all(re.fullmatch("0|[1-9][0-9]*", e) for e in coeffs)):
                     poly = QPoly({int(e): c for e, c in coeffs.items()})
-                    cache[key] = (poly, rec.get("status", "exact"))
+                    cache[key] = (poly, rec["status"])
             except (ValueError, KeyError, TypeError, AttributeError):
                 continue
     return cache
@@ -277,15 +279,16 @@ def _random_cache_file(rng) -> bytes:
     short with no newline, malformed polynomials, coefficients that are not
     integers, exponent keys that int() reads but to_json never writes, other
     versions, leading blanks, CRLF endings, undecodable bytes,
-    a record's head mid-line, and a valid record that holds another engine's
-    head of its key mid-line."""
+    a record's head mid-line, a valid record that holds another engine's
+    head of its key mid-line, and statuses that compute never writes for the
+    engine, or none."""
     out = []
     for _ in range(rng.randrange(1, 30)):
         key, engine = rng.choice(CACHE_KEYS)
         rec = {"key": key, "engine": engine, "version": CACHE_VERSION,
                "poly": {"coeffs": {str(rng.randrange(3)): rng.randrange(-2, 3)}},
-               "status": rng.choice(["exact", "conjectural"])}
-        fault = rng.randrange(14)
+               "status": rng.choice(["proven", "conjectural"]) if engine == "charge" else "exact"}
+        fault = rng.randrange(16)
         if fault == 0:
             rec["poly"] = rng.choice([{"coeffs": {"1": "x"}}, {"coeffs": {"a": 1}}, [1], None])
         elif fault == 1:
@@ -300,6 +303,10 @@ def _random_cache_file(rng) -> bytes:
             rec["poly"] = {"coeffs": {"1": rng.choice([1.9, 2.0, "7", True, False]), "2": 1}}
         elif fault == 11:
             rec["poly"] = {"coeffs": {rng.choice(BAD_EXPONENT_KEYS): 1, "0": 1}}
+        elif fault == 12:
+            rec["status"] = rng.choice(["truncated", ["x"], None, "exact", "proven"])
+        elif fault == 13:
+            del rec["status"]
         text = json.dumps(rec).encode()
         if fault == 4:  # cut short: the next record lands on the same line
             out.append(text[: rng.randrange(len(text))])
@@ -444,6 +451,29 @@ def test_truncated_series_is_labelled_and_not_cached(tmp_path, capsys):
     assert lines[0]["poly"] == {"coeffs": {"1": 1}}
 
 
+@pytest.mark.parametrize("engine, status", [
+    ("recurrence", ["x"]), ("recurrence", "truncated"), ("series", "truncated"),
+    ("kostant", None), ("recurrence", "proven"), ("charge", "exact"), ("charge", None),
+])
+def test_cache_recomputes_a_status_compute_never_writes(tmp_path, capsys, engine, status):
+    cache = tmp_path / "cache.jsonl"
+    args = ["compute", "--lam", "2,1,0", "--gamma", "2,1,0", "--eta", "2,1",
+            "--engine", engine, "--cache", str(cache)]
+    code, lines = run(capsys, *args)
+    written = lines[0]["status"]
+    record = json.loads(cache.read_text())
+    record["poly"] = {"coeffs": {"9": 1}}
+    if status is None:  # a version-2 record with no status
+        del record["status"]
+    else:
+        record["status"] = status
+    cache.write_text(json.dumps(record) + "\n")
+    assert load_cache(cache) == {}
+    code, lines = run(capsys, *args)
+    assert code == 0 and lines[0]["status"] == written
+    assert lines[0]["poly"] == {"coeffs": {"0": 1}}
+
+
 @pytest.mark.parametrize("argv", [
     ("--lam", "1,x", "--gamma", "1,1", "--eta", "1,1"),
     ("--lam", "2,1", "--gamma", "1,1,1", "--eta", "1,1,1"),
@@ -495,7 +525,9 @@ def test_every_command_rejects_bad_input_with_a_json_error(tmp_path, capsys, arg
 
 def _bad_records(key, engines) -> str:
     return "".join(json.dumps({"key": key, "engine": engine, "version": CACHE_VERSION,
-                               "poly": {"coeffs": {"5": 7}}}) + "\n" for engine in engines)
+                               "poly": {"coeffs": {"5": 7}},
+                               "status": "proven" if engine == "charge" else "exact"}) + "\n"
+                   for engine in engines)
 
 
 def test_crosscheck_detects_corrupted_cache(tmp_path, capsys):
@@ -582,6 +614,17 @@ def test_check_command(capsys):
     assert code == 0 and lines[0]["ok"]
     code, lines = run(capsys, "check", "--name", "stembridge", "--n", "4")
     assert code == 0 and lines[0]["ok"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--name", "stembridge", "--n", "1"),
+    *(("scan", "--kind", kind, "--max-n", "1", "--max-weight", weight)
+      for kind in ("monotonicity1", "monotonicity2") for weight in ("0", "4")),
+    ("scan", "--kind", "monotonicity2", "--max-n", "2", "--max-weight", "4"),
+])
+def test_a_report_that_checks_nothing_fails(capsys, argv):
+    code, lines = run(capsys, *argv)
+    assert (code, lines[0]["checks"], lines[0]["ok"]) == (1, 0, False)
 
 
 def test_out_file_accumulates(tmp_path, capsys):

@@ -95,6 +95,9 @@ def test_recurrence_handles_long_partitions():
 
 def test_report_counterexample_plumbing():
     rep = ScanReport(descriptor={"kind": "demo"})
+    # a report that checked nothing does not pass
+    assert not rep.ok
+    rep.checks = 1
     assert rep.ok
     rep.found(check="demo", value=1)
     assert not rep.ok

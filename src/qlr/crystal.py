@@ -93,16 +93,23 @@ def plactic_act(w_perm, u) -> Word:
     return tuple(out)
 
 
+def _lift(out: list, lab: list, c: list, src: int, dst: int) -> None:
+    """Lift count c[src] of the labelled word ``out`` (its letter lab[r] reads r) to
+    position dst in place; a reflection with no r or no r+1 only swaps two labels."""
+    for r in range(src, dst, -1):
+        if c[r - 1] and c[r]:
+            _reflect(out, lab[r], lab[r + 1])
+        else:
+            lab[r], lab[r + 1] = lab[r + 1], lab[r]
+        c[r - 1], c[r] = c[r], c[r - 1]
+
+
 def _permute(out: list, lab: list, c: list, target) -> None:
-    """Move the labelled word ``out`` (its letter lab[r] reads r) from content c to
-    ``target`` in place; a reflection with no r or no r+1 only swaps two labels."""
+    """Move the labelled word ``out`` from content c to ``target`` in place, lifting
+    each count not yet in place; the counts it passes keep their order."""
     for i, x in enumerate(target):
-        for r in range(c.index(x, i), i, -1):
-            if c[r - 1] and c[r]:
-                _reflect(out, lab[r], lab[r + 1])
-            else:
-                lab[r], lab[r + 1] = lab[r + 1], lab[r]
-            c[r - 1], c[r] = c[r], c[r - 1]
+        if c[i] != x:
+            _lift(out, lab, c, c.index(x, i), i)
 
 
 def _read(out: list, lab: list) -> Word:

@@ -10,7 +10,11 @@ with the plactic action of the sorting permutation.
 The embeddings between contents alpha >= beta (dominance of the sorted
 contents) compose two elementary moves on the reading word: a plactic
 permutation step and the lowering step that turns the rightmost unpaired 1
-into a 2, both on one labelled word, read and refilled once at the end.
+into a 2, both on one labelled word, read and refilled once at the end.  A
+move stages its two counts at letters 1 and 2 by lifting just those two, so
+the other letters keep their order: the staged word depends only on its
+content, and the lowering commutes with every s_r, r >= 3, so that order
+never reaches the output.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .charge import cocharge_grade
-from .crystal import _match, _permute, _rearrange, _read, refill
+from .crystal import _lift, _permute, _rearrange, _read, refill
 from .shapes import dominates, is_weakly_decreasing, pad, trim
 from .tableaux import (
     Tableau,
@@ -91,10 +95,15 @@ def content_embedding(alpha, beta, t: Tableau) -> Tableau:
     of the particular chain of elementary moves used here.  Each move acts on
     the reading word: with mu the sorted content and slack the partial sums of
     mu - sorted(beta), it takes i the first index of positive slack and j the
-    first from i of zero slack, stages the content as (mu_i, mu_j, rest) by the
-    plactic action and lowers at r = 1.  A last plactic action reaches beta.
+    first from i of zero slack, stages the content as (mu_i, mu_j, the rest in
+    their order) by lifting those two counts and lowers at r = 1.  A last
+    plactic action reaches beta.
     """
     alpha, beta = tuple(alpha), tuple(beta)
+    if t.inner:
+        raise ValueError("content embeddings expect straight tableaux")
+    if not t.is_column_strict():
+        raise ValueError("content embeddings expect column-strict tableaux")
     if trim(t.content()) != trim(alpha):
         raise ValueError(f"tableau content {t.content()} is not {alpha}")
     if not dominates(
@@ -110,9 +119,12 @@ def content_embedding(alpha, beta, t: Tableau) -> Tableau:
         slack = list(itertools.accumulate(a - b for a, b in zip(mu, target)))
         i = next(k for k, s in enumerate(slack) if s)
         j = slack.index(0, i)
-        _permute(out, lab, cnt, (mu[i], mu[j], *mu[:i], *mu[i + 1:j], *mu[j + 1:]))
-        # staged, c_1 >= c_2 + 2 leaves two 1's unpaired: lower the rightmost at r = 1
-        out[_match(out, lab[1], s=lab[2])[0][-1]] = lab[2]
+        _lift(out, lab, cnt, cnt.index(mu[i]), 0)
+        _lift(out, lab, cnt, cnt.index(mu[j], 1), 1)
+        # the staged word reads a tableau: its 1's lie in row 1, read last, and only
+        # the 2's of row 2, at most c_2 < c_1, precede them, so the rightmost 1 is
+        # unpaired and f_1 lowers it
+        out[len(out) - 1 - out[::-1].index(lab[1])] = lab[2]
         cnt[:2] = mu[i] - 1, mu[j] + 1
     _permute(out, lab, cnt, beta)
     return refill(t, _read(out, lab))

@@ -66,6 +66,9 @@ class QPoly:
     def __setattr__(self, *a):
         raise AttributeError("QPoly is immutable")
 
+    def __reduce__(self):  # copy and pickle without the blocked __setattr__
+        return (QPoly, (dict(self.coeffs),))
+
     @staticmethod
     def term(exponent: int, coeff: int = 1) -> "QPoly":
         return QPoly({exponent: coeff})

@@ -121,6 +121,8 @@ def reduced_word(w: Vec) -> Vec:
     sorting the one-line notation, so its length equals the inversion count.
     """
     v = list(w)
+    if sorted(v) != list(range(1, len(v) + 1)):
+        raise ValueError(f"{w} is not a permutation of 1..{len(v)}")
     swaps = []
     for end in range(len(v) - 1, 0, -1):
         for i in range(end):

@@ -146,6 +146,14 @@ def test_plactic_act_basics():
     assert plactic_act([2, 3, 1], (1, 2, 1)) == plactic_act((2, 3, 1), (1, 2, 1))
 
 
+def test_plactic_act_rejects_a_non_permutation():
+    for w in [(3, 1), (1, 1), (0, 1), (2, 3)]:
+        with pytest.raises(ValueError, match=r"is not a permutation of 1\.\.2"):
+            plactic_act(w, (1, 1, 2))
+        with pytest.raises(ValueError, match="is not a permutation"):
+            reduced_word(w)
+
+
 def test_refill_rejects_words_that_do_not_fill_the_shape():
     t = tab([1, 2], [3])
     assert refill(t, (3, 1, 2)) == t

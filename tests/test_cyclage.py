@@ -244,6 +244,7 @@ def test_slack_move_keeps_dominance():
 
 def test_standardization_matches_the_chain_on_long_random_words():
     rng = random.Random(25)
+    pick = random.Random(41)  # its own stream, so the words stay as they were
     for _ in range(200):
         letters = rng.randint(1, 6)
         w = [rng.randint(1, letters) for _ in range(rng.randint(9, 14))]
@@ -251,6 +252,12 @@ def test_standardization_matches_the_chain_on_long_random_words():
         assert cyclage_standardization(t) == chain_embedding(
             t.content(), (1,) * len(w), t
         ), w
+        # past the exhaustive range, into a shuffled content that alpha dominates
+        alpha = t.content()
+        beta = list(pad(pick.choice(
+            [nu for nu in partitions(len(w)) if dominates(alpha, nu)]), len(w)))
+        pick.shuffle(beta)
+        assert content_embedding(alpha, beta, t) == chain_embedding(alpha, beta, t), (w, beta)
 
 
 def test_boundary_raises():
@@ -262,6 +269,13 @@ def test_boundary_raises():
         content_embedding((2, 1), (1, 1, 1), tab([1, 2, 3]))
     with pytest.raises(ValueError, match="standardization expects partition content"):
         cyclage_standardization(tab([1, 2, 2]))
+    skew = Tableau(((1,), (1,)), (1,))
+    with pytest.raises(ValueError, match="content embeddings expect straight tableaux"):
+        content_embedding((2,), (1, 1), skew)
+    with pytest.raises(ValueError, match="content embeddings expect straight tableaux"):
+        cyclage_standardization(skew)
+    with pytest.raises(ValueError, match="content embeddings expect column-strict tableaux"):
+        content_embedding((2, 1), (1, 1, 1), Tableau(((1, 1), (1,)), ()))
 
 
 def test_permutation_step_choice_does_not_matter():

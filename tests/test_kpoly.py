@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from functools import cache
 from operator import ge, gt
@@ -86,6 +88,14 @@ def test_qpoly_equals_ints_hashes_by_value_and_is_read_only():
     assert len({q(1) + 2, QPoly({1: 1, 2: 0, 0: 2}), q(1)}) == 2
     with pytest.raises(AttributeError, match="immutable"):
         ONE.coeffs = {}
+
+
+def test_qpoly_copies_and_pickles_as_a_read_only_value():
+    for p in (ZERO, ONE, q(3) - 2 * q(1) + 5):
+        for back in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert back == p and hash(back) == hash(p)
+            with pytest.raises(AttributeError, match="immutable"):
+                back.coeffs = {}
 
 
 def test_bott_straighten():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import pickle
 import random
 from collections import Counter
 
@@ -121,6 +122,16 @@ def test_report_counterexample_plumbing():
     }
     assert json.loads(json.dumps(ce)) == ce
     assert rep.counterexamples[1]["index"] is idx
+
+
+def test_report_with_polynomial_fields_pickles():
+    rep = ScanReport(descriptor={"kind": "demo"}, checks=1)
+    rep.found(check="engines", index=KIndex((2, 1), (2, 1), (1, 1)),
+              recurrence=ONE, kostant=QPoly({1: 2, 3: -1}), series=ZERO)
+    back = pickle.loads(pickle.dumps(rep))
+    assert back == rep and back.to_json() == rep.to_json()
+    with pytest.raises(AttributeError, match="immutable"):
+        back.counterexamples[0]["kostant"].coeffs = {}
 
 
 def test_charge_axioms_report_every_broken_axiom(monkeypatch):

@@ -205,10 +205,7 @@ def poset_dot(alpha) -> str:
 
 def cmd_dot(args) -> int:
     try:
-        alpha = _vec(args.alpha)
-        if any(x < 0 for x in alpha):
-            raise ValueError(f"--alpha must be a composition, got {args.alpha!r}")
-        text = poset_dot(alpha)
+        text = poset_dot(_vec(args.alpha))
     except ValueError as exc:
         return _bad_input(args, exc)
     if args.out:

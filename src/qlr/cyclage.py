@@ -166,6 +166,8 @@ def cyclage_poset(alpha) -> CyclagePoset:
     isomorphism onto the dominant rearrangement.
     """
     alpha = tuple(alpha)
+    if any(x < 0 for x in alpha):
+        raise ValueError(f"content must be a composition, got {alpha}")
     if sum(alpha) > MAX_POSET_SIZE:
         raise ValueError(f"poset size {sum(alpha)} exceeds {MAX_POSET_SIZE}")
     verts = all_cst_of_content(alpha)

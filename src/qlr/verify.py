@@ -128,14 +128,14 @@ def index_family(max_n: int, max_weight: int):
 
 
 def _scan_family(kind, max_n, max_weight, sample, check) -> ScanReport:
-    """Run ``check(rep, rseq, indices)`` once per (gamma, eta) group of the family.
+    """Run ``check(rep, rseq, lams)`` once per (gamma, eta) group of the family.
 
     The groups of ``index_family``, or a seeded sample of them, are visited
-    in turn.  ``rseq`` is the group's block sequence, and ``indices`` yields
-    each of its ``KIndex(lam, gamma, eta)`` only when the check's loop
-    reaches it, so a check keeps its group's set-up as plain locals ahead of
-    that loop.  A timing harness that rebinds ``rect_sequence`` and
-    ``KIndex`` here charges that set-up to the group's first index.
+    in turn: ``rseq`` is the group's block sequence, ``lams`` its padded
+    partitions.  A scan builds a ``KIndex`` only for a counterexample; the
+    crosscheck builds each as its loop reaches it, so a timing harness that
+    rebinds ``rect_sequence`` and ``KIndex`` here charges a group's set-up
+    to its first index.
     """
     with ScanReport.timed(
         kind=kind,
@@ -150,7 +150,7 @@ def _scan_family(kind, max_n, max_weight, sample, check) -> ScanReport:
             if count < len(groups):
                 groups = random.Random(seed).sample(groups, count)
         for gamma, eta, lams in groups:
-            check(rep, rect_sequence(eta, gamma), (KIndex(lam, gamma, eta) for lam in lams))
+            check(rep, rect_sequence(eta, gamma), lams)
     return rep
 
 
@@ -179,7 +179,7 @@ def crosscheck_family(
     """
 
     # every index here and derived here passes k_by_recurrence's checks
-    def check(rep, rseq, indices):
+    def check(rep, rseq, lams):
         gamma = rseq.gamma
         bound = default_degree_bound((sum(gamma),) + (0,) * (rseq.n - 1), gamma)
         decomposition = series_decomposition(gamma, rseq.eta, bound)
@@ -188,8 +188,8 @@ def crosscheck_family(
                        if include_dualities else ())
         charge = (_charge_polys(rseq) if include_charge
                   and charge_engine_status(rseq) == PROVEN else None)
-        for idx in indices:
-            lam = idx.lam
+        for lam in lams:
+            idx = KIndex(lam, gamma, rseq.eta)
             p_rec = _k_rec(lam, rseq)
             p_kos = k_by_kostant(idx)
             p_ser = decomposition.get(lam, ZERO)
@@ -256,12 +256,13 @@ def index_key(nidx) -> str:
 def scan_positivity(max_n: int, max_weight: int, *, sample=None) -> ScanReport:
     """Dominant gamma should give nonnegative coefficients."""
 
-    def check(rep, rseq, indices):
-        for idx in indices:
-            poly = _k_rec(idx.lam, rseq)
+    def check(rep, rseq, lams):
+        for lam in lams:
+            poly = _k_rec(lam, rseq)
             rep.checks += 1
             if not poly.is_nonnegative():
-                rep.found(check="positivity", index=idx, poly=poly)
+                rep.found(check="positivity", index=KIndex(lam, rseq.gamma, rseq.eta),
+                          poly=poly)
 
     return _scan_family("positivity", max_n, max_weight, sample, check)
 
@@ -269,15 +270,15 @@ def scan_positivity(max_n: int, max_weight: int, *, sample=None) -> ScanReport:
 def scan_catabolizable(max_n: int, max_weight: int, *, sample=None) -> ScanReport:
     """The charge engine should match the exact engines on dominant inputs."""
 
-    def check(rep, rseq, indices):
+    def check(rep, rseq, lams):
         polys, status = _charge_polys(rseq), charge_engine_status(rseq)
-        for idx in indices:
-            exact = _k_rec(idx.lam, rseq)
-            conj = polys.get(trim(idx.lam), ZERO)
+        for lam in lams:
+            exact = _k_rec(lam, rseq)
+            conj = polys.get(trim(lam), ZERO)
             rep.checks += 1
             if conj != exact:
-                rep.found(check="catabolizable", index=idx, status=status,
-                          charge=conj, exact=exact)
+                rep.found(check="catabolizable", index=KIndex(lam, rseq.gamma, rseq.eta),
+                          status=status, charge=conj, exact=exact)
 
     return _scan_family("catabolizable", max_n, max_weight, sample, check)
 
@@ -286,18 +287,18 @@ def _grows(kind, variants_of, max_n, max_weight, sample) -> ScanReport:
     """Scan that K grows coefficientwise from each index's block sequence to
     every variant ``variants_of(rseq)`` makes of it."""
 
-    def check(rep, rseq, indices):
+    def check(rep, rseq, lams):
         variants = variants_of(rseq)
         if not variants:
             return
-        for idx in indices:
-            base = _k_rec(idx.lam, rseq)
+        for lam in lams:
+            base = _k_rec(lam, rseq)
             for variant in variants:
                 rep.checks += 1
-                other = _k_rec(idx.lam, variant)
+                other = _k_rec(lam, variant)
                 if not base.leq(other):
-                    rep.found(check=kind, index=idx, variant_eta=variant.eta,
-                              poly=base, other=other)
+                    rep.found(check=kind, index=KIndex(lam, rseq.gamma, rseq.eta),
+                              variant_eta=variant.eta, poly=base, other=other)
 
     return _scan_family(kind, max_n, max_weight, sample, check)
 
@@ -306,10 +307,10 @@ def scan_monotonicity_refine(max_n: int, max_weight: int, *, sample=None) -> Sca
     """Refining one block of a dominant sequence should grow K coefficientwise."""
 
     def splits(rseq):
-        # every two-part split (a, part - a) of every block
+        # every two-part split (a, part - a) of every block: each still tiles gamma
         eta = rseq.eta
         return [
-            rect_sequence(eta[:i] + (a, part - a) + eta[i + 1:], rseq.gamma)
+            rseq._replace(eta=eta[:i] + (a, part - a) + eta[i + 1:])
             for i, part in enumerate(eta)
             for a in range(1, part)
         ]
@@ -340,7 +341,7 @@ def scan_monotonicity_heights(max_n: int, max_weight: int, *, sample=None) -> Sc
             for beta in compositions(sum(heights)):
                 if (len(beta) == stop - start and beta != heights
                         and dominates(top, tuple(sorted(beta, reverse=True)))):
-                    variants.append(rect_sequence(eta[:start] + beta + eta[stop:], rseq.gamma))
+                    variants.append(rseq._replace(eta=eta[:start] + beta + eta[stop:]))
         return variants
 
     return _grows("monotonicity2", spreads, max_n, max_weight, sample)

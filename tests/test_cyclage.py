@@ -418,3 +418,6 @@ def test_poset_trivia():
     assert len(single.vertices) == 1 and not single.edges
     with pytest.raises(ValueError):
         cyclage_poset((5, 5))
+    # a negative part is no content, though the parts sum to a small size
+    with pytest.raises(ValueError, match=r"content must be a composition, got \(-1, 2\)"):
+        cyclage_poset((-1, 2))

@@ -314,10 +314,11 @@ def test_crosscheck_box_check_reads_kostant_on_the_complement(monkeypatch):
     assert all(ce["complement"] == ce["poly"] + 1 for ce in rep.counterexamples)
 
 
-def _fault_in_group(monkeypatch, engine, group, matches):
-    """Make ``engine`` in qlr.verify return one more than it should on the
-    calls whose arguments ``matches`` while the crosscheck visits ``group``;
-    every other call is left alone."""
+def _fault_in_group(monkeypatch, engine, group, matches, by=1):
+    """Make ``engine`` in qlr.verify return ``by`` more than it should on the
+    calls whose arguments ``matches`` while the crosscheck or a scan visits
+    ``group``, seen, as a timing harness sees it, by the driver's call of
+    ``verify.rect_sequence``; every other call is left alone."""
     visiting = []
 
     def visit(eta, gamma):
@@ -325,7 +326,7 @@ def _fault_in_group(monkeypatch, engine, group, matches):
         return visiting[0]
 
     def faulty(*args):
-        return original(*args) + (1 if visiting == [group] and matches(*args) else 0)
+        return original(*args) + (by if visiting == [group] and matches(*args) else 0)
 
     original = getattr(verify, engine)
     monkeypatch.setattr(verify, "rect_sequence", visit)
@@ -366,20 +367,10 @@ def test_crosscheck_reports_a_reordering_the_recurrence_gets_wrong(monkeypatch):
 
 def _fault_at_index(monkeypatch, target, matches):
     """Make ``_k_rec`` in qlr.verify return one less than it should on the
-    calls whose arguments ``matches`` while a scan checks ``target``, the
-    index it built last; every other call is left alone."""
-    current = []
-
-    def mark(lam, gamma, eta):
-        current[:] = [make_index(lam, gamma, eta)]
-        return current[0]
-
-    def faulty(lam, rseq):
-        return original(lam, rseq) - (ONE if current == [target] and matches(lam, rseq) else ZERO)
-
-    make_index, original = verify.KIndex, verify._k_rec
-    monkeypatch.setattr(verify, "KIndex", mark)
-    monkeypatch.setattr(verify, "_k_rec", faulty)
+    calls at ``target``'s lambda whose arguments ``matches`` while a scan
+    checks ``target``'s group; every other call is left alone."""
+    _fault_in_group(monkeypatch, "_k_rec", target.rects(),
+                    lambda lam, rseq: lam == target.lam and matches(lam, rseq), by=-1)
 
 
 @pytest.mark.parametrize("scan, kind, smaller", [
@@ -399,6 +390,23 @@ def test_scans_report_the_index_whose_k_is_made_smaller(monkeypatch, scan, kind,
     [record] = rep.to_json()["counterexamples"]
     assert json.loads(json.dumps(record)) == record
     assert record["index"] == {"lambda": [3, 0, 0], "gamma": [1, 1, 1], "eta": [1, 2]}
+
+
+@pytest.mark.parametrize("scan", [
+    scan_positivity, scan_catabolizable, scan_monotonicity_refine, scan_monotonicity_heights])
+def test_scans_build_an_index_only_for_a_counterexample(monkeypatch, scan):
+    # a scan reads each lambda as it is; a record's index is validated
+    built = []
+    new = KIndex.__new__
+    monkeypatch.setattr(KIndex, "__new__", lambda cls, *args: built.append(args) or new(cls, *args))
+    clean = scan(4, 4)
+    assert clean.ok and built == []
+    # -K - 1 is negative, differs from the charge side and shrinks where K grows
+    original = verify._k_rec
+    monkeypatch.setattr(verify, "_k_rec", lambda lam, rseq: -original(lam, rseq) - ONE)
+    rep = scan(4, 4)
+    assert rep.checks == clean.checks and rep.counterexamples
+    assert [tuple(ce["index"]) for ce in rep.counterexamples] == built
 
 
 def test_row_col_cat_reports_the_tableau_whose_column_test_is_flipped(monkeypatch):
